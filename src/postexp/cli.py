@@ -1,8 +1,10 @@
 """Command-line front end: grid sweeps and reports as CSV or JSON.
 
 Grid syntax shared by all commands: `lin:a:b:n`, `log:a:b:n`, or a comma
-list like `0.1,0.4,1.5`. Output is deterministic: identical invocations
-produce byte-identical files at any --parallelism setting.
+list like `0.1,0.4,1.5`. Grids are computed and written in blocks of
+BLOCK_ROWS rows, so memory stays bounded for any grid. Output is
+deterministic: identical invocations produce byte-identical files.
+--parallelism is kept for compatibility and has no effect.
 
 Exit codes: 0 success, 1 computation failure, 2 usage error.
 """
@@ -10,12 +12,13 @@ Exit codes: 0 success, 1 computation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +28,7 @@ from . import normalization, source_model, specfun, transition, units
 
 SCHEMA_VERSION = "1"
 LATTICE_SUMMARY_HORIZON = 220.0   # envelope fits need this much time to converge
+BLOCK_ROWS = 8192                 # table rows computed and written at a time
 
 
 class UsageError(Exception):
@@ -73,21 +77,6 @@ def check_k0i(value: float) -> float:
     return value
 
 
-def fmt_cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        f = float(v)
-        if math.isnan(f):
-            return "nan"
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return repr(f)
-    return str(v)
-
-
 def _json_safe(v):
     if isinstance(v, (bool, np.bool_)):
         return bool(v)
@@ -103,12 +92,19 @@ def _json_safe(v):
     return v
 
 
-def write_text(out: Optional[str], text: str) -> None:
+def _output(out: Optional[str]):
+    """The --out file, or stdout (left open) when no path is given."""
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(out, "w", encoding="utf-8", newline="")
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _fmt_column(col) -> List[str]:
+    """CSV cells for one column: bools as 1/0, floats by repr (nan, inf, -inf)."""
+    col = np.asarray(col)
+    if col.dtype.kind == "b":
+        return ["1" if v else "0" for v in col.tolist()]
+    return list(map(repr if col.dtype.kind == "f" else str, col.tolist()))
 
 
 def emit_table(
@@ -116,108 +112,86 @@ def emit_table(
     command: str,
     params: Dict[str, object],
     columns: Sequence[str],
-    rows: Sequence[Sequence[object]],
+    blocks: Iterable[Sequence[object]],
     summary: Optional[Dict[str, object]] = None,
 ) -> None:
-    if args.format == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(fmt_cell(v) for v in row) for row in rows)
-        if summary:
-            lines.extend(f"# {k} = {fmt_cell(v)}" for k, v in summary.items())
-        write_text(args.out, "\n".join(lines) + "\n")
-    else:
+    """Write a table given as blocks, each a sequence of equal-length columns.
+
+    CSV streams each block as it is computed; JSON collects the rows first.
+    """
+    with _output(args.out) as fh:
+        if args.format == "csv":
+            fh.write(",".join(columns) + "\n")
+            for block in blocks:
+                cells = [_fmt_column(c) for c in block]
+                fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+            if summary:
+                fh.write("".join(f"# {k} = {_fmt_column([v])[0]}\n" for k, v in summary.items()))
+            return
+        rows = [[_json_safe(v) for v in row]
+                for block in blocks
+                for row in zip(*(np.asarray(c).tolist() for c in block))]
         obj = {
             "schema_version": SCHEMA_VERSION,
             "command": command,
             "params": _json_safe(params),
             "columns": list(columns),
-            "rows": [[_json_safe(v) for v in row] for row in rows],
+            "rows": rows,
         }
         if summary:
             obj["summary"] = _json_safe(summary)
-        write_text(args.out, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def map_rows(worker, items: Sequence, parallelism: int) -> List:
-    if parallelism <= 1 or len(items) <= 1:
-        return [worker(it) for it in items]
-    chunk = max(1, len(items) // (parallelism * 4))
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(worker, items, chunksize=chunk))
-
-
-# ------------------------------------------------------------ row workers
-# Top-level functions so ProcessPoolExecutor can pickle them; each rebuilds
-# its parameter records from primitives.
-
-def _density_row(item) -> List[object]:
-    k0I, x, t, n_total = item
-    p = source_model.SourceParams(k0I)
-    pt = source_model.SpaceTimePoint(x, t)
-    dec = source_model.evaluate_exact(p, pt)
-    rho = abs(dec.psi_exact) ** 2
-    rho_saddle = math.nan if dec.psi_saddle is None else abs(dec.psi_saddle) ** 2
-    rho_pole = abs(dec.psi_pole) ** 2
-    if x > 0.0:
-        try:
-            ratio = transition.ratio_R(p, pt)
-        except source_model.SingularConfigurationError:
-            ratio = math.nan
-    else:
-        ratio = math.nan
-    return [x, t, rho, rho_saddle, rho_pole, dec.pole_crossed, ratio, rho / n_total]
-
-
-def _transition_row(item) -> List[object]:
-    k0I, x, method = item
-    p = source_model.SourceParams(k0I)
-    tp = transition.transition_time(p, x, method=method)
-    return [x, tp.t_p, tp.density_raw, tp.density_normalized, tp.valid, tp.method]
-
-
-def _critical_row(item) -> List[object]:
-    (k0I,) = item
-    p = source_model.SourceParams(k0I)
-    pt = transition.critical_density_curve([p], normalized=True)[0]
-    return [k0I, pt.x_max, pt.t_p, pt.density_exact, pt.density_approx, pt.valid]
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 # --------------------------------------------------------------- commands
 
 def cmd_density(args) -> int:
     k0I = check_k0i(args.k0i)
-    xs = parse_grid(args.x, "--x")
-    ts = parse_grid(args.t_grid, "--t-grid")
+    xs = np.array(parse_grid(args.x, "--x"))
+    ts = np.array(parse_grid(args.t_grid, "--t-grid"))
     if xs[0] < 0.0:
         raise UsageError("--x: positions must be >= 0")
     if ts[0] <= 0.0:
         raise UsageError("--t-grid: times must be > 0")
-    n_total = normalization.total_emitted(source_model.SourceParams(k0I)).n_total
-    items = [(k0I, x, t, n_total) for x in xs for t in ts]
-    rows = map_rows(_density_row, items, args.parallelism)
+    p = source_model.SourceParams(k0I)
+    n_total = normalization.total_emitted(p).n_total
+
+    def blocks():
+        # rows run x-major over the flattened (x, t) grid
+        for lo in range(0, xs.size * ts.size, BLOCK_ROWS):
+            i = np.arange(lo, min(lo + BLOCK_ROWS, xs.size * ts.size))
+            x, t = xs[i // ts.size], ts[i % ts.size]
+            w = source_model.kernel(p, x, t)
+            rho, saddle, pole = np.abs(w.psi) ** 2, np.abs(w.saddle), np.abs(w.pole)
+            # R = |pole|/|saddle|; nan at x = 0 and on the saddle's singular locus
+            ratio = np.divide(pole, saddle, out=np.full(x.shape, math.nan), where=x > 0.0)
+            yield x, t, rho, saddle ** 2, pole ** 2, w.pole_crossed, ratio, rho / n_total
+
     emit_table(
         args,
         "density",
         {"k0i": k0I, "x": args.x, "t_grid": args.t_grid},
         ["x", "t", "rho_exact", "rho_saddle", "rho_pole", "pole_crossed", "R", "rho_normalized"],
-        rows,
+        blocks(),
     )
     return 0
 
 
 def cmd_transition(args) -> int:
     k0I = check_k0i(args.k0i)
-    xs = parse_grid(args.x_grid, "--x-grid")
+    xs = np.array(parse_grid(args.x_grid, "--x-grid"))
     if xs[0] <= 0.0:
         raise UsageError("--x-grid: positions must be > 0")
-    items = [(k0I, x, args.method) for x in xs]
-    rows = map_rows(_transition_row, items, args.parallelism)
+    p = source_model.SourceParams(k0I)
+    blocks = (transition.transition_times(p, xs[lo:lo + BLOCK_ROWS], args.method)
+              for lo in range(0, xs.size, BLOCK_ROWS))
     emit_table(
         args,
         "transition",
         {"k0i": k0I, "x_grid": args.x_grid, "method": args.method},
         ["x", "t_p", "rho_at_tp_raw", "rho_at_tp_normalized", "valid", "method"],
-        rows,
+        (tuple(zip(*((q.x, q.t_p, q.density_raw, q.density_normalized, q.valid, q.method)
+                     for q in pts))) for pts in blocks),
     )
     return 0
 
@@ -226,14 +200,15 @@ def cmd_critical(args) -> int:
     ks = parse_grid(args.k0i_grid, "--k0i-grid")
     for k in ks:
         check_k0i(k)
-    items = [(k,) for k in ks]
-    rows = map_rows(_critical_row, items, args.parallelism)
+    params = [source_model.SourceParams(k) for k in ks]
+    curves = (transition.critical_density_curve(params[lo:lo + BLOCK_ROWS])
+              for lo in range(0, len(ks), BLOCK_ROWS))
     emit_table(
         args,
         "critical",
         {"k0i_grid": args.k0i_grid},
         ["k0I", "x_max", "t_p", "rho_exact_normalized", "rho_approx_normalized", "valid"],
-        rows,
+        (tuple(zip(*map(dataclasses.astuple, pts))) for pts in curves),
     )
     return 0
 
@@ -264,18 +239,14 @@ def cmd_lattice(args) -> int:
     else:
         ts = np.linspace(0.0, p.t_max, 801).tolist()
 
-    rows: List[List[object]] = []
-    for n in sites:
-        dens = lat.site_density(p, n, ts)
-        rows.extend([t, n, float(d)] for t, d in zip(ts, dens))
-
+    blocks = [(ts, [n] * len(ts), lat.site_density(p, n, ts)) for n in sites]
     summary = _lattice_summary(args.delta, sites, args.t_max)
     emit_table(
         args,
         "lattice",
         {"delta": args.delta, "sites": args.sites, "t_max": args.t_max, "n_sites": p.n_sites},
         ["t", "n", "density"],
-        rows,
+        blocks,
         summary=summary,
     )
     return 0
@@ -339,7 +310,8 @@ def cmd_scenario(args) -> int:
         "params": {"config": args.config, "distance_m": distance},
         "report": _json_safe(report.to_dict()),
     }
-    write_text(args.out, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    with _output(args.out) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -357,12 +329,10 @@ def _resolve_config(name: str) -> str:
 # --------------------------------------------------------------- selftest
 
 def _check_boundary() -> float:
-    worst = 0.0
-    for k0I in (-0.3, -0.5):
-        p = source_model.SourceParams(k0I)
-        for t in np.geomspace(0.01, 100.0, 50):
-            got = source_model.wavefunction(p, 0.0, float(t))
-            worst = max(worst, abs(got - source_model.boundary_value(p, float(t))))
+    ts = np.geomspace(0.01, 100.0, 50)
+    devs = (source_model.kernel(p, 0.0, ts).psi - np.exp(-1j * p.omega0 * ts)
+            for p in map(source_model.SourceParams, (-0.3, -0.5)))
+    worst = max(float(np.abs(d).max()) for d in devs)
     if worst >= 1e-10:
         raise AssertionError(f"boundary deviation {worst:.3e} >= 1e-10")
     return worst
@@ -388,13 +358,13 @@ def _check_continuity() -> float:
     p = source_model.SourceParams(-0.3)
     h = 1e-4
     worst = 0.0
+
+    def rho_j(x, t):
+        return source_model.density_and_current(p, source_model.SpaceTimePoint(x, t))
+
     for x, t in ((0.7, 3.0), (2.0, 8.0), (4.0, 15.0)):
-        rho_p = source_model.density_and_current(p, source_model.SpaceTimePoint(x, t + h))[0]
-        rho_m = source_model.density_and_current(p, source_model.SpaceTimePoint(x, t - h))[0]
-        j_p = source_model.density_and_current(p, source_model.SpaceTimePoint(x + h, t))[2]
-        j_m = source_model.density_and_current(p, source_model.SpaceTimePoint(x - h, t))[2]
-        drho_dt = (rho_p - rho_m) / (2.0 * h)
-        dj_dx = (j_p - j_m) / (2.0 * h)
+        drho_dt = (rho_j(x, t + h)[0] - rho_j(x, t - h)[0]) / (2.0 * h)
+        dj_dx = (rho_j(x + h, t)[2] - rho_j(x - h, t)[2]) / (2.0 * h)
         scale = max(abs(drho_dt), abs(dj_dx), 1e-30)
         worst = max(worst, abs(drho_dt + dj_dx) / scale)
     if worst >= 1e-3:
@@ -442,7 +412,7 @@ def _add_common(sp) -> None:
         "--parallelism",
         type=int,
         default=os.cpu_count() or 1,
-        help="worker processes for grid evaluation (result order is fixed)",
+        help="kept for compatibility; has no effect (grids are single-process numpy blocks)",
     )
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 from scipy import integrate
 
-from .source_model import SourceParams, SpaceTimePoint, density_and_current
+from .source_model import SourceParams, SpaceTimePoint, kernel
 
 T_CUT_TAU0_MULTIPLE = 50.0
 SMALL_T_FLOOR = 1e-8         # below this the t^{-1/2} onset is integrated analytically
@@ -35,10 +35,15 @@ class NormalizationResult:
     tail_flagged: bool
 
 
-def boundary_current(p: SourceParams, t: float) -> float:
-    """J(0, t); diverges as sqrt(2/(pi t)) for t -> 0+."""
-    _, _, j = density_and_current(p, SpaceTimePoint(0.0, t))
-    return j
+def boundary_current(p: SourceParams, t):
+    """J(0, t) = 2 Im[psi* dpsi/dx] at x = 0, scalar or array t; ~ sqrt(2/(pi t)) as t -> 0+."""
+    w = kernel(p, 0.0, t, derivative=True)
+    return 2.0 * (w.psi.conjugate() * w.dpsi_dx).imag
+
+
+def _current_in_u(u: float, p: SourceParams) -> float:
+    """The integrand J(0, t) dt/du after t = u^2."""
+    return 2.0 * u * boundary_current(p, u * u)
 
 
 def total_emitted(p: SourceParams) -> NormalizationResult:
@@ -51,14 +56,11 @@ def total_emitted(p: SourceParams) -> NormalizationResult:
     erratic to fit, which costs nothing at the 1e-6 relative level.
     """
     t_cut = T_CUT_TAU0_MULTIPLE * p.tau0
-
-    def integrand(u: float) -> float:
-        return 2.0 * u * boundary_current(p, u * u)
-
     head, head_err = integrate.quad(
-        integrand,
+        _current_in_u,
         math.sqrt(SMALL_T_FLOOR),
         math.sqrt(t_cut),
+        args=(p,),
         limit=400,
         epsabs=1e-12,
         epsrel=1e-10,
@@ -100,7 +102,7 @@ def _tail_fit(p: SourceParams, t_cut: float):
     C t_cut^{p+1} / (-(p+1)) negligible, which is the expected outcome.
     """
     ts = np.geomspace(t_cut / 10.0, t_cut, 30)
-    js = np.array([boundary_current(p, float(t)) for t in ts])
+    js = boundary_current(p, ts)
     mask = js > 0.0
     if mask.sum() < 6:
         return 0.0, None, True
@@ -118,12 +120,8 @@ def emitted_by_time(p: SourceParams, T: float) -> float:
     """Norm emitted up to time T (no tail term)."""
     if T <= 0.0:
         return 0.0
-
-    def integrand(u: float) -> float:
-        return 2.0 * u * boundary_current(p, u * u)
-
     lo = math.sqrt(min(SMALL_T_FLOOR, T))
-    head, _ = integrate.quad(integrand, lo, math.sqrt(T), limit=400)
+    head, _ = integrate.quad(_current_in_u, lo, math.sqrt(T), args=(p,), limit=400)
     onset = 2.0 * math.sqrt(2.0 * min(SMALL_T_FLOOR, T) / math.pi)
     return head + onset
 
@@ -138,24 +136,21 @@ def spatial_norm(p: SourceParams, T: float) -> float:
     """
     if T <= 0.0:
         return 0.0
-    from .source_model import evaluate_exact
 
-    def rho(x: float) -> float:
-        return abs(evaluate_exact(p, SpaceTimePoint(x, T)).psi_exact) ** 2
+    def rho(x):
+        return np.abs(kernel(p, x, T).psi) ** 2
 
     near, _ = integrate.quad(rho, 0.0, 2.0 * T, limit=800)
     x_big = 40.0 * T + 200.0
     far, _ = integrate.quad(rho, 2.0 * T, x_big, limit=800)
     xs = np.linspace(x_big * 0.85, x_big, 40)
-    c = float(np.mean([rho(float(x)) * x * x for x in xs]))
+    c = float(np.mean(rho(xs) * xs * xs))
     tail = c / x_big
     return near + far + tail
 
 
 def normalized_density(p: SourceParams, pt: SpaceTimePoint, n_total: Optional[float] = None) -> float:
     """|psi|^2 / n_total at one point."""
-    from .source_model import evaluate_exact
-
     if n_total is None:
         n_total = total_emitted(p).n_total
-    return abs(evaluate_exact(p, pt).psi_exact) ** 2 / n_total
+    return abs(kernel(p, pt.x, pt.t).psi) ** 2 / n_total

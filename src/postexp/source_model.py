@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -108,79 +108,120 @@ class WaveDecomposition:
     k_saddle: float
 
 
-def _u_pair(p: SourceParams, x: float, t: float) -> Tuple[complex, complex, complex]:
-    k0 = p.k0
+class Wave(NamedTuple):
+    """kernel output: arrays of the broadcast (x, t) shape, or scalars."""
+
+    psi: Any            # exact value; None when exact=False
+    saddle: Any         # algebraic part; nan on |t^2 - tau^2| < 1e-12
+    pole: Any           # resonance part e^{-i omega0 t} e^{i k0 x}, unconditional
+    pole_crossed: Any   # t > x/(2(1 + k0I)), i.e. Im u_+ > 0
+    dpsi_dx: Any        # d psi/dx; None unless derivative=True
+
+
+def pole_crossing_time(p: SourceParams, x):
+    """Earliest time with Im u_+ > 0 at this x, namely x / (2 (1 + k0I))."""
+    return x / (2.0 * (1.0 + p.k0I))
+
+
+def _u_pair(k0: complex, x, t, sqrt=math.sqrt):
     tau = x / (2.0 * k0)
-    pref = (1.0 + 1j) * math.sqrt(t / 2.0) * k0
-    u_plus = pref * (1.0 - tau / t)
-    u_minus = -pref * (1.0 + tau / t)
-    return u_plus, u_minus, tau
+    pref = (1.0 + 1j) * sqrt(t / 2.0) * k0
+    return pref * (1.0 - tau / t), -pref * (1.0 + tau / t), tau
+
+
+def _point(x, t, i: int) -> Tuple[float, float]:
+    xb, tb = np.broadcast_arrays(x, t)
+    return float(xb.flat[i]), float(tb.flat[i])
+
+
+def kernel(p: SourceParams, x, t, exact: bool = True, derivative: bool = False) -> Wave:
+    """The wavefunction and its asymptotic parts over broadcast (x, t).
+
+    psi = (1/2) e^{i k_s^2 t} [w(-u_+) + w(-u_-)], one vectorized w call per
+    branch; k_s = x/(2t) is the stationary wavenumber, tau = x/(2 k0) the
+    complex traversal time. exact=False skips w for callers that need only
+    the saddle and pole parts. derivative adds d psi/dx through
+    w'(z) = -2 z w(z) + 2i/sqrt(pi) and du_+-/dx = -(1+i)/(2 sqrt(2t)).
+
+    x < 0, t <= 0 and non-finite inputs raise ValueError; a value that
+    leaves double precision raises EvaluationDomainError at the first
+    offending point (flat order), never inf or nan.
+    """
+    i = specfun.first_false((x >= 0.0) & (x < math.inf) & (t > 0.0) & (t < math.inf))
+    if i is not None:
+        raise ValueError(f"need finite x >= 0 and t > 0, got (x, t) = {_point(x, t, i)}")
+    # |pole| = e^{k0I (2t - x)} overflows far beyond the front
+    i = specfun.first_false(p.k0I * (2.0 * t - x) <= specfun.OVERFLOW_LIMIT)
+    if i is not None:
+        raise EvaluationDomainError(*_point(x, t, i), "pole part overflows")
+    # one arithmetic for both; math/cmath are the faster choice for scalars
+    grid = isinstance(x, np.ndarray) or isinstance(t, np.ndarray)
+    sqrt, exp = (np.sqrt, np.exp) if grid else (math.sqrt, cmath.exp)
+    k0 = p.k0
+    u_plus, u_minus, tau = _u_pair(k0, x, t, sqrt)
+    k_s = x / (2.0 * t)
+    phase = exp(1j * k_s * k_s * t)
+    # Im(tau^2) != 0 for x > 0 and tau = 0 at x = 0, so this never divides by 0
+    t2mtau2 = t * t - tau * tau
+    saddle = sqrt(2.0 * t / math.pi) * tau * phase / ((1j - 1.0) * k0 * t2mtau2)
+    singular = abs(t2mtau2) < SADDLE_SINGULAR_TOL
+    saddle = np.where(singular, math.nan, saddle) if grid else (math.nan if singular else saddle)
+    pole = exp(-1j * k0 * k0 * t + 1j * k0 * x)
+    psi = dpsi = None
+    if exact:
+        try:
+            w_p = specfun.faddeeva(-u_plus)
+            w_m = specfun.faddeeva(-u_minus)
+        except specfun.FaddeevaDomainError as exc:
+            raise EvaluationDomainError(*_point(x, t, exc.index or 0), str(exc)) from exc
+        psi = 0.5 * phase * (w_p + w_m)
+        if derivative:
+            c = (1.0 + 1j) / (2.0 * sqrt(2.0 * t))
+            wd = 2.0 * (u_plus * w_p + u_minus * w_m) + 4j / SQRT_PI   # w'(-u_+) + w'(-u_-)
+            dpsi = 0.5 * phase * (1j * k_s * (w_p + w_m) + c * wd)
+    # Im u_+ > 0 in exact arithmetic, without the rounding of u_+ at t = t_c
+    return Wave(psi, saddle, pole, t > pole_crossing_time(p, x), dpsi)
 
 
 def evaluate_exact(p: SourceParams, pt: SpaceTimePoint) -> WaveDecomposition:
-    """Exact wavefunction psi = (1/2) e^{i k_s^2 t} [w(-u_+) + w(-u_-)].
+    """Exact wavefunction at one point with its decomposition record.
 
-    k_s = x/(2t) is the stationary wavenumber, tau = x/(2 k0) the complex
-    traversal time. The pole term is included in the decomposition record
-    unconditionally; pole_crossed says whether the asymptotic split would
-    add it (Im u_+ > 0).
+    The pole term is recorded unconditionally; pole_crossed says whether
+    the asymptotic split would add it (Im u_+ > 0).
     """
-    x, t = pt.x, pt.t
-    u_plus, u_minus, tau = _u_pair(p, x, t)
-    k_s = x / (2.0 * t)
-    phase = cmath.exp(1j * k_s * k_s * t)
-    try:
-        w_p = specfun.faddeeva(-u_plus)
-        w_m = specfun.faddeeva(-u_minus)
-    except specfun.FaddeevaDomainError as exc:
-        raise EvaluationDomainError(x, t, str(exc)) from exc
-    psi = 0.5 * phase * (w_p + w_m)
-
-    t2mtau2 = t * t - tau * tau
-    if abs(t2mtau2) < SADDLE_SINGULAR_TOL:
-        psi_s: Optional[complex] = None
-    else:
-        psi_s = math.sqrt(2.0 * t / math.pi) * tau * phase / ((1j - 1.0) * p.k0 * t2mtau2)
-
-    psi_0 = cmath.exp(-1j * p.omega0 * t + 1j * p.k0 * x)
+    w = kernel(p, pt.x, pt.t)
+    u_plus, u_minus, tau = _u_pair(p.k0, pt.x, pt.t)
+    saddle = complex(w.saddle)
     return WaveDecomposition(
-        psi_exact=psi,
-        psi_saddle=psi_s,
-        psi_pole=psi_0,
-        pole_crossed=u_plus.imag > 0.0,
+        psi_exact=complex(w.psi),
+        psi_saddle=None if cmath.isnan(saddle) else saddle,
+        psi_pole=complex(w.pole),
+        pole_crossed=bool(w.pole_crossed),
         u_plus=u_plus,
         u_minus=u_minus,
         tau=tau,
-        k_saddle=k_s,
+        k_saddle=pt.x / (2.0 * pt.t),
     )
 
 
 def evaluate_saddle(p: SourceParams, pt: SpaceTimePoint) -> complex:
     """Algebraic (steepest-descent) part; diverges on t^2 = tau^2."""
-    x, t = pt.x, pt.t
-    _, _, tau = _u_pair(p, x, t)
-    t2mtau2 = t * t - tau * tau
-    if abs(t2mtau2) < SADDLE_SINGULAR_TOL:
-        raise SingularConfigurationError(
-            f"saddle form singular at (x={x!r}, t={t!r}): |t^2 - tau^2| < {SADDLE_SINGULAR_TOL}"
-        )
-    k_s = x / (2.0 * t)
-    phase = cmath.exp(1j * k_s * k_s * t)
-    return math.sqrt(2.0 * t / math.pi) * tau * phase / ((1j - 1.0) * p.k0 * t2mtau2)
+    saddle = complex(kernel(p, pt.x, pt.t, exact=False).saddle)
+    if cmath.isnan(saddle):
+        raise SingularConfigurationError(f"saddle form singular at (x={pt.x!r}, t={pt.t!r}): "
+                                         f"|t^2 - tau^2| < {SADDLE_SINGULAR_TOL}")
+    return saddle
 
 
 def evaluate_pole(p: SourceParams, pt: SpaceTimePoint) -> complex:
     """Resonance part e^{-i omega0 t} e^{i k0 x}, returned unconditionally."""
-    return cmath.exp(-1j * p.omega0 * pt.t + 1j * p.k0 * pt.x)
+    return complex(kernel(p, pt.x, pt.t, exact=False).pole)
 
 
 def evaluate_approx(p: SourceParams, pt: SpaceTimePoint) -> complex:
     """Saddle plus pole, the pole included only once Im u_+ > 0."""
-    psi_s = evaluate_saddle(p, pt)
-    u_plus, _, _ = _u_pair(p, pt.x, pt.t)
-    if u_plus.imag > 0.0:
-        return psi_s + evaluate_pole(p, pt)
-    return psi_s
+    w = kernel(p, pt.x, pt.t, exact=False)
+    return evaluate_saddle(p, pt) + (complex(w.pole) if w.pole_crossed else 0j)
 
 
 def u_moduli(p: SourceParams, pt: SpaceTimePoint) -> Tuple[float, float]:
@@ -193,7 +234,7 @@ def u_moduli(p: SourceParams, pt: SpaceTimePoint) -> Tuple[float, float]:
     """
     x, t = pt.x, pt.t
     if x == 0.0:
-        u_plus, u_minus, _ = _u_pair(p, x, t)
+        u_plus, u_minus, _ = _u_pair(p.k0, x, t)
         return abs(u_plus), abs(u_minus)
     abs_k0 = abs(p.k0)
     abs_tau = x / (2.0 * abs_k0)
@@ -213,7 +254,7 @@ def wavefunction(p: SourceParams, x: float, t: float) -> complex:
     """Convenience evaluator honoring the switch-on: exactly 0 for t <= 0."""
     if t <= 0.0:
         return 0j
-    return evaluate_exact(p, SpaceTimePoint(x, t)).psi_exact
+    return complex(kernel(p, x, t).psi)
 
 
 def density_and_current(
@@ -221,36 +262,17 @@ def density_and_current(
 ) -> Tuple[float, complex, float]:
     """Probability density, analytic d psi/dx, and current at one point.
 
-    rho = |psi|^2 and J = 2 Im[psi* dpsi/dx]. The spatial derivative uses
-    du_+-/dx = -(1+i)/(2 sqrt(2t)) (identical for both branches), the chain
-    rule through dw/dz, and the phase factor derivative i k_s e^{i k_s^2 t}.
+    rho = |psi|^2 and J = 2 Im[psi* dpsi/dx].
     """
-    x, t = pt.x, pt.t
-    u_plus, u_minus, _ = _u_pair(p, x, t)
-    k_s = x / (2.0 * t)
-    phase = cmath.exp(1j * k_s * k_s * t)
-    try:
-        w_p = specfun.faddeeva(-u_plus)
-        w_m = specfun.faddeeva(-u_minus)
-        wd_p = specfun.faddeeva_derivative(-u_plus)
-        wd_m = specfun.faddeeva_derivative(-u_minus)
-    except specfun.FaddeevaDomainError as exc:
-        raise EvaluationDomainError(x, t, str(exc)) from exc
-    psi = 0.5 * phase * (w_p + w_m)
-    # d/dx w(-u) = -w'(-u) du/dx with du/dx = -(1+i)/(2 sqrt(2t)) for both u
-    c = (1.0 + 1j) / (2.0 * math.sqrt(2.0 * t))
-    dpsi = 0.5 * phase * (1j * k_s * (w_p + w_m) + c * (wd_p + wd_m))
-    rho = abs(psi) ** 2
-    current = 2.0 * (psi.conjugate() * dpsi).imag
-    return rho, dpsi, current
+    w = kernel(p, pt.x, pt.t, derivative=True)
+    psi, dpsi = complex(w.psi), complex(w.dpsi_dx)
+    return abs(psi) ** 2, dpsi, 2.0 * (psi.conjugate() * dpsi).imag
 
 
-def density_grid(
-    p: SourceParams, xs: np.ndarray, ts: np.ndarray
-) -> np.ndarray:
-    """|psi|^2 on the outer product of xs and ts (rows are x, columns t)."""
-    out = np.empty((len(xs), len(ts)), dtype=float)
-    for i, x in enumerate(xs):
-        for j, t in enumerate(ts):
-            out[i, j] = abs(wavefunction(p, float(x), float(t))) ** 2
+def density_grid(p: SourceParams, xs, ts) -> np.ndarray:
+    """|psi|^2 on the outer product of xs and ts (rows are x, columns t); 0 for t <= 0."""
+    xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
+    out = np.zeros((xs.size, ts.size))
+    on = ts > 0.0
+    out[:, on] = np.abs(kernel(p, xs[:, None], ts[on]).psi) ** 2
     return out

@@ -10,45 +10,62 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from typing import Optional
 
+import numpy as np
 from scipy.special import wofz
 
 SQRT_PI = math.sqrt(math.pi)
 
 # exp(-z^2) in the lower half-plane grows like exp(Im(z)^2 - Re(z)^2);
-# refuse evaluations that would overflow instead of returning inf.
-_OVERFLOW_LIMIT = 0.9 * math.log(sys.float_info.max)
+# refuse evaluations whose log-modulus passes this instead of returning inf.
+OVERFLOW_LIMIT = 0.9 * math.log(sys.float_info.max)
 
 
 class FaddeevaDomainError(ValueError):
-    """Raised when w(z) cannot be evaluated in double precision."""
+    """w(z) cannot be evaluated in double precision; index locates z in an array argument."""
 
-    def __init__(self, z: complex, reason: str):
+    def __init__(self, z: complex, reason: str, index: Optional[int] = None):
         self.z = z
+        self.index = index
         super().__init__(f"w(z) domain error at z={z!r}: {reason}")
 
 
-def _check_overflow(z: complex) -> None:
-    if z.imag < 0.0 and (z.imag * z.imag - z.real * z.real) > _OVERFLOW_LIMIT:
-        raise FaddeevaDomainError(z, "exp(-z^2) overflows in the lower half-plane")
+def first_false(ok) -> Optional[int]:
+    """Flat index of the first False in a boolean array or scalar, else None.
+
+    Scalars skip the array reduction, which costs more than what it guards.
+    """
+    if not isinstance(ok, np.ndarray):
+        return None if ok else 0
+    return None if ok.all() else int(np.flatnonzero(~ok)[0])
 
 
-def faddeeva(z: complex) -> complex:
+def faddeeva(z):
     """Scaled complementary error function w(z) = exp(-z^2) erfc(-iz).
 
-    Accurate to better than 1e-12 relative in the closed upper half-plane.
-    Lower half-plane values follow the reflection w(-z) = 2 exp(-z^2) - w(z)
-    and lose accuracy as exp(-z^2) grows; past the overflow guard the call
-    raises FaddeevaDomainError rather than returning inf.
+    Takes a complex scalar (returns a complex) or an array (returns an array
+    of its shape from one vectorized call). Accurate to better than 1e-12
+    relative in the closed upper half-plane. Lower half-plane values follow
+    the reflection w(-z) = 2 exp(-z^2) - w(z) and lose accuracy as exp(-z^2)
+    grows; a non-finite argument, or one past the overflow guard, raises
+    FaddeevaDomainError at the first offending z rather than returning inf.
     """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise FaddeevaDomainError(z, "non-finite argument")
-    _check_overflow(z)
-    w = complex(wofz(z))
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        raise FaddeevaDomainError(z, "evaluation overflowed")
-    return w
+    array = isinstance(z, np.ndarray)
+    if not array:
+        z = complex(z)
+    # |z| < inf fails exactly when a part is nan or infinite
+    growth = z.imag * z.imag - z.real * z.real
+    ok = (abs(z) < math.inf) & ((z.imag >= 0.0) | (growth <= OVERFLOW_LIMIT))
+    i = first_false(ok)
+    if i is None:
+        w = wofz(z)
+        i = first_false(abs(w) < math.inf)
+        if i is None:
+            return w if array else complex(w)
+    bad = complex(z.flat[i] if array else z)
+    reason = "exp(-z^2) overflows" if abs(bad) < math.inf else "non-finite argument"
+    raise FaddeevaDomainError(bad, reason, i if array else None)
 
 
 def faddeeva_asymptotic(z: complex, m_max: int) -> complex:
@@ -63,7 +80,8 @@ def faddeeva_asymptotic(z: complex, m_max: int) -> complex:
         raise ValueError("m_max must be >= 0")
     if abs(z) < 3.0:
         raise FaddeevaDomainError(z, "|z| below asymptotic validity floor 3")
-    _check_overflow(z)
+    if z.imag < 0.0 and z.imag * z.imag - z.real * z.real > OVERFLOW_LIMIT:
+        raise FaddeevaDomainError(z, "exp(-z^2) overflows in the lower half-plane")
     acc = 1.0 + 0.0j
     term = 1.0 + 0.0j
     inv2z2 = 1.0 / (2.0 * z * z)
@@ -76,6 +94,6 @@ def faddeeva_asymptotic(z: complex, m_max: int) -> complex:
     return out
 
 
-def faddeeva_derivative(z: complex) -> complex:
-    """dw/dz via the identity w'(z) = -2 z w(z) + 2i/sqrt(pi)."""
+def faddeeva_derivative(z):
+    """dw/dz via the identity w'(z) = -2 z w(z) + 2i/sqrt(pi); scalar or array."""
     return -2.0 * z * faddeeva(z) + 2j / SQRT_PI

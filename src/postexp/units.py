@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .normalization import total_emitted
-from .source_model import SourceParams, SpaceTimePoint, evaluate_exact
+from .source_model import SourceParams, SpaceTimePoint, kernel
 from .transition import RangeExhaustedError, critical_distance, transition_time
 
 HBAR = 1.054571817e-34
@@ -124,11 +124,8 @@ def _pixel_density_integral(
     hi = x_center + 0.5 * width
     nodes, weights = np.polynomial.legendre.leggauss(PIXEL_QUAD_ORDER)
     xs = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-    total = 0.0
-    for xx, ww in zip(xs, weights):
-        rho = abs(evaluate_exact(p, SpaceTimePoint(float(xx), t)).psi_exact) ** 2
-        total += ww * rho
-    return 0.5 * (hi - lo) * total / n_total
+    rho = np.abs(kernel(p, xs, t).psi) ** 2
+    return 0.5 * (hi - lo) * float(weights @ rho) / n_total
 
 
 def scenario_transition_report(

@@ -259,3 +259,54 @@ def test_bad_k0i_is_usage_error(capsys):
                                "--t-grid", "lin:1:2:2"])
     assert rc == 2
     assert "k0I" in err
+
+
+# ---------------------------------------------------------------- streaming
+
+STREAMED = [
+    # x = 0 rows give R = nan; the grid straddles t_c, so pole_crossed is 0 and 1
+    ["density", "--k0i", "-0.3", "--x", "0,0.5,3", "--t-grid", "log:0.1:20:11"],
+    # past x_max (13.65) the rows are invalid, with nan cells
+    ["transition", "--k0i", "-0.3", "--x-grid", "log:0.05:20:30"],
+]
+
+
+def _bytes(capsys, argv):
+    rc = cli.main(argv)
+    out = capsys.readouterr().out
+    assert rc == 0
+    return out
+
+
+@pytest.mark.parametrize("argv", STREAMED)
+def test_small_blocks_give_identical_bytes(capsys, monkeypatch, argv):
+    whole = _bytes(capsys, argv)
+    whole_json = _bytes(capsys, argv + ["--format", "json"])
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
+    assert _bytes(capsys, argv) == whole
+    assert _bytes(capsys, argv + ["--format", "json"]) == whole_json
+    rows = [line.split(",") for line in whole.splitlines()[1:]]
+    assert len(rows) % 7 != 0
+    assert any(cell == "nan" for row in rows for cell in row)
+    if argv[0] == "density":
+        assert {row[5] for row in rows} == {"0", "1"}
+        assert all(row[6] == "nan" for row in rows if row[0] == "0.0")
+    else:
+        assert {row[4] for row in rows} == {"0", "1"}
+
+
+@pytest.mark.parametrize("argv", STREAMED)
+def test_streamed_file_matches_stdout(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
+    out = _bytes(capsys, argv)
+    path = tmp_path / "t.csv"
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    capsys.readouterr()
+    assert path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("argv", STREAMED + [["critical", "--k0i-grid", "lin:-0.6:-0.4:3"]])
+def test_parallelism_flag_has_no_effect(capsys, argv):
+    assert cli.build_parser().parse_args(argv).parallelism >= 1
+    one = _bytes(capsys, argv + ["--parallelism", "1"])
+    assert _bytes(capsys, argv + ["--parallelism", "4"]) == one

@@ -1,0 +1,187 @@
+"""Array kernel and its scalar wrappers: property tests over the whole domain.
+
+The domain is -1 < k0I < 0, x from 0 to past the critical distance (the
+scan ceiling 100/|k0I| times 1.2), and t from 1e-6 into the tail (the
+transition scan horizon 1e3/gamma). Values are checked against an mpmath
+evaluation of w(z) = exp(-z^2) erfc(-iz) at 40 or more digits, never
+against the kernel itself.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from postexp import source_model as sm
+from postexp import specfun
+
+EPS = np.finfo(float).eps
+# derandomized: the same examples every run, so tier-1 stays deterministic
+EXAMPLES = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _psi_mpmath(k0I, x, t):
+    """psi at the exact double inputs, with the condition number of its
+    double-precision evaluation.
+
+    kappa adds the size of the phase and w arguments (x^2/(4t) and |u|^2
+    carry the input rounding) and the cancellation between the two w
+    branches; a backward-stable evaluation is accurate to about eps*kappa.
+    The branches can cancel to e^{-500} at late times, so the working
+    precision grows until 25 digits survive the sum.
+    """
+    for dps in (40, 80, 160, 320, 640):
+        with mpmath.workdps(dps):
+            k0 = mpmath.mpc(1, k0I)
+            xm, tm = mpmath.mpf(x), mpmath.mpf(t)
+            tau = xm / (2 * k0)
+            pref = mpmath.mpc(1, 1) * mpmath.sqrt(tm / 2) * k0
+            u_plus, u_minus = pref * (1 - tau / tm), -pref * (1 + tau / tm)
+            w_p, w_m = (mpmath.exp(-z * z) * mpmath.erfc(-1j * z) for z in (-u_plus, -u_minus))
+            size = abs(w_p) + abs(w_m)
+            if abs(w_p + w_m) > mpmath.mpf(10) ** (25 - dps) * size:
+                psi = 0.5 * mpmath.exp(1j * xm * xm / (4 * tm)) * (w_p + w_m)
+                kappa = (xm * xm / (4 * tm) + abs(u_plus) ** 2 + abs(u_minus) ** 2
+                         + size / abs(w_p + w_m))
+                return complex(psi), float(kappa)
+    raise AssertionError(f"mpmath oracle did not converge at k0I={k0I}, x={x}, t={t}")
+
+
+def _close(got, want, kappa):
+    return abs(got - want) <= (1e-10 + 16.0 * EPS * kappa) * abs(want)
+
+
+@st.composite
+def domain_points(draw, n=4):
+    """k0I and n (x, t) points spread log-uniformly over the domain."""
+    k0I = -draw(st.floats(0.001, 0.999))
+    ceiling = 1.2 * 100.0 / abs(k0I)
+    horizon = 1e3 / (4.0 * abs(k0I))
+    xs, ts = [], []
+    for _ in range(n):
+        xs.append(draw(st.one_of(st.just(0.0),
+                                 st.floats(-8.0, 0.0).map(lambda e: ceiling * 10.0 ** e))))
+        ts.append(10.0 ** draw(st.floats(-6.0, math.log10(horizon))))
+    return k0I, np.array(xs), np.array(ts)
+
+
+@EXAMPLES
+@given(domain_points())
+def test_kernel_psi_matches_mpmath(case):
+    k0I, xs, ts = case
+    psi = sm.kernel(sm.SourceParams(k0I), xs, ts).psi
+    assert psi.shape == xs.shape
+    for x, t, got in zip(xs, ts, psi):
+        want, kappa = _psi_mpmath(k0I, x, t)
+        assert _close(got, want, kappa), (k0I, x, t, got, want)
+
+
+@EXAMPLES
+@given(domain_points(n=1))
+def test_scalar_wrappers_match_mpmath(case):
+    k0I, (x,), (t,) = case
+    x, t = float(x), float(t)
+    p = sm.SourceParams(k0I)
+    want, kappa = _psi_mpmath(k0I, x, t)
+    pt = sm.SpaceTimePoint(x, t)
+    assert _close(sm.evaluate_exact(p, pt).psi_exact, want, kappa)
+    assert _close(sm.wavefunction(p, x, t), want, kappa)
+    rho = sm.density_and_current(p, pt)[0]
+    assert abs(rho - abs(want) ** 2) <= 2.0 * (1e-10 + 16.0 * EPS * kappa) * abs(want) ** 2
+    grid = sm.density_grid(p, [x], [-1.0, t])
+    assert grid[0, 0] == 0.0
+    assert abs(grid[0, 1] - abs(want) ** 2) <= 2.0 * (1e-10 + 16.0 * EPS * kappa) * abs(want) ** 2
+
+
+@EXAMPLES
+@given(st.floats(0.001, 0.999), st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=50))
+def test_boundary_identity_on_arrays(k, exponents):
+    p = sm.SourceParams(-k)
+    ts = 10.0 ** np.array(exponents)
+    psi = sm.kernel(p, 0.0, ts).psi
+    assert np.all(np.abs(psi - np.exp(-1j * p.omega0 * ts)) < 1e-10)
+
+
+@EXAMPLES
+@given(domain_points(n=8))
+def test_continuity_residual_on_arrays(case):
+    # d rho/dt + dJ/dx = 0 with J = 2 Im(psi* dpsi/dx) from the kernel's
+    # derivative; central differences on steps well inside the local
+    # length and time scales (distance to the source, Faddeeva argument,
+    # chirp, source period).
+    # Where the two w branches cancel, the difference quotients carry the
+    # evaluation's own rounding, eps * kappa, divided by the step.
+    k0I, xs, ts = case
+    p = sm.SourceParams(k0I)
+    xs = np.maximum(xs, 1e-6 * 1.2 * 100.0 / abs(k0I))
+    len_x = np.minimum.reduce([np.ones_like(xs), xs, np.sqrt(ts), 2.0 * ts / xs])
+    len_t = np.minimum.reduce([np.ones_like(ts), ts, (2.0 * ts / xs) ** 2])
+    hx, ht = 1e-3 * len_x, 1e-3 * len_t
+
+    def rho(x, t):
+        return np.abs(sm.kernel(p, x, t).psi) ** 2
+
+    def current(x, t):
+        w = sm.kernel(p, x, t, derivative=True)
+        return 2.0 * (np.conj(w.psi) * w.dpsi_dx).imag
+
+    drho_dt = (rho(xs, ts + ht) - rho(xs, ts - ht)) / (2.0 * ht)
+    dj_dx = (current(xs + hx, ts) - current(xs - hx, ts)) / (2.0 * hx)
+    w = sm.kernel(p, xs, ts, derivative=True)
+    kappa = np.array([_psi_mpmath(k0I, x, t)[1] for x, t in zip(xs, ts)])
+    noise = 64.0 * EPS * kappa * (np.abs(w.psi) ** 2 / ht + np.abs(w.psi * w.dpsi_dx) / hx)
+    bound = 1e-3 * (np.abs(drho_dt) + np.abs(dj_dx)) + noise
+    assert np.all(np.abs(drho_dt + dj_dx) <= bound), (k0I, xs, ts)
+
+
+# ---------------------------------------------------------------- domain
+
+@pytest.mark.parametrize("x, t", [
+    (-0.5, 1.0), (1.0, 0.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.nan),
+    (math.inf, 1.0), (1.0, math.inf),
+])
+def test_out_of_domain_scalars_raise(p03, x, t):
+    with pytest.raises(ValueError):
+        sm.kernel(p03, x, t)
+
+
+def test_out_of_domain_array_names_first_bad_value(p03):
+    xs = np.array([0.5, 1.0, -3.0, -4.0])
+    with pytest.raises(ValueError, match="-3.0"):
+        sm.kernel(p03, xs, 2.0)
+    ts = np.array([[1.0, math.nan], [2.0, 0.0]])
+    with pytest.raises(ValueError, match="nan"):
+        sm.kernel(p03, 1.0, ts)
+
+
+def test_overflow_raises_typed_error_at_first_point(p03):
+    # far beyond the front the pole part e^{k0I (2t - x)} overflows: a typed
+    # error naming the first offending (x, t) in flat order, never inf
+    xs = np.array([[1.0], [3000.0], [5000.0]])
+    ts = np.array([1.0, 1e3, 1e-3])
+    with pytest.raises(sm.EvaluationDomainError) as err:
+        sm.kernel(p03, xs, ts)
+    assert (err.value.x, err.value.t) == (3000.0, 1.0)
+    with pytest.raises(sm.EvaluationDomainError):
+        sm.evaluate_exact(p03, sm.SpaceTimePoint(4000.0, 1e-3))
+
+
+def test_faddeeva_array_guard_reports_index():
+    z = np.array([1j, 2.0 + 1j, complex(math.nan, 0.0), -40j])
+    with pytest.raises(specfun.FaddeevaDomainError) as err:
+        specfun.faddeeva(z)
+    assert err.value.index == 2
+    with pytest.raises(specfun.FaddeevaDomainError) as err:
+        specfun.faddeeva(z[[0, 1, 3]])
+    assert err.value.index == 2
+
+
+def test_saddle_nan_only_on_singular_locus(p03):
+    x = 2e-6
+    tau = x / (2.0 * p03.k0)
+    w = sm.kernel(p03, np.array([x, x]), np.array([abs(tau), 1.0]))
+    assert math.isnan(w.saddle[0].real) and not math.isnan(w.saddle[1].real)
+    assert np.all(np.isfinite(w.psi))

@@ -131,3 +131,124 @@ def test_transition_curve_monotone_sections(p03):
     sel = (xs >= 4.0) & (xs <= 11.0)
     assert bool(np.all(np.diff(exact[sel]) > 0))
     assert exact[-1] / exact[0] > 1e6
+
+
+# ------------------------------------------- array form vs the closed form
+
+def _ratio_closed_form(k0I, x, t):
+    """R = 2 sqrt(pi) |k0|^2 t^{3/2} / x * e^{2 k0I t - k0I x} * |t^2 - tau^2| / t^2."""
+    k0 = complex(1.0, k0I)
+    tau = x / (2.0 * k0)
+    return (2.0 * math.sqrt(math.pi) * abs(k0) ** 2 * t ** 1.5 / x
+            * np.exp(2.0 * k0I * t - k0I * x) * np.abs(t * t - tau * tau) / (t * t))
+
+
+def _late_time_closed_form(k0I, x, t):
+    """t^{3/2} / (x e^{k0I x} e^{gamma t/2} / (2 sqrt(pi) |k0|^2)) - 1."""
+    k0 = complex(1.0, k0I)
+    rhs = (x * math.exp(k0I * x) * np.exp(2.0 * abs(k0I) * t)
+           / (2.0 * math.sqrt(math.pi) * abs(k0) ** 2))
+    return t ** 1.5 / rhs - 1.0
+
+
+@pytest.mark.parametrize("k0I", [-0.05, -0.3, -0.8])
+@pytest.mark.parametrize("method", ["exact_ratio", "late_time"])
+def test_transition_rows_are_last_downward_crossings(k0I, method):
+    p = sm.SourceParams(k0I)
+    x_max, _ = tr.critical_distance(p)
+    xs = np.geomspace(1e-3, 1.3 * x_max, 60)
+    rows = tr.transition_times(p, xs, method)
+    assert [q.x for q in rows] == xs.tolist()
+    assert all(q.method == method for q in rows)
+    valid = np.array([q.valid for q in rows])
+    assert valid.sum() >= 40
+    horizon = 1e3 / p.gamma_rate
+    for x, t_p, valid_row in zip(xs, [q.t_p for q in rows], valid):
+        if not valid_row:
+            assert math.isnan(t_p)
+            continue
+        t_c = x / (2.0 * (1.0 + k0I))
+        assert t_p > t_c
+        if method == "exact_ratio":
+            assert abs(_ratio_closed_form(k0I, x, t_p) - 1.0) <= 1e-6
+            after = _ratio_closed_form(k0I, x, np.geomspace(t_p, horizon, 4000)[1:]) - 1.0
+        else:
+            assert abs(_late_time_closed_form(k0I, x, t_p)) <= 1e-6
+            after = _late_time_closed_form(k0I, x, np.geomspace(t_p, horizon, 4000)[1:])
+        # no later upward crossing: t_p is the last time the pole dominates
+        assert np.all(after < 1e-6), (x, t_p)
+    # beyond the critical distance the ratio never reaches 1 after t_c
+    for x in xs[~valid & (xs > x_max)]:
+        t_c = x / (2.0 * (1.0 + k0I))
+        ts = np.geomspace(t_c, horizon, 20000)[1:]
+        assert np.all(_ratio_closed_form(k0I, x, ts) < 1.0), x
+
+
+def test_transition_times_match_scalar_form(p03):
+    xs = np.geomspace(0.01, 14.0, 25)
+    rows = tr.transition_times(p03, xs, "late_time")
+    for x, row in zip(xs, rows):
+        one = tr.transition_time(p03, float(x), "late_time")
+        assert one.valid == row.valid
+        assert (one.t_p == row.t_p) or (math.isnan(one.t_p) and math.isnan(row.t_p))
+
+
+def test_transition_times_bounded_blocks(p03, monkeypatch):
+    xs = np.geomspace(0.01, 14.0, 23)
+    whole = tr.transition_times(p03, xs)
+    monkeypatch.setattr(tr, "SCAN_ROWS", 5)
+    blocked = tr.transition_times(p03, xs)
+    np.testing.assert_array_equal([q.t_p for q in whole], [q.t_p for q in blocked])
+    assert [q.valid for q in whole] == [q.valid for q in blocked]
+
+
+def test_transition_times_rejects_bad_x(p03):
+    for bad in ([1.0, 0.0], [math.nan], [-1.0], [math.inf]):
+        with pytest.raises(ValueError):
+            tr.transition_times(p03, bad)
+
+
+# x_max for log:-0.855843:-0.023345:35, as computed before the array kernel
+CRITICAL_FROZEN = [
+    0.6866895316687511,
+    1.147485064041505,
+    1.683180673306671,
+    2.3294521984152015,
+    3.1212223226743356,
+    4.102939698959297,
+    5.3198343341080365,
+    6.830749775898898,
+    8.716504679294772,
+    11.068127805955903,
+    13.988288675529184,
+    17.629892078902984,
+    22.159538716239624,
+    27.779164047097062,
+    34.762884991422666,
+    43.4264783586367,
+    54.20191842161097,
+    67.59194722022505,
+    84.14198850216985,
+    104.74305561381259,
+    130.15607254885904,
+    161.73029924525298,
+    200.95831128044978,
+    249.2449337143061,
+    309.3983692732367,
+    383.35319124427406,
+    475.39082449993236,
+    588.9466293195549,
+    729.5763797885104,
+    903.7217941568471,
+    1118.2879123264227,
+    1385.003218770437,
+    1712.9740754317813,
+    2119.5387106743538,
+    2622.3575757247945,
+]
+
+
+def test_critical_distance_frozen_grid():
+    ks = np.geomspace(-0.855843, -0.023345, 35)
+    got = [tr.critical_distance(sm.SourceParams(float(k)))[0] for k in ks]
+    assert got == CRITICAL_FROZEN
