@@ -224,7 +224,7 @@ def cmd_lattice(args) -> int:
         raise UsageError("--sites: need site indices >= 1")
     if args.t_max <= 0.0:
         raise UsageError("--t-max must be positive")
-    n_sites = args.n_sites if args.n_sites else lat.required_sites(args.t_max) + 20
+    n_sites = args.n_sites if args.n_sites is not None else lat.required_sites(args.t_max) + 20
     try:
         p = lat.LatticeParams(delta=args.delta, n_sites=n_sites, t_max=args.t_max)
     except lat.TruncationUnsoundError as err:
@@ -239,7 +239,12 @@ def cmd_lattice(args) -> int:
     else:
         ts = np.linspace(0.0, p.t_max, 801).tolist()
 
-    blocks = [(ts, [n] * len(ts), lat.site_density(p, n, ts)) for n in sites]
+    def density(n):
+        if args.t_grid:
+            return lat.site_density(p, n, ts)
+        return lat.uniform_site_density(p, n, 0.0, p.t_max / 800, 801)
+
+    blocks = ((ts, [n] * len(ts), density(n)) for n in sites)
     summary = _lattice_summary(args.delta, sites, args.t_max)
     emit_table(
         args,

@@ -6,6 +6,14 @@ role of detector distance. The chain is truncated to n_sites and evolved
 by full eigendecomposition of the symmetric tridiagonal Hamiltonian (first
 off-diagonal -delta, all others -1), which is exact up to truncation: a
 reflection guard keeps the horizon causally disconnected from the cut.
+
+A site amplitude is the mode sum c_n(t) = sum_k V[0,k] V[n-1,k] e^{-i E_k t}.
+On a uniform grid t0 + m dt (the envelope fits and the CLI's default grid)
+uniform_site_density splits m = b B + j with B = ceil(sqrt(count)) and sums
+the modes as one (blocks x modes) @ (modes x B) product, so it takes
+O(sqrt(count) n_sites) exponentials and memory instead of count n_sites.
+Arbitrary time lists go through site_density, which evaluates the same sum
+directly in row blocks of at most BLOCK_BYTES of phases.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ ENVELOPE_STEP = 0.05
 MIN_EXP_MAXIMA = 6       # local maxima needed for the exponential-window fit
 MIN_POWER_MAXIMA = 4
 REFLECTION_MARGIN = 20   # sites beyond 2*t_max (group velocity 2)
+BLOCK_BYTES = 4 << 20    # complex phase rows held at once by site_density
 READINGS = ("alpha_in_numerator", "alpha_in_denominator")
 
 
@@ -120,15 +129,51 @@ def evolve(p: LatticeParams, times: Sequence[float]) -> List[LatticeState]:
     return [LatticeState(t=float(t), amplitudes=states[i]) for i, t in enumerate(ts)]
 
 
-def site_density(p: LatticeParams, n: int, times: Sequence[float]) -> np.ndarray:
-    """|c_n(t)|^2 on an array of times without materializing full states."""
+def _mode_weights(p: LatticeParams, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Energies and weights <n|k><k|1> of the mode sum for c_n."""
     if not (1 <= n <= p.n_sites):
         raise ValueError(f"site index {n} outside 1..{p.n_sites}")
+    energies, modes = _spectral_data(p.delta, p.n_sites)
+    return energies, modes[0, :] * modes[n - 1, :]
+
+
+def site_density(p: LatticeParams, n: int, times: Sequence[float]) -> np.ndarray:
+    """|c_n(t)|^2 on an array of times, in row blocks of bounded memory."""
+    energies, w = _mode_weights(p, n)
     ts = np.asarray(times, dtype=float)
     _check_times(p, ts)
-    energies, modes = _spectral_data(p.delta, p.n_sites)
-    w = modes[0, :] * modes[n - 1, :]
-    amps = np.exp(-1j * np.outer(ts, energies)) @ w
+    rows = max(1, BLOCK_BYTES // (16 * energies.size))
+    out = np.empty(ts.size)
+    for lo in range(0, ts.size, rows):
+        amps = np.exp(-1j * np.outer(ts[lo : lo + rows], energies)) @ w
+        out[lo : lo + rows] = np.abs(amps) ** 2
+    return out
+
+
+def uniform_site_density(
+    p: LatticeParams, n: int, t0: float, dt: float, count: int
+) -> np.ndarray:
+    """|c_n(t)|^2 at t0 + m dt for m = 0..count-1, by a two-level phase split.
+
+    With m = b B + j, e^{-iE t_m} = e^{-iE (t0 + b B dt)} e^{-iE j dt}: the
+    weighted coarse phases (blocks x modes) times the fine phases
+    (modes x B) give every amplitude, read off row by row.
+    """
+    energies, w = _mode_weights(p, n)
+    if not (isinstance(count, (int, np.integer)) and count >= 1):
+        raise ValueError(f"count must be an integer >= 1; got {count!r}")
+    if not (math.isfinite(t0) and math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"need finite t0 and dt > 0; got t0={t0!r}, dt={dt!r}")
+    last = t0 + (count - 1) * dt
+    # a few ulps of slack: t_max / k * k may round just past t_max
+    if t0 < 0.0 or last > p.t_max * (1.0 + 4.0 * np.finfo(float).eps):
+        raise ValueError("times must lie within [0, t_max]")
+    fine = math.isqrt(count - 1) + 1          # ceil(sqrt(count))
+    blocks = -(-count // fine)
+    starts = t0 + np.arange(blocks) * (fine * dt)
+    coarse = np.exp(-1j * np.outer(starts, energies)) * w
+    steps = np.exp(-1j * np.outer(energies, np.arange(fine) * dt))
+    amps = (coarse @ steps).reshape(-1)[:count]
     return np.abs(amps) ** 2
 
 
@@ -149,11 +194,8 @@ def envelope(ts: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
     The fallback makes the log-log fitter exact on a pure power law.
     """
-    idx = [
-        k
-        for k in range(1, len(vals) - 1)
-        if vals[k] >= vals[k - 1] and vals[k] >= vals[k + 1]
-    ]
+    mid = vals[1:-1]
+    idx = np.flatnonzero((mid >= vals[:-2]) & (mid >= vals[2:])) + 1
     if len(idx) < 8:
         return ts, vals
     return ts[idx], vals[idx]
@@ -168,19 +210,20 @@ def envelope_loglog_slope(ts: np.ndarray, vals: np.ndarray) -> float:
 
 def _longest_run(mask: np.ndarray) -> Tuple[int, int]:
     """(start, stop) half-open indices of the longest True run; (0, 0) if none."""
-    best = (0, 0)
-    i = 0
-    while i < len(mask):
-        if mask[i]:
-            j = i
-            while j < len(mask) and mask[j]:
-                j += 1
-            if j - i > best[1] - best[0]:
-                best = (i, j)
-            i = j
-        else:
-            i += 1
-    return best
+    edges = np.diff(np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0])))
+    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    if starts.size == 0:
+        return (0, 0)
+    k = int(np.argmax(stops - starts))        # first of the longest on ties
+    return (int(starts[k]), int(stops[k]))
+
+
+def _envelope_grid(
+    p: LatticeParams, n: int, lo: float, hi: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The fit grid arange(lo, hi, ENVELOPE_STEP) and |c_n|^2 on it."""
+    ts = np.arange(lo, hi, ENVELOPE_STEP)
+    return ts, uniform_site_density(p, n, lo, ENVELOPE_STEP, ts.size)
 
 
 def fitted_decay_rate(
@@ -198,8 +241,7 @@ def fitted_decay_rate(
         raise ValueError(f"window {window!r} outside [0, t_max]")
     if hi - lo < 10.0 * ENVELOPE_STEP:
         raise InsufficientWindowError(f"window {window!r} too short for a rate fit")
-    ts = np.arange(lo, hi, ENVELOPE_STEP)
-    dens = site_density(p, n, ts)
+    ts, dens = _envelope_grid(p, n, lo, hi)
     slope = np.polyfit(ts, np.log(dens), 1)[0]
     return float(-slope)
 
@@ -213,11 +255,9 @@ def tail_exponent(
     lo, hi = window
     if not (0.0 < lo < hi <= p.t_max):
         raise ValueError(f"window {window!r} outside (0, t_max]")
-    ts = np.arange(lo, hi, ENVELOPE_STEP)
-    if ts.size < 50:
+    if math.ceil((hi - lo) / ENVELOPE_STEP) < 50:
         raise InsufficientWindowError(f"window {window!r} too short for a tail fit")
-    dens = site_density(p, n, ts)
-    return envelope_loglog_slope(ts, dens)
+    return envelope_loglog_slope(*_envelope_grid(p, n, lo, hi))
 
 
 @dataclass(frozen=True)
@@ -241,8 +281,7 @@ def measured_envelope_crossing(p: LatticeParams, n: int) -> EnvelopeCrossing:
     fitted power line.
     """
     gamma = p.gamma
-    ts = np.arange(2.0, p.t_max, ENVELOPE_STEP)
-    dens = site_density(p, n, ts)
+    ts, dens = _envelope_grid(p, n, 2.0, p.t_max)
     arrived = ts > n / 2.0 + 2.0     # ballistic front at group velocity 2
     te, de = envelope(ts[arrived], dens[arrived])
     if len(te) < MIN_EXP_MAXIMA + MIN_POWER_MAXIMA:
@@ -262,19 +301,16 @@ def measured_envelope_crossing(p: LatticeParams, n: int) -> EnvelopeCrossing:
         raise InsufficientWindowError(f"no power-law window at site {n}")
     power_fit = np.polyfit(np.log(te[j0 : j1 + 1]), ln[j0 : j1 + 1], 1)
 
-    def gap(t: float) -> float:
-        return (exp_fit[0] * t + exp_fit[1]) - (power_fit[0] * math.log(t) + power_fit[1])
+    def gap(t):
+        return (exp_fit[0] * t + exp_fit[1]) - (power_fit[0] * np.log(t) + power_fit[1])
 
     grid = np.linspace(te[i0], te[-1], 4000)
-    vals = np.array([gap(t) for t in grid])
-    roots = [
-        brentq(gap, grid[k], grid[k + 1])
-        for k in range(len(grid) - 1)
-        if vals[k] > 0.0 >= vals[k + 1]
-    ]
-    if not roots:
+    vals = gap(grid)
+    down = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
+    if down.size == 0:
         raise InsufficientWindowError(f"fitted envelopes do not cross at site {n}")
-    t_cross = roots[-1]
+    k = down[-1]
+    t_cross = brentq(gap, grid[k], grid[k + 1])
     rho = math.exp(power_fit[0] * math.log(t_cross) + power_fit[1])
     return EnvelopeCrossing(
         t=float(t_cross),
@@ -322,10 +358,11 @@ def lattice_transition_time(
     def g(t: float) -> float:
         return t ** 1.5 - c * math.exp(0.5 * gamma * t)
 
-    for k in range(len(grid) - 1):
-        if vals[k] > 0.0 >= vals[k + 1]:
-            return float(brentq(g, grid[k], grid[k + 1]))
-    return None
+    down = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
+    if down.size == 0:
+        return None
+    k = down[0]
+    return float(brentq(g, grid[k], grid[k + 1]))
 
 
 @dataclass(frozen=True)

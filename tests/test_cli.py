@@ -160,6 +160,15 @@ def test_lattice_truncation_guard(capsys):
     assert "need n_sites >= 220" in err
 
 
+@pytest.mark.parametrize("n_sites", ["0", "5"])
+def test_lattice_rejects_small_n_sites(capsys, n_sites):
+    rc, out, err = _run(capsys, ["lattice", "--delta", "0.3", "--sites", "1",
+                                 "--t-max", "10", "--n-sites", n_sites])
+    assert rc == 2
+    assert out == ""
+    assert "n_sites must be an integer >= 10" in err
+
+
 # ---------------------------------------------------------------- scenario
 
 def test_scenario_report_schema(capsys):

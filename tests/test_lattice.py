@@ -8,6 +8,8 @@ from scipy.special import j1
 
 from postexp import lattice as lat
 
+from conftest import chain_density_oracle
+
 
 def test_params_validation():
     with pytest.raises(ValueError):
@@ -141,3 +143,111 @@ def test_formula_transition_times_frozen():
         lat.lattice_transition_time(p, 1)
     with pytest.raises(ValueError):
         lat.lattice_transition_time(p, 5, "alpha_everywhere")
+
+
+# ------------------------------------------- site densities against oracles
+
+ORACLE_T_MAX = 40.0
+
+
+def _close(got, want):
+    return np.abs(got - want) <= 1e-6 * np.abs(want) + 1e-12
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.6, 1.0])
+@pytest.mark.parametrize("t0", [0.0, 2.0])
+@pytest.mark.parametrize("count", [1, 2, 7, 801, 4000])
+def test_uniform_site_density_matches_expm_oracle(delta, t0, count):
+    sites = (1, 5, 20)
+    dt = (ORACLE_T_MAX - t0) / max(count - 1, 1)
+    want = chain_density_oracle(delta, t0, dt, count, sites)
+    p = lat.LatticeParams.for_horizon(delta, ORACLE_T_MAX)
+    for col, n in enumerate(sites):
+        got = lat.uniform_site_density(p, n, t0, dt, count)
+        assert got.shape == (count,)
+        assert _close(got, want[:, col]).all()
+
+
+def test_site_density_blocks_match_expm_oracle(monkeypatch):
+    # a block budget of 7 rows leaves a short last block on 801 times
+    p = lat.LatticeParams.for_horizon(0.3, ORACLE_T_MAX)
+    monkeypatch.setattr(lat, "BLOCK_BYTES", 7 * 16 * p.n_sites)
+    dt = ORACLE_T_MAX / 800
+    want = chain_density_oracle(0.3, 0.0, dt, 801, (1, 5, 20))
+    ts = np.arange(801) * dt
+    for col, n in enumerate((1, 5, 20)):
+        assert _close(lat.site_density(p, n, ts), want[:, col]).all()
+
+
+def test_uniform_site_density_band_edge_bessel():
+    # at delta = 1 the first-site amplitude is J1(2t)/t exactly
+    p = lat.LatticeParams.for_horizon(1.0, 60.0)
+    t0, dt, count = 0.5, 0.05, 1191
+    ts = t0 + np.arange(count) * dt
+    assert _close(lat.uniform_site_density(p, 1, t0, dt, count), (j1(2.0 * ts) / ts) ** 2).all()
+
+
+def test_uniform_site_density_preconditions():
+    p = lat.LatticeParams.for_horizon(0.3, 30.0)
+    for t0, dt, count in ((0.0, 0.1, 0), (0.0, 0.0, 5), (-1.0, 0.1, 5),
+                          (0.0, 0.1, 302), (0.0, math.nan, 5), (0.0, 0.1, 2.0)):
+        with pytest.raises(ValueError):
+            lat.uniform_site_density(p, 1, t0, dt, count)
+    with pytest.raises(ValueError):
+        lat.uniform_site_density(p, p.n_sites + 1, 0.0, 0.1, 5)
+    # t_max / 800 * 800 may round past t_max; the grid still ends at t_max
+    assert lat.uniform_site_density(p, 1, 0.0, 30.0 / 800, 801).shape == (801,)
+
+
+def test_site_density_memory_is_bounded():
+    import tracemalloc
+
+    p = lat.LatticeParams.for_horizon(0.3, 50.0)
+    ts = np.linspace(0.0, 50.0, 100_000)
+    lat.site_density(p, 5, ts[:10])         # eigensolve outside the measurement
+    tracemalloc.start()
+    try:
+        dens = lat.site_density(p, 5, ts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dens.shape == ts.shape
+    assert peak < 32 * 2**20                 # one T x N phase matrix is ~224 MB
+
+
+def test_tail_exponent_checks_window_before_evaluating(monkeypatch):
+    def fail(*args):
+        raise AssertionError("density evaluated on a rejected window")
+
+    monkeypatch.setattr(lat, "uniform_site_density", fail)
+    monkeypatch.setattr(lat, "site_density", fail)
+    p = lat.LatticeParams.for_horizon(0.4, 100.0)
+    with pytest.raises(lat.InsufficientWindowError):
+        lat.tail_exponent(p, 1, window=(99.0, 99.5))
+
+
+def test_longest_run_first_of_ties():
+    def loop(mask):
+        best, i = (0, 0), 0
+        while i < len(mask):
+            j = i
+            while j < len(mask) and mask[j]:
+                j += 1
+            if j - i > best[1] - best[0]:
+                best = (i, j)
+            i = max(j, i + 1)
+        return best
+
+    rng = np.random.default_rng(3)
+    masks = [[], [False] * 4, [True] * 5, [True, False, True], [False, True, True, False, True, True]]
+    masks += [list(rng.random(40) < 0.6) for _ in range(200)]
+    for mask in masks:
+        assert lat._longest_run(np.array(mask, dtype=bool)) == loop(mask)
+
+
+def test_envelope_keeps_plateau_maxima():
+    vals = np.array([0.0, 1.0, 1.0, 0.0] * 4 + [2.0, 0.0, 3.0, 0.0])
+    te, ve = lat.envelope(np.arange(vals.size, dtype=float), vals)
+    want = [k for k in range(1, vals.size - 1) if vals[k] >= vals[k - 1] and vals[k] >= vals[k + 1]]
+    assert te.tolist() == want
+    assert len(want) >= 8
