@@ -24,8 +24,6 @@ from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 ENVELOPE_STEP = 0.05
 MIN_EXP_MAXIMA = 6       # local maxima needed for the exponential-window fit
@@ -102,6 +100,8 @@ class LatticeState:
 
 @lru_cache(maxsize=16)
 def _spectral_data(delta: float, n_sites: int):
+    from scipy.linalg import eigh_tridiagonal
+
     diag = np.zeros(n_sites)
     off = -np.ones(n_sites - 1)
     off[0] = -delta
@@ -309,6 +309,8 @@ def measured_envelope_crossing(p: LatticeParams, n: int) -> EnvelopeCrossing:
     down = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
     if down.size == 0:
         raise InsufficientWindowError(f"fitted envelopes do not cross at site {n}")
+    from scipy.optimize import brentq
+
     k = down[-1]
     t_cross = brentq(gap, grid[k], grid[k + 1])
     rho = math.exp(power_fit[0] * math.log(t_cross) + power_fit[1])
@@ -361,6 +363,8 @@ def lattice_transition_time(
     down = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
     if down.size == 0:
         return None
+    from scipy.optimize import brentq
+
     k = down[0]
     return float(brentq(g, grid[k], grid[k + 1]))
 

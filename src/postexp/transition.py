@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .source_model import (
     SADDLE_SINGULAR_TOL,
@@ -203,6 +202,8 @@ def tp_turning_point(p: SourceParams) -> float:
     if not unimodal:
         warnings.warn("t_p(x) grid is not unimodal; returning grid argmin")
         return float(xs[i_min])
+    from scipy.optimize import minimize_scalar
+
     lo = xs[max(i_min - 1, 0)]
     hi = xs[min(i_min + 1, len(xs) - 1)]
     res = minimize_scalar(

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -319,3 +322,30 @@ def test_parallelism_flag_has_no_effect(capsys, argv):
     assert cli.build_parser().parse_args(argv).parallelism >= 1
     one = _bytes(capsys, argv + ["--parallelism", "1"])
     assert _bytes(capsys, argv + ["--parallelism", "4"]) == one
+
+
+# ------------------------------------------------------------ import cost
+
+FOOTPRINT = """
+import contextlib, io, sys
+from postexp import cli
+argvs = [
+    ["density", "--k0i", "-0.3", "--x", "0.5,2", "--t-grid", "lin:1:5:3"],
+    ["transition", "--k0i", "-0.3", "--x-grid", "log:0.5:13:4"],
+    ["critical", "--k0i-grid", "lin:-0.5:-0.5:1"],
+    ["scenario", "--config", "rb87.cfg"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in argvs]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_continuous_model_commands_run_without_scipy():
+    # scipy costs most of a fresh process's start; only the lattice,
+    # selftest, tp_turning_point and spatial_norm may load it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c", FOOTPRINT], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert r.stdout.strip() == "[0, 0, 0, 0] []"

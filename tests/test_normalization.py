@@ -1,6 +1,7 @@
 """Flux normalization: total emission, cumulative flux, spatial norm."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,15 +11,40 @@ from postexp import source_model as sm
 
 
 def test_total_emitted_matches_closed_form():
-    # total outflow equals 1/(2 |k0I|)
-    for k0I in (-0.1, -0.3, -0.5, -0.9):
+    # total outflow equals 1/(2 |k0I|), and the reported error bound covers
+    # the actual deviation
+    for k0I in (-0.9, -0.5, -0.3, -0.1, -0.02, -0.0091, -0.002):
         p = sm.SourceParams(k0I)
         res = nz.total_emitted(p)
         exact = 1.0 / (2.0 * abs(k0I))
-        assert abs(res.n_total - exact) / exact < 1e-9
+        assert abs(res.n_total - exact) / exact < 1e-10, k0I
+        assert res.abs_error_estimate >= abs(res.n_total - exact), k0I
         assert res.abs_error_estimate <= 1e-6 * res.n_total
         assert not res.tail_flagged
         assert res.tail_exponent < -1.0
+
+
+def test_total_emitted_rejects_unconverged_quadrature(monkeypatch):
+    # panels far wider than the current's oscillation: the rule and its
+    # doubled-width twin disagree, and the check must fire
+    monkeypatch.setattr(nz, "PANEL_WIDTH", 10.0)
+    with pytest.raises(nz.InternalConsistencyError, match="did not converge"):
+        nz.total_emitted(sm.SourceParams(-0.0091))
+
+
+def test_total_emitted_memory_and_panel_budget():
+    # the rule runs in blocks of PANEL_BLOCK panels, so a long horizon
+    # costs time, not memory; one past MAX_PANELS is refused up front
+    tracemalloc.start()
+    try:
+        res = nz.total_emitted(sm.SourceParams(-1e-7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.n_total == pytest.approx(0.5e7, rel=1e-9)
+    assert peak < 32 * 2 ** 20
+    with pytest.raises(nz.InternalConsistencyError, match="panels"):
+        nz.total_emitted(sm.SourceParams(-1e-10))
 
 
 def test_boundary_current_short_time_law(p05):

@@ -3,6 +3,8 @@
 import cmath
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from postexp import specfun
@@ -30,6 +32,40 @@ def test_matches_quadrature_oracle_upper_half_plane():
         ref = faddeeva_quad_oracle(z)
         got = specfun.faddeeva(z)
         assert abs(got - ref) / abs(ref) < 1e-10, z
+
+
+def _mpmath_faddeeva(z: complex) -> complex:
+    with mpmath.workdps(40):
+        zm = mpmath.mpc(z.real, z.imag)
+        return complex(mpmath.exp(-zm * zm) * mpmath.erfc(-1j * zm))
+
+
+def _plane_points():
+    """|z| from 1e-3 to 1e8 on rays through the upper half-plane, points
+    within 1e-12 of the real axis on either side, and lower half-plane rays
+    out to |z| = 25, where |exp(-z^2)| stays inside OVERFLOW_LIMIT."""
+    zs = []
+    for r in np.geomspace(1e-3, 1e8, 23):
+        zs += [r * cmath.exp(1j * math.pi * k / 6.0) for k in range(7)]
+        zs += [complex(s * r, d) for s in (1.0, -1.0) for d in (1e-12, -1e-12, -1e-6)]
+    for r in np.geomspace(1e-3, 25.0, 12):
+        zs += [r * cmath.exp(-1j * math.pi * k / 6.0) for k in range(1, 6)]
+    return np.array(zs)
+
+
+def test_matches_mpmath_across_the_plane():
+    zs = _plane_points()
+    lower = zs[zs.imag < 0.0]
+    assert np.all(lower.imag ** 2 - lower.real ** 2 <= specfun.OVERFLOW_LIMIT)
+    ref = np.array([_mpmath_faddeeva(z) for z in zs])
+    got = specfun.faddeeva(zs)
+    worst = np.abs(got - ref) / np.abs(ref)
+    assert worst.max() <= 1e-13, zs[np.argmax(worst)]
+    # the scalar path sums the same series with Python complex arithmetic;
+    # the lower half-plane carries the rounding of exp(-z^2), ~eps |z|^2
+    scalar = np.array([specfun.faddeeva(complex(z)) for z in zs])
+    tol = 8.0 * np.finfo(float).eps * (1.0 + np.abs(zs) ** 2) * np.abs(got)
+    assert np.all(np.abs(scalar - got) <= tol)
 
 
 def test_reflection_identity():
