@@ -2,10 +2,29 @@
 
 A semi-infinite chain with a weakened first hop delta traps most of the
 initial site-1 amplitude in a long-lived resonance; site index plays the
-role of detector distance. The chain is truncated to n_sites and evolved
-by full eigendecomposition of the symmetric tridiagonal Hamiltonian (first
-off-diagonal -delta, all others -1), which is exact up to truncation: a
-reflection guard keeps the horizon causally disconnected from the cut.
+role of detector distance. The chain is truncated to N = n_sites sites
+(first hop -delta, all others -1, zero on-site energy), which is exact up
+to truncation: a reflection guard keeps the horizon causally disconnected
+from the cut.
+
+The truncated chain's eigensystem is closed-form. Away from site 1 an
+eigenvector is a standing wave that vanishes past the cut,
+psi_n = sin(k (N + 1 - n)) for n >= 2, with E = -2 cos k. The equation at
+site 2, E psi_2 = -delta psi_1 - psi_3, then fixes psi_1 = sin(N k)/delta,
+and the one at site 1, E psi_1 = -delta psi_2, leaves the secular equation
+
+    2 cos k sin(N k) = delta^2 sin((N - 1) k),    0 < k < pi.
+
+Deleting site 1 leaves the uniform (N - 1)-site chain, whose levels are
+k = j pi/N, j = 1..N-1. By Cauchy interlacing, and since the secular
+function is delta^2 (-1)^j sin(j pi/N) != 0 at k = j pi/N, each interval
+((j - 1) pi/N, j pi/N), j = 1..N, holds exactly one root; k = 0 and
+k = pi are trivial zeros. _spectral_data bisects all N brackets at once in
+the offset theta = k - (j - 1) pi/N until they stop shrinking. Written in
+theta the phases stay below 2 pi, since sin(m k) reduces the integer part
+(j - 1) m mod 2N exactly, so they keep full precision at any N.
+The norm is sum_{m<N} sin^2(m k) + psi_1^2 with the first sum in closed
+form, so the cached spectrum is O(N); a mode row costs one sine per level.
 
 A site amplitude is the mode sum c_n(t) = sum_k V[0,k] V[n-1,k] e^{-i E_k t}.
 On a uniform grid t0 + m dt (the envelope fits and the CLI's default grid)
@@ -14,6 +33,10 @@ the modes as one (blocks x modes) @ (modes x B) product, so it takes
 O(sqrt(count) n_sites) exponentials and memory instead of count n_sites.
 Arbitrary time lists go through site_density, which evaluates the same sum
 directly in row blocks of at most BLOCK_BYTES of phases.
+
+The transition equation t^{3/2} = C e^{gamma t/2} and the crossing of the
+fitted envelope lines are Lambert-W equations, solved in closed form by
+specfun.lambertw.
 """
 
 from __future__ import annotations
@@ -25,11 +48,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .specfun import INV_E, lambertw
+
 ENVELOPE_STEP = 0.05
 MIN_EXP_MAXIMA = 6       # local maxima needed for the exponential-window fit
 MIN_POWER_MAXIMA = 4
 REFLECTION_MARGIN = 20   # sites beyond 2*t_max (group velocity 2)
 BLOCK_BYTES = 4 << 20    # complex phase rows held at once by site_density
+T_FLOOR = 1e-2           # earliest admissible formula transition time
 READINGS = ("alpha_in_numerator", "alpha_in_denominator")
 
 
@@ -100,12 +126,45 @@ class LatticeState:
 
 @lru_cache(maxsize=16)
 def _spectral_data(delta: float, n_sites: int):
-    from scipy.linalg import eigh_tridiagonal
+    """Energies, bracket offsets theta, normalized site-1 row and 1/norm per level.
 
-    diag = np.zeros(n_sites)
-    off = -np.ones(n_sites - 1)
-    off[0] = -delta
-    energies, modes = eigh_tridiagonal(diag, off)
+    Level j (0-based) has k = j pi/N + theta_j, sorted ascending like E.
+    """
+    n, d2 = n_sites, delta * delta
+    base = np.arange(n) * (math.pi / n)
+    lo, hi = np.zeros(n), np.full(n, math.pi / n)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            break
+        # (-1)^j times the secular function; positive just above each bracket's start
+        g = 2.0 * np.cos(base + mid) * np.sin(n * mid) - d2 * np.sin((n - 1) * mid - base)
+        up = g > 0.0
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    theta = 0.5 * (lo + hi)
+    # psi_1 = sin(N k)/delta with sin(N k) = (-1)^j sin(N theta)
+    first = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * np.sin(n * theta) / delta
+    # sum_{m=1}^{N-1} sin^2(m k) = (N - 1)/2 - sin((N-1)k) cos(Nk) / (2 sin k),
+    # whose signs (-1)^j cancel in theta
+    bulk = 0.5 * (n - 1) - (np.sin((n - 1) * theta - base) * np.cos(n * theta)
+                            / (2.0 * np.sin(base + theta)))
+    scale = 1.0 / np.sqrt(bulk + first * first)
+    return -2.0 * np.cos(base + theta), theta, first * scale, scale
+
+
+def _mode_rows(n_sites: int, theta: np.ndarray, scale: np.ndarray, sites) -> np.ndarray:
+    """Normalized mode components <n|k> for sites n >= 2 (array or scalar n)."""
+    m = n_sites + 1 - np.asarray(sites)[..., None]
+    j = np.arange(n_sites)
+    return np.sin(((j * m) % (2 * n_sites)) * (math.pi / n_sites) + theta * m) * scale
+
+
+def _modes(delta: float, n_sites: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Energies and the full N x N mode matrix V[n-1, k] = <n|k>."""
+    energies, theta, first, scale = _spectral_data(delta, n_sites)
+    modes = np.empty((n_sites, n_sites))
+    modes[0] = first
+    modes[1:] = _mode_rows(n_sites, theta, scale, np.arange(2, n_sites + 1))
     return energies, modes
 
 
@@ -122,7 +181,7 @@ def evolve(p: LatticeParams, times: Sequence[float]) -> List[LatticeState]:
     """Amplitudes of exp(-iHt)|site 1> at the requested times."""
     ts = np.asarray(times, dtype=float)
     _check_times(p, ts)
-    energies, modes = _spectral_data(p.delta, p.n_sites)
+    energies, modes = _modes(p.delta, p.n_sites)
     weights = modes * modes[0, :]              # (n, k): <n|k><k|1>
     phases = np.exp(-1j * np.outer(ts, energies))
     states = phases @ weights.T
@@ -133,8 +192,9 @@ def _mode_weights(p: LatticeParams, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Energies and weights <n|k><k|1> of the mode sum for c_n."""
     if not (1 <= n <= p.n_sites):
         raise ValueError(f"site index {n} outside 1..{p.n_sites}")
-    energies, modes = _spectral_data(p.delta, p.n_sites)
-    return energies, modes[0, :] * modes[n - 1, :]
+    energies, theta, first, scale = _spectral_data(p.delta, p.n_sites)
+    row = first if n == 1 else _mode_rows(p.n_sites, theta, scale, n)
+    return energies, first * row
 
 
 def site_density(p: LatticeParams, n: int, times: Sequence[float]) -> np.ndarray:
@@ -179,7 +239,7 @@ def uniform_site_density(
 
 def roundtrip_error(p: LatticeParams, t: float) -> float:
     """Forward-then-backward evolution defect of the initial state (unitarity)."""
-    energies, modes = _spectral_data(p.delta, p.n_sites)
+    energies, modes = _modes(p.delta, p.n_sites)
     coeff = modes[0, :].astype(complex)
     psi_t = modes @ (np.exp(-1j * energies * t) * coeff)
     coeff_back = modes.T @ psi_t
@@ -301,18 +361,15 @@ def measured_envelope_crossing(p: LatticeParams, n: int) -> EnvelopeCrossing:
         raise InsufficientWindowError(f"no power-law window at site {n}")
     power_fit = np.polyfit(np.log(te[j0 : j1 + 1]), ln[j0 : j1 + 1], 1)
 
-    def gap(t):
-        return (exp_fit[0] * t + exp_fit[1]) - (power_fit[0] * np.log(t) + power_fit[1])
-
-    grid = np.linspace(te[i0], te[-1], 4000)
-    vals = gap(grid)
-    down = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
-    if down.size == 0:
+    # Both fitted slopes are negative (weighted means of slopes held near
+    # -gamma and -3), so the gap a t + b - (c ln t + d) is concave: it rises
+    # through 0, peaks at t = c/a and falls through 0 once. With r = a/c the
+    # falling root solves (-r t) e^{-r t} = -r e^{(b - d)/c}, the W_{-1} branch.
+    r = exp_fit[0] / power_fit[0]
+    log_arg = math.log(r) + (exp_fit[1] - power_fit[1]) / power_fit[0]
+    t_cross = math.inf if log_arg > -1.0 else -lambertw(-math.exp(log_arg), -1) / r
+    if not te[i0] <= t_cross <= te[-1]:
         raise InsufficientWindowError(f"fitted envelopes do not cross at site {n}")
-    from scipy.optimize import brentq
-
-    k = down[-1]
-    t_cross = brentq(gap, grid[k], grid[k + 1])
     rho = math.exp(power_fit[0] * math.log(t_cross) + power_fit[1])
     return EnvelopeCrossing(
         t=float(t_cross),
@@ -348,25 +405,22 @@ def lattice_transition_time(
 
     g(t) = t^{3/2} - C e^{gamma t/2} is negative at both ends when a root
     pair exists; the admissible (exponential giving way to power) root is
-    the downward crossing, i.e. the larger of the pair.
+    the downward crossing, i.e. the larger of the pair:
+    t = -(3/gamma) W_{-1}(-(gamma/3) C^{2/3}). There is none when the
+    argument lies below -1/e, and None is also returned for a root outside
+    [T_FLOOR, t_max].
     """
     if n < 2:
         raise ValueError("transition formula needs site index n >= 2")
     c = formula_prefactor(p, n, reading)
     gamma = p.gamma
-    grid = np.geomspace(1e-2, p.t_max, 4000)
-    vals = grid ** 1.5 - c * np.exp(0.5 * gamma * grid)
-
-    def g(t: float) -> float:
-        return t ** 1.5 - c * math.exp(0.5 * gamma * t)
-
-    down = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
-    if down.size == 0:
+    # t^{3/2} = c e^{gamma t/2} is u e^u = z with u = -gamma t/3; z = -0.0
+    # (c underflowed) puts the root at t = inf
+    z = -(gamma / 3.0) * c ** (2.0 / 3.0)
+    if not -INV_E <= z < 0.0:
         return None
-    from scipy.optimize import brentq
-
-    k = down[0]
-    return float(brentq(g, grid[k], grid[k + 1]))
+    t = -3.0 / gamma * lambertw(z, -1)
+    return t if T_FLOOR <= t <= p.t_max else None
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ The time integral is taken in u = sqrt(t), where the t^{-1/2} onset of J
 becomes a smooth integrand 2u J(0, u^2), by a composite 20-point
 Gauss-Legendre rule: one vectorized boundary_current call over all nodes.
 Its error estimate is the difference from the same rule on panels twice
-as wide.
+as wide, plus a rounding bound and an analytic bound on the remainder
+past t_cut. spatial_norm integrates |psi|^2 over x with the same rule.
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ from .source_model import SourceParams, SpaceTimePoint, kernel
 
 T_CUT_TAU0_MULTIPLE = 50.0
 SMALL_T_FLOOR = 1e-8         # below this the t^{-1/2} onset is integrated analytically
-PANEL_WIDTH = 0.5            # Gauss-Legendre panel width in u = sqrt(t)
+PANEL_WIDTH = 0.5            # Gauss-Legendre panel width, in u = sqrt(t) or in x
 GAUSS_ORDER = 20
 PANEL_BLOCK = 4096           # panels per boundary_current call, bounding memory
 MAX_PANELS = 2 ** 18         # beyond this (|k0I| below ~7e-10) the rule refuses
+ROUNDING_FACTOR = 4.0        # per-evaluation rounding of J, in units of eps (1 + |k0|^2 t)
+EPS = float(np.finfo(float).eps)
 
 
 class InternalConsistencyError(Exception):
@@ -36,6 +39,11 @@ class InternalConsistencyError(Exception):
 
 @dataclass(frozen=True)
 class NormalizationResult:
+    """n_total integrates J(0, t) over [0, t_cut]; the remainder past t_cut is
+    not added but bounded by tail_estimate, which abs_error_estimate
+    includes. tail_exponent is the power of t in that bound's envelope
+    e^{-gamma t/2} t^{-3/2}; tail_flagged says the bound exceeds 1e-6 n_total."""
+
     n_total: float
     t_cut: float
     tail_estimate: float
@@ -50,18 +58,40 @@ def boundary_current(p: SourceParams, t):
     return 2.0 * (w.psi.conjugate() * w.dpsi_dx).imag
 
 
-def _current_integral(p: SourceParams, u0: float, u1: float, panels: int) -> float:
-    """Integral of J(0, t) over t in [u0^2, u1^2] as 2u J(0, u^2) du, by the
-    composite Gauss-Legendre rule on equal panels."""
+def _gauss_panels(f, a: float, b: float, panels: int):
+    """Composite GAUSS_ORDER-point Gauss-Legendre sum of f over [a, b] on
+    equal panels, PANEL_BLOCK panels per f call. f maps a (panels, nodes)
+    array to values of that shape, or to a stack of such arrays, which are
+    integrated separately."""
     nodes, weights = np.polynomial.legendre.leggauss(GAUSS_ORDER)
-    edges = np.linspace(u0, u1, panels + 1)
+    edges = np.linspace(a, b, panels + 1)
     total = 0.0
     for i in range(0, panels, PANEL_BLOCK):
         block = edges[i : i + PANEL_BLOCK + 1]
         half = 0.5 * np.diff(block)[:, None]
-        u = block[:-1, None] + half * (nodes + 1.0)
-        total += float(np.sum(half * weights * 2.0 * u * boundary_current(p, u * u)))
+        x = block[:-1, None] + half * (nodes + 1.0)
+        total = total + np.sum(half * weights * f(x), axis=(-2, -1))
     return total
+
+
+def _current_integral(p: SourceParams, u0: float, u1: float, panels: int):
+    """Integral of J(0, t) over t in [u0^2, u1^2] as 2u J(0, u^2) du, and a
+    bound on its rounding error.
+
+    At x = 0 the algebraic part of dpsi/dx is what is left after a
+    cancellation of relative size |u_+|^2 = |k0|^2 t, so each evaluation
+    of J carries a relative rounding error of about eps |k0|^2 t (0.75 eps t
+    on average against mpmath at k0I = -1e-9); the bound sums
+    ROUNDING_FACTOR eps (1 + |k0|^2 t) |weight * integrand| over the nodes.
+    """
+    k0_sq = abs(p.k0) ** 2
+
+    def integrand(u):
+        g = 2.0 * u * boundary_current(p, u * u)
+        return np.stack((g, np.abs(g) * (1.0 + k0_sq * u * u)))
+
+    value, spread = _gauss_panels(integrand, u0, u1, panels)
+    return float(value), ROUNDING_FACTOR * EPS * float(spread)
 
 
 def _fine_panels(u0: float, u1: float) -> int:
@@ -83,64 +113,55 @@ def total_emitted(p: SourceParams) -> NormalizationResult:
     head [SMALL_T_FLOOR, t_cut] is the composite Gauss-Legendre rule in u;
     its error estimate |rule(h) - rule(2h)| must stay below 1e-6 of the
     head. The remaining [0, SMALL_T_FLOOR] sliver uses the analytic onset
-    form, and the region beyond t_cut = 50 tau0 is a fitted power-law tail.
-    The tail fit is flagged (and dropped) when the late current is too small
-    or too erratic to fit, which costs nothing at the 1e-6 relative level.
+    form. The remainder past t_cut = 50 tau0 is left out and bounded by
+    _tail_bound.
     """
     t_cut = T_CUT_TAU0_MULTIPLE * p.tau0
     u0, u1 = math.sqrt(SMALL_T_FLOOR), math.sqrt(t_cut)
     panels = _fine_panels(u0, u1)
-    head = _current_integral(p, u0, u1, panels)
-    head_err = abs(head - _current_integral(p, u0, u1, panels // 2))
+    head, rounding = _current_integral(p, u0, u1, panels)
+    head_err = abs(head - _current_integral(p, u0, u1, panels // 2)[0])
     # J ~ sqrt(2/(pi t)) at small t, so the [0, floor] slice is 2 sqrt(2 floor / pi);
     # the relative deviation from that law is <= 10 t over (-1, 0), making the
     # slice's own error bound onset * 10 * floor
     onset = 2.0 * math.sqrt(2.0 * SMALL_T_FLOOR / math.pi)
     onset_err = onset * 10.0 * SMALL_T_FLOOR
 
-    tail, tail_exp, flagged = _tail_fit(p, t_cut)
-    n = head + onset + tail
+    tail = _tail_bound(p, t_cut)
+    n = head + onset
     if not (n > 0.0) or not math.isfinite(n):
         raise InternalConsistencyError(f"emitted norm came out {n!r}")
     if head_err > 1e-6 * max(abs(head), 1.0):
         raise InternalConsistencyError(
             f"quadrature did not converge: error {head_err:.3e} on partial sums "
-            f"head={head!r}, onset={onset!r}, tail={tail!r}"
+            f"head={head!r}, onset={onset!r}"
         )
-    if abs(tail) > 0.01 * n:
-        flagged = True
-    abs_err = head_err + onset_err + (abs(tail) if flagged else 0.1 * abs(tail))
     return NormalizationResult(
         n_total=n,
         t_cut=t_cut,
         tail_estimate=tail,
-        abs_error_estimate=abs_err,
-        tail_exponent=tail_exp,
-        tail_flagged=flagged,
+        abs_error_estimate=head_err + onset_err + rounding + tail,
+        tail_exponent=-1.5,
+        tail_flagged=tail > 1e-6 * n,
     )
 
 
-def _tail_fit(p: SourceParams, t_cut: float):
-    """Power-law extrapolation of J over the last decade before t_cut.
+def _tail_bound(p: SourceParams, t_cut: float) -> float:
+    """Bound on |integral of J(0, t) over t > t_cut|.
 
-    The true tail decays like e^{-gamma t / 2} t^{-3/2} and oscillates
-    through zero, so only strictly positive samples enter the log-log fit.
-    A steep fitted exponent p makes the extrapolated integral
-    C t_cut^{p+1} / (-(p+1)) negligible, which is the expected outcome.
+    psi(0, t) = e^{-i omega0 t} exactly, so |psi| = e^{-gamma t/2}, and
+    dpsi/dx(0, t) is i k0 psi plus an algebraic part s(t) with
+    |s| -> t^{-3/2} / (2 sqrt(pi) |k0|^2) as t grows (within 7% of that at
+    t_cut over -1 < k0I < 0). Hence J = 2 e^{-gamma t} + 2 Im(psi* s), and
+    with |s| <= t^{-3/2} / (sqrt(pi) |k0|^2), twice the asymptote, the
+    remainder is at most 2 e^{-gamma t_cut}/gamma plus
+    (2/gamma) e^{-gamma t_cut/2} t_cut^{-3/2} * 2 / (sqrt(pi) |k0|^2).
     """
-    ts = np.geomspace(t_cut / 10.0, t_cut, 30)
-    js = boundary_current(p, ts)
-    mask = js > 0.0
-    if mask.sum() < 6:
-        return 0.0, None, True
-    lt = np.log(ts[mask])
-    lj = np.log(js[mask])
-    slope, intercept = np.polyfit(lt, lj, 1)
-    if slope >= -1.0:
-        return 0.0, float(slope), True
-    c = math.exp(intercept)
-    tail = c * t_cut ** (slope + 1.0) / (-(slope + 1.0))
-    return float(tail), float(slope), False
+    gamma = p.gamma_rate
+    pole = 2.0 * math.exp(-gamma * t_cut) / gamma
+    cross = 4.0 * math.exp(-0.5 * gamma * t_cut) * t_cut ** -1.5 / (
+        gamma * math.sqrt(math.pi) * abs(p.k0) ** 2)
+    return pole + cross
 
 
 def emitted_by_time(p: SourceParams, T: float) -> float:
@@ -148,7 +169,7 @@ def emitted_by_time(p: SourceParams, T: float) -> float:
     if T <= 0.0:
         return 0.0
     lo, hi = math.sqrt(min(SMALL_T_FLOOR, T)), math.sqrt(T)
-    head = _current_integral(p, lo, hi, _fine_panels(lo, hi))
+    head = _current_integral(p, lo, hi, _fine_panels(lo, hi))[0]
     onset = 2.0 * math.sqrt(2.0 * min(SMALL_T_FLOOR, T) / math.pi)
     return head + onset
 
@@ -157,9 +178,10 @@ def spatial_norm(p: SourceParams, T: float) -> float:
     """Integral of |psi(x, T)|^2 over x >= 0.
 
     Fringes live in x < 2T; beyond that the density settles onto the
-    switch-on transient 4T/(pi x^2), so the far range is integrated on a
-    grid and closed with a fitted C/x tail. Conservation against
-    emitted_by_time holds at the 1e-4 level.
+    switch-on transient 4T/(pi x^2). The composite Gauss-Legendre rule
+    covers [0, x_big] on panels at most PANEL_WIDTH wide, which resolve the
+    fringes, and a C/x tail fitted at x_big closes the range. Conservation
+    against emitted_by_time holds at the 1e-4 level.
     """
     if T <= 0.0:
         return 0.0
@@ -167,15 +189,11 @@ def spatial_norm(p: SourceParams, T: float) -> float:
     def rho(x):
         return np.abs(kernel(p, x, T).psi) ** 2
 
-    from scipy.integrate import quad
-
-    near, _ = quad(rho, 0.0, 2.0 * T, limit=800)
     x_big = 40.0 * T + 200.0
-    far, _ = quad(rho, 2.0 * T, x_big, limit=800)
+    body = _gauss_panels(rho, 0.0, x_big, math.ceil(x_big / PANEL_WIDTH))
     xs = np.linspace(x_big * 0.85, x_big, 40)
     c = float(np.mean(rho(xs) * xs * xs))
-    tail = c / x_big
-    return near + far + tail
+    return float(body) + c / x_big
 
 
 def normalized_density(p: SourceParams, pt: SpaceTimePoint, n_total: Optional[float] = None) -> float:

@@ -7,6 +7,9 @@ its analytic derivative. Everything here is pure and stateless.
 w(z) is Weideman's rational series (J.A.C. Weideman, SIAM J. Numer. Anal.
 31, 1497, 1994) with N = 40 terms in the upper half-plane and the
 reflection w(z) = 2 exp(-z^2) - w(-z) below it; it needs numpy only.
+
+lambertw gives the two real branches of w e^w = z, which close the
+transition equations t^{3/2} = C e^{gamma t/2} and a t + b = c ln t + d.
 """
 
 from __future__ import annotations
@@ -153,3 +156,73 @@ def faddeeva_asymptotic(z: complex, m_max: int) -> complex:
 def faddeeva_derivative(z):
     """dw/dz via the identity w'(z) = -2 z w(z) + 2i/sqrt(pi); scalar or array."""
     return -2.0 * z * faddeeva(z) + 2j / SQRT_PI
+
+
+# 1/e rounded up: -INV_E is the smallest argument accepted, read as the branch point
+INV_E = math.exp(-1.0)
+# within this distance p of the branch point the series is exact to
+# rounding, while a Halley step there would amplify the residual's rounding
+# by 1/|1 + W|
+_BRANCH_SERIES_P = 1e-3
+# three steps reach rounding level from these guesses (mpmath-checked); cubic
+# convergence makes a fourth a no-op, the rest is margin
+_HALLEY_STEPS = 6
+
+
+class LambertWDomainError(ValueError):
+    """z lies outside the domain of the requested real branch; index locates z in an array."""
+
+    def __init__(self, z: float, branch: int, index: Optional[int] = None):
+        self.z = z
+        self.index = index
+        want = "-1/e <= z < 0" if branch == -1 else "z >= -1/e"
+        super().__init__(f"W_{branch}(z) is real only for {want}; got z={z!r}")
+
+
+def lambertw(z, branch: int = 0):
+    """Real Lambert W: the root w of w e^w = z on branch 0 or -1.
+
+    Branch 0 (w >= -1) takes z >= -1/e, branch -1 (w <= -1) takes
+    -1/e <= z < 0; anything else, nan included, raises LambertWDomainError
+    (at the first offending element of an array). Scalars give a float,
+    arrays an array of their shape.
+
+    Starting guesses are the branch-point series in p = sqrt(2(e z + 1))
+    for z < -1/4, log1p(z) on branch 0 up to z = e, and the asymptotic
+    L1 - L2 + L2/L1 (L1 = ln|z|, L2 = ln|L1|) beyond. Halley steps then
+    solve w e^w = z on branch 0 and, free of under- and overflow as
+    z -> 0-, w + ln(-w) = ln(-z) on branch -1. Within p < 1e-3 of the
+    branch point the series alone is kept. The error is a few ulps times
+    the condition number 1/|1 + W|.
+    """
+    if branch not in (0, -1):
+        raise ValueError(f"branch must be 0 or -1; got {branch!r}")
+    x = np.asarray(z, dtype=float)
+    ok = (x >= -INV_E) & (x < (0.0 if branch == -1 else math.inf))
+    i = first_false(ok)
+    if i is not None:
+        raise LambertWDomainError(float(x.flat[i]), branch, i if x.ndim else None)
+    sign = 1.0 if branch == 0 else -1.0
+    with np.errstate(all="ignore"):
+        p = sign * np.sqrt(np.maximum(2.0 * math.e * (x + INV_E), 0.0))
+        near = np.abs(p) < _BRANCH_SERIES_P
+        series = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (-43.0 / 540.0))))
+        l1 = np.log(np.abs(x))
+        l2 = np.log(np.abs(l1))
+        w = np.where(x < -0.25, series, l1 - l2 + l2 / l1)
+        if branch == 0:
+            w = np.where((x >= -0.25) & (x <= math.e), np.log1p(x), w)
+        for _ in range(_HALLEY_STEPS):
+            if branch == 0:
+                ew = np.exp(w)
+                f = w * ew - x
+                step = f / (ew * (w + 1.0) - 0.5 * (w + 2.0) * f / (w + 1.0))
+            else:
+                f = w + np.log(-w) - l1
+                d1 = 1.0 + 1.0 / w
+                step = f / (d1 + 0.5 * f / (w * w * d1))
+            step = np.where(near, 0.0, step)
+            w = w - step
+            if not np.any(np.abs(step) > 4.0 * np.finfo(float).eps * np.abs(w)):
+                break
+    return w if isinstance(z, np.ndarray) else float(w)

@@ -329,23 +329,36 @@ def test_parallelism_flag_has_no_effect(capsys, argv):
 FOOTPRINT = """
 import contextlib, io, sys
 from postexp import cli
-argvs = [
-    ["density", "--k0i", "-0.3", "--x", "0.5,2", "--t-grid", "lin:1:5:3"],
-    ["transition", "--k0i", "-0.3", "--x-grid", "log:0.5:13:4"],
-    ["critical", "--k0i-grid", "lin:-0.5:-0.5:1"],
-    ["scenario", "--config", "rb87.cfg"],
-]
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(argv) for argv in argvs]
+    codes = [cli.main(argv) for argv in {argvs!r}]
 print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_continuous_model_commands_run_without_scipy():
-    # scipy costs most of a fresh process's start; only the lattice,
-    # selftest, tp_turning_point and spatial_norm may load it
+def _fresh_footprint(argvs):
+    """Exit codes and loaded scipy modules of the argvs run in a fresh process."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    r = subprocess.run([sys.executable, "-c", FOOTPRINT], capture_output=True, text=True,
-                       env=dict(os.environ, PYTHONPATH=path), check=True)
-    assert r.stdout.strip() == "[0, 0, 0, 0] []"
+    r = subprocess.run([sys.executable, "-c", FOOTPRINT.format(argvs=argvs)], capture_output=True,
+                       text=True, env=dict(os.environ, PYTHONPATH=path), check=True)
+    return r.stdout.strip()
+
+
+def test_continuous_model_commands_run_without_scipy():
+    # scipy costs most of a fresh process's start; only tp_turning_point may load it
+    argvs = [
+        ["density", "--k0i", "-0.3", "--x", "0.5,2", "--t-grid", "lin:1:5:3"],
+        ["transition", "--k0i", "-0.3", "--x-grid", "log:0.5:13:4"],
+        ["critical", "--k0i-grid", "lin:-0.5:-0.5:1"],
+        ["scenario", "--config", "rb87.cfg"],
+    ]
+    assert _fresh_footprint(argvs) == "[0, 0, 0, 0] []"
+
+
+def test_lattice_and_selftest_run_without_scipy():
+    argvs = [
+        ["lattice", "--delta", "0.3", "--sites", "1,5", "--t-max", "40"],
+        ["lattice", "--delta", "0.6", "--sites", "1,5", "--t-max", "40", "--t-grid", "lin:0:40:9"],
+        ["selftest"],
+    ]
+    assert _fresh_footprint(argvs) == "[0, 0, 0] []"

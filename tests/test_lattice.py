@@ -251,3 +251,104 @@ def test_envelope_keeps_plateau_maxima():
     want = [k for k in range(1, vals.size - 1) if vals[k] >= vals[k - 1] and vals[k] >= vals[k + 1]]
     assert te.tolist() == want
     assert len(want) >= 8
+
+
+# ------------------------------------- closed-form spectrum against eigensolvers
+
+def _chain(delta, n):
+    off = -np.ones(n - 1)
+    off[0] = -delta
+    return off
+
+
+T_SHORT = 1.0
+
+
+def _weights_close(got, want, delta, n):
+    # near-degenerate +-E pairs around the resonance (gap ~ delta/sqrt(N))
+    # make either basis's mode products uncertain by ~ eps sqrt(N)/delta
+    eps = np.finfo(float).eps
+    tol = 4.0 * eps * (4.0 + math.sqrt(n) / delta)
+    return np.max(np.abs(got - want)) <= tol
+
+
+@pytest.mark.parametrize("delta", [1e-3, 0.05, 0.3, 0.6, 1.0])
+@pytest.mark.parametrize("n", [10, 11, 240, 1240])
+def test_spectrum_matches_eigensolvers(delta, n):
+    from scipy.linalg import eigh_tridiagonal
+
+    energies, modes = lat._modes(delta, n)
+    off = _chain(delta, n)
+    dense = np.diag(off, 1) + np.diag(off, -1)
+    mine = modes * modes[0]                         # <n|k><k|1>, sign-free
+    for e_ref, v_ref in (np.linalg.eigh(dense), eigh_tridiagonal(np.zeros(n), off)):
+        assert np.max(np.abs(energies - e_ref)) <= 8 * np.finfo(float).eps
+        assert _weights_close(mine, v_ref * v_ref[0], delta, n)
+    eye = np.eye(n)
+    assert _weights_close(modes.T @ modes, eye, delta, n)
+    # the cached O(N) data gives the same per-site weights as the matrix
+    if n > 2 * T_SHORT + lat.REFLECTION_MARGIN:
+        p = lat.LatticeParams(delta, n, T_SHORT)
+        for site in (1, 2, n // 2, n):
+            e, w = lat._mode_weights(p, site)
+            assert np.array_equal(e, energies)
+            assert np.max(np.abs(w - mine[site - 1])) <= 4 * np.finfo(float).eps
+
+
+def test_spectrum_roots_interlace_with_the_uniform_chain():
+    # one root per ((j-1) pi/N, j pi/N): energies strictly between the
+    # levels -2 cos(j pi/N) of the chain without site 1
+    for delta, n in ((1e-3, 240), (0.3, 241), (1.0, 100)):
+        energies = lat._spectral_data(delta, n)[0]
+        uniform = -2.0 * np.cos(np.arange(1, n) * math.pi / n)
+        assert np.all(energies[:-1] < uniform) and np.all(uniform < energies[1:])
+        assert -2.0 < energies[0] and energies[-1] < 2.0
+
+
+# ------------------------------------- transition formula against a dense scan
+
+def _scan_transition_time(p, n, reading):
+    from scipy.optimize import brentq
+
+    c = lat.formula_prefactor(p, n, reading)
+    gamma = p.gamma
+
+    def g(t):
+        return t ** 1.5 - c * math.exp(0.5 * gamma * t)
+
+    grid = np.geomspace(1e-2, p.t_max, 20000)
+    vals = grid ** 1.5 - c * np.exp(0.5 * gamma * grid)
+    down = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
+    if down.size == 0:
+        return None
+    k = down[0]
+    return brentq(g, grid[k], grid[k + 1], xtol=1e-15, rtol=4 * np.finfo(float).eps)
+
+
+def test_transition_time_matches_scan_and_brentq():
+    found = missing = 0
+    for delta in np.linspace(0.2, 0.8, 13):
+        for t_max in (30.0, 220.0):
+            p = lat.LatticeParams.for_horizon(float(delta), t_max)
+            for n in range(2, 40):
+                for reading in lat.READINGS:
+                    want = _scan_transition_time(p, n, reading)
+                    got = lat.lattice_transition_time(p, n, reading)
+                    assert (got is None) == (want is None), (delta, t_max, n, reading)
+                    if want is None:
+                        missing += 1
+                        continue
+                    found += 1
+                    assert abs(got - want) <= 1e-12 * want, (delta, t_max, n, reading)
+    assert found > 100 and missing > 100       # both outcomes exercised
+
+
+def test_transition_time_without_a_root():
+    # alpha_in_denominator at a large site: C is so large that
+    # t^{3/2} < C e^{gamma t/2} everywhere (argument below -1/e)
+    p = lat.LatticeParams.for_horizon(0.8, 220.0)
+    assert lat.lattice_transition_time(p, 300, "alpha_in_denominator") is None
+    # alpha_in_numerator at a far site: C underflows, the root is at t = inf
+    p = lat.LatticeParams.for_horizon(0.8, 800.0)
+    assert lat.formula_prefactor(p, 1500, "alpha_in_numerator") == 0.0
+    assert lat.lattice_transition_time(p, 1500, "alpha_in_numerator") is None

@@ -24,6 +24,28 @@ def test_total_emitted_matches_closed_form():
         assert res.tail_exponent < -1.0
 
 
+def test_error_estimate_covers_rounding_at_tiny_decay_rate():
+    # out at t ~ 1e10 each boundary_current carries ~eps t relative rounding;
+    # the doubled-width difference alone undershot the deviation here
+    p = sm.SourceParams(-1e-9)
+    res = nz.total_emitted(p)
+    exact = 0.5e9
+    assert abs(res.n_total - exact) / exact < 1e-10
+    assert abs(res.n_total - exact) <= res.abs_error_estimate <= 1e-6 * res.n_total
+
+
+@pytest.mark.parametrize("k0I", [-0.9, -0.5, -0.1, -0.02])
+def test_tail_bound_covers_the_remainder(k0I):
+    # the omitted integral over [t_cut, 40 t_cut], by the same rule, lies
+    # under the analytic bound, and the bound is not vacuous
+    p = sm.SourceParams(k0I)
+    res = nz.total_emitted(p)
+    u0, u1 = math.sqrt(res.t_cut), math.sqrt(40.0 * res.t_cut)
+    rest, rounding = nz._current_integral(p, u0, u1, nz._fine_panels(u0, u1))
+    assert abs(rest) <= res.tail_estimate + rounding
+    assert res.tail_estimate < 1e-12 * res.n_total
+
+
 def test_total_emitted_rejects_unconverged_quadrature(monkeypatch):
     # panels far wider than the current's oscillation: the rule and its
     # doubled-width twin disagree, and the check must fire
