@@ -36,7 +36,7 @@ directly in row blocks of at most BLOCK_BYTES of phases.
 
 The transition equation t^{3/2} = C e^{gamma t/2} and the crossing of the
 fitted envelope lines are Lambert-W equations, solved in closed form by
-specfun.lambertw.
+specfun.lambertw_m1.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .specfun import INV_E, lambertw
+from .specfun import INV_E, lambertw_m1
 
 ENVELOPE_STEP = 0.05
 MIN_EXP_MAXIMA = 6       # local maxima needed for the exponential-window fit
@@ -365,9 +365,12 @@ def measured_envelope_crossing(p: LatticeParams, n: int) -> EnvelopeCrossing:
     # -gamma and -3), so the gap a t + b - (c ln t + d) is concave: it rises
     # through 0, peaks at t = c/a and falls through 0 once. With r = a/c the
     # falling root solves (-r t) e^{-r t} = -r e^{(b - d)/c}, the W_{-1} branch.
+    # An argument below -1/e means the lines never cross; one that underflows
+    # to -0.0 puts the crossing at t = inf.
     r = exp_fit[0] / power_fit[0]
     log_arg = math.log(r) + (exp_fit[1] - power_fit[1]) / power_fit[0]
-    t_cross = math.inf if log_arg > -1.0 else -lambertw(-math.exp(log_arg), -1) / r
+    z = -math.exp(min(log_arg, 0.0))
+    t_cross = -lambertw_m1(z) / r if -INV_E <= z < 0.0 else math.inf
     if not te[i0] <= t_cross <= te[-1]:
         raise InsufficientWindowError(f"fitted envelopes do not cross at site {n}")
     rho = math.exp(power_fit[0] * math.log(t_cross) + power_fit[1])
@@ -419,7 +422,7 @@ def lattice_transition_time(
     z = -(gamma / 3.0) * c ** (2.0 / 3.0)
     if not -INV_E <= z < 0.0:
         return None
-    t = -3.0 / gamma * lambertw(z, -1)
+    t = -3.0 / gamma * lambertw_m1(z)
     return t if T_FLOOR <= t <= p.t_max else None
 
 

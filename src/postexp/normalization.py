@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -74,9 +74,15 @@ def _gauss_panels(f, a: float, b: float, panels: int):
     return total
 
 
-def _current_integral(p: SourceParams, u0: float, u1: float, panels: int):
-    """Integral of J(0, t) over t in [u0^2, u1^2] as 2u J(0, u^2) du, and a
-    bound on its rounding error.
+def _current_integral(p: SourceParams, u0: float, u1: float, panels: int) -> float:
+    """Integral of J(0, t) over t in [u0^2, u1^2], as 2u J(0, u^2) du."""
+    return float(_gauss_panels(lambda u: 2.0 * u * boundary_current(p, u * u), u0, u1, panels))
+
+
+def _current_integral_and_rounding(
+    p: SourceParams, u0: float, u1: float, panels: int
+) -> Tuple[float, float]:
+    """_current_integral and a bound on its rounding error.
 
     At x = 0 the algebraic part of dpsi/dx is what is left after a
     cancellation of relative size |u_+|^2 = |k0|^2 t, so each evaluation
@@ -94,14 +100,14 @@ def _current_integral(p: SourceParams, u0: float, u1: float, panels: int):
     return float(value), ROUNDING_FACTOR * EPS * float(spread)
 
 
-def _fine_panels(u0: float, u1: float) -> int:
-    """An even panel count with panels at most PANEL_WIDTH wide, so that
-    joining neighbours gives the same rule at twice the width."""
-    panels = 2 * max(1, math.ceil((u1 - u0) / (2.0 * PANEL_WIDTH)))
+def _panel_count(a: float, b: float) -> int:
+    """An even panel count with panels at most PANEL_WIDTH wide over [a, b],
+    so that joining neighbours gives the same rule at twice the width;
+    more than MAX_PANELS is refused."""
+    panels = 2 * max(1, math.ceil((b - a) / (2.0 * PANEL_WIDTH)))
     if panels > MAX_PANELS:
         raise InternalConsistencyError(
-            f"the current integral up to t = {u1 * u1:.3e} needs {panels} panels, "
-            f"more than {MAX_PANELS}"
+            f"the rule over [{a:.3e}, {b:.3e}] needs {panels} panels, more than {MAX_PANELS}"
         )
     return panels
 
@@ -118,9 +124,9 @@ def total_emitted(p: SourceParams) -> NormalizationResult:
     """
     t_cut = T_CUT_TAU0_MULTIPLE * p.tau0
     u0, u1 = math.sqrt(SMALL_T_FLOOR), math.sqrt(t_cut)
-    panels = _fine_panels(u0, u1)
-    head, rounding = _current_integral(p, u0, u1, panels)
-    head_err = abs(head - _current_integral(p, u0, u1, panels // 2)[0])
+    panels = _panel_count(u0, u1)
+    head, rounding = _current_integral_and_rounding(p, u0, u1, panels)
+    head_err = abs(head - _current_integral(p, u0, u1, panels // 2))
     # J ~ sqrt(2/(pi t)) at small t, so the [0, floor] slice is 2 sqrt(2 floor / pi);
     # the relative deviation from that law is <= 10 t over (-1, 0), making the
     # slice's own error bound onset * 10 * floor
@@ -169,7 +175,7 @@ def emitted_by_time(p: SourceParams, T: float) -> float:
     if T <= 0.0:
         return 0.0
     lo, hi = math.sqrt(min(SMALL_T_FLOOR, T)), math.sqrt(T)
-    head = _current_integral(p, lo, hi, _fine_panels(lo, hi))[0]
+    head = _current_integral(p, lo, hi, _panel_count(lo, hi))
     onset = 2.0 * math.sqrt(2.0 * min(SMALL_T_FLOOR, T) / math.pi)
     return head + onset
 
@@ -181,7 +187,9 @@ def spatial_norm(p: SourceParams, T: float) -> float:
     switch-on transient 4T/(pi x^2). The composite Gauss-Legendre rule
     covers [0, x_big] on panels at most PANEL_WIDTH wide, which resolve the
     fringes, and a C/x tail fitted at x_big closes the range. Conservation
-    against emitted_by_time holds at the 1e-4 level.
+    against emitted_by_time holds at the 1e-4 level. T beyond about
+    3000 needs more than MAX_PANELS panels and raises
+    InternalConsistencyError.
     """
     if T <= 0.0:
         return 0.0
@@ -190,7 +198,7 @@ def spatial_norm(p: SourceParams, T: float) -> float:
         return np.abs(kernel(p, x, T).psi) ** 2
 
     x_big = 40.0 * T + 200.0
-    body = _gauss_panels(rho, 0.0, x_big, math.ceil(x_big / PANEL_WIDTH))
+    body = _gauss_panels(rho, 0.0, x_big, _panel_count(0.0, x_big))
     xs = np.linspace(x_big * 0.85, x_big, 40)
     c = float(np.mean(rho(xs) * xs * xs))
     return float(body) + c / x_big

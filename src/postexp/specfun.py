@@ -8,8 +8,8 @@ w(z) is Weideman's rational series (J.A.C. Weideman, SIAM J. Numer. Anal.
 31, 1497, 1994) with N = 40 terms in the upper half-plane and the
 reflection w(z) = 2 exp(-z^2) - w(-z) below it; it needs numpy only.
 
-lambertw gives the two real branches of w e^w = z, which close the
-transition equations t^{3/2} = C e^{gamma t/2} and a t + b = c ln t + d.
+lambertw_m1 gives the lower real branch W_{-1} of w e^w = z, which closes
+the transition equations t^{3/2} = C e^{gamma t/2} and a t + b = c ln t + d.
 """
 
 from __future__ import annotations
@@ -170,59 +170,39 @@ _HALLEY_STEPS = 6
 
 
 class LambertWDomainError(ValueError):
-    """z lies outside the domain of the requested real branch; index locates z in an array."""
+    """z lies outside the domain -1/e <= z < 0 of the real branch W_{-1}."""
 
-    def __init__(self, z: float, branch: int, index: Optional[int] = None):
+    def __init__(self, z: float):
         self.z = z
-        self.index = index
-        want = "-1/e <= z < 0" if branch == -1 else "z >= -1/e"
-        super().__init__(f"W_{branch}(z) is real only for {want}; got z={z!r}")
+        super().__init__(f"W_{{-1}}(z) is real only for -1/e <= z < 0; got z={z!r}")
 
 
-def lambertw(z, branch: int = 0):
-    """Real Lambert W: the root w of w e^w = z on branch 0 or -1.
+def lambertw_m1(z: float) -> float:
+    """Real Lambert W on its lower branch: the root w <= -1 of w e^w = z.
 
-    Branch 0 (w >= -1) takes z >= -1/e, branch -1 (w <= -1) takes
-    -1/e <= z < 0; anything else, nan included, raises LambertWDomainError
-    (at the first offending element of an array). Scalars give a float,
-    arrays an array of their shape.
-
-    Starting guesses are the branch-point series in p = sqrt(2(e z + 1))
-    for z < -1/4, log1p(z) on branch 0 up to z = e, and the asymptotic
-    L1 - L2 + L2/L1 (L1 = ln|z|, L2 = ln|L1|) beyond. Halley steps then
-    solve w e^w = z on branch 0 and, free of under- and overflow as
-    z -> 0-, w + ln(-w) = ln(-z) on branch -1. Within p < 1e-3 of the
-    branch point the series alone is kept. The error is a few ulps times
-    the condition number 1/|1 + W|.
+    z must satisfy -1/e <= z < 0; anything else, nan included, raises
+    LambertWDomainError. The starting guess is the branch-point series in
+    p = -sqrt(2(e z + 1)) for z < -1/4 and the asymptotic L1 - L2 + L2/L1
+    (L1 = ln(-z), L2 = ln(-L1)) beyond. Halley steps then solve
+    w + ln(-w) = ln(-z), which is free of under- and overflow as z -> 0-.
+    Within |p| < 1e-3 of the branch point the series alone is kept. The
+    error is a few ulps times the condition number 1/|1 + W|.
     """
-    if branch not in (0, -1):
-        raise ValueError(f"branch must be 0 or -1; got {branch!r}")
-    x = np.asarray(z, dtype=float)
-    ok = (x >= -INV_E) & (x < (0.0 if branch == -1 else math.inf))
-    i = first_false(ok)
-    if i is not None:
-        raise LambertWDomainError(float(x.flat[i]), branch, i if x.ndim else None)
-    sign = 1.0 if branch == 0 else -1.0
-    with np.errstate(all="ignore"):
-        p = sign * np.sqrt(np.maximum(2.0 * math.e * (x + INV_E), 0.0))
-        near = np.abs(p) < _BRANCH_SERIES_P
-        series = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (-43.0 / 540.0))))
-        l1 = np.log(np.abs(x))
-        l2 = np.log(np.abs(l1))
-        w = np.where(x < -0.25, series, l1 - l2 + l2 / l1)
-        if branch == 0:
-            w = np.where((x >= -0.25) & (x <= math.e), np.log1p(x), w)
-        for _ in range(_HALLEY_STEPS):
-            if branch == 0:
-                ew = np.exp(w)
-                f = w * ew - x
-                step = f / (ew * (w + 1.0) - 0.5 * (w + 2.0) * f / (w + 1.0))
-            else:
-                f = w + np.log(-w) - l1
-                d1 = 1.0 + 1.0 / w
-                step = f / (d1 + 0.5 * f / (w * w * d1))
-            step = np.where(near, 0.0, step)
-            w = w - step
-            if not np.any(np.abs(step) > 4.0 * np.finfo(float).eps * np.abs(w)):
-                break
-    return w if isinstance(z, np.ndarray) else float(w)
+    if not -INV_E <= z < 0.0:
+        raise LambertWDomainError(z)
+    p = -math.sqrt(max(2.0 * math.e * (z + INV_E), 0.0))
+    w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (-43.0 / 540.0))))
+    if -p < _BRANCH_SERIES_P:
+        return w
+    l1 = math.log(-z)
+    if z >= -0.25:
+        l2 = math.log(-l1)
+        w = l1 - l2 + l2 / l1
+    for _ in range(_HALLEY_STEPS):
+        f = w + math.log(-w) - l1
+        d1 = 1.0 + 1.0 / w
+        step = f / (d1 + 0.5 * f / (w * w * d1))
+        w -= step
+        if abs(step) <= 4.0 * sys.float_info.epsilon * abs(w):
+            break
+    return w

@@ -124,6 +124,37 @@ def test_envelope_crossings_frozen():
     assert dens[0] < dens[1] < dens[2]
 
 
+def _crossing_with_fits(monkeypatch, p, n, exp_fit, power_fit):
+    """measured_envelope_crossing on its real windows, with the two line
+    fits replaced by the given (slope, intercept) pairs."""
+    fits = iter([np.array(exp_fit), np.array(power_fit)])
+    monkeypatch.setattr(np, "polyfit", lambda *args: next(fits))
+    try:
+        return lat.measured_envelope_crossing(p, n)
+    finally:
+        monkeypatch.undo()
+        assert next(fits, None) is None     # both fits were consumed
+
+
+@pytest.mark.parametrize("case", ["after_window", "before_window", "apart", "underflow"])
+def test_envelope_crossing_outside_the_window_is_refused(monkeypatch, case):
+    # the fitted lines a t + b and c ln t + d may cross before the
+    # exponential window opens, after the last maximum, or not at all (the
+    # W argument below -1/e, or underflowing to -0.0); each must be refused
+    p = lat.LatticeParams.for_horizon(0.3, 220.0)
+    c, d = -3.0, 0.0
+    if case == "after_window":
+        a, t = -p.gamma, 10.0 * p.t_max
+    elif case == "before_window":
+        a, t = -1.0, 4.0                  # falling root: t > c/a = 3
+    if case in ("after_window", "before_window"):
+        b = c * math.log(t) + d - a * t
+    else:
+        a, b = -p.gamma, -1000.0 if case == "apart" else 3000.0
+    with pytest.raises(lat.InsufficientWindowError, match="do not cross"):
+        _crossing_with_fits(monkeypatch, p, 5, (a, b), (c, d))
+
+
 def test_reading_resolution():
     p = lat.LatticeParams.for_horizon(0.3, 220.0)
     res = lat.resolve_formula_reading(p)

@@ -41,7 +41,7 @@ def test_tail_bound_covers_the_remainder(k0I):
     p = sm.SourceParams(k0I)
     res = nz.total_emitted(p)
     u0, u1 = math.sqrt(res.t_cut), math.sqrt(40.0 * res.t_cut)
-    rest, rounding = nz._current_integral(p, u0, u1, nz._fine_panels(u0, u1))
+    rest, rounding = nz._current_integral_and_rounding(p, u0, u1, nz._panel_count(u0, u1))
     assert abs(rest) <= res.tail_estimate + rounding
     assert res.tail_estimate < 1e-12 * res.n_total
 
@@ -105,6 +105,36 @@ def test_spatial_norm_matches_cumulative_emission(p03):
     emitted = nz.emitted_by_time(p03, T)
     spatial = nz.spatial_norm(p03, T)
     assert abs(spatial / emitted - 1.0) < 2e-4
+
+
+def test_spatial_norm_matches_adaptive_quadrature(p03):
+    # the panel rule against adaptive quadrature over the fringe range and
+    # the far range, closed by the same C/x tail
+    from scipy.integrate import quad
+
+    T = 20.0 * p03.tau0
+    x_big = 40.0 * T + 200.0
+
+    def rho(x):
+        return abs(sm.kernel(p03, x, T).psi) ** 2
+
+    tol = dict(epsabs=0.0, epsrel=1e-13, limit=2000)
+    near = quad(rho, 0.0, 2.0 * T, **tol)[0]
+    far = quad(rho, 2.0 * T, x_big, **tol)[0]
+    xs = np.linspace(x_big * 0.85, x_big, 40)
+    tail = float(np.mean(np.abs(sm.kernel(p03, xs, T).psi) ** 2 * xs * xs)) / x_big
+    assert nz.spatial_norm(p03, T) == pytest.approx(near + far + tail, rel=1e-12)
+
+
+def test_spatial_norm_panel_budget(p03, monkeypatch):
+    # the panel count grows with T; past MAX_PANELS the rule is refused
+    # before any kernel call
+    def fail(*args, **kwargs):
+        raise AssertionError("kernel evaluated")
+
+    monkeypatch.setattr(nz, "kernel", fail)
+    with pytest.raises(nz.InternalConsistencyError, match="panels"):
+        nz.spatial_norm(p03, 1e4)
 
 
 def test_density_far_tail(p03):

@@ -118,50 +118,34 @@ def test_overflow_guard():
 
 # ------------------------------------------------------------- Lambert W
 
-def _lambertw_points(branch):
-    """Real arguments of W_branch: within 6e-17 .. 0.1 of the branch point
-    -1/e, across (-1/e, 0), within 1e-320 .. 1e-3 of 0-, and (branch 0
-    only) 0 and positive z out to 1e300."""
+def _lambertw_points():
+    """Arguments of W_{-1}: within 6e-17 .. 0.1 of the branch point -1/e,
+    across (-1/e, 0), and within 1e-320 .. 1e-3 of 0-."""
     zs = [-specfun.INV_E + d for d in np.geomspace(6e-17, 0.1, 60)]
     zs += list(np.linspace(-0.36, -1e-3, 60))
     zs += list(-np.geomspace(1e-320, 1e-3, 60))
-    if branch == 0:
-        zs += [0.0, 1.0, math.e, 3.0] + list(np.geomspace(1e-300, 1e300, 60))
-    return np.array(zs)
+    return [float(z) for z in zs]
 
 
-@pytest.mark.parametrize("branch", [0, -1])
-def test_lambertw_matches_mpmath(branch):
-    zs = _lambertw_points(branch)
-    with mpmath.workdps(40):
-        ref = np.array([float(mpmath.lambertw(mpmath.mpf(z), branch).real) for z in zs])
-    got = specfun.lambertw(zs, branch)
-    assert got.shape == zs.shape
-    # a few ulps times the condition number |z W'(z) / W| = 1/|1 + W|
+def test_lambertw_m1_matches_mpmath():
     eps = np.finfo(float).eps
-    tol = 2.0 * eps * (1.0 + 1.0 / np.abs(1.0 + ref)) * np.abs(ref)
-    assert np.all(np.abs(got - ref) <= tol), zs[np.argmax(np.abs(got - ref) / tol)]
-    # residual of w e^w = z where it is well scaled, and the branch ranges
-    mid = np.abs(zs) > 1e-300
-    np.testing.assert_allclose(got[mid] * np.exp(got[mid]), zs[mid], rtol=1e-12)
-    assert np.all(got >= -1.0) if branch == 0 else np.all(got <= -1.0)
-    for z, g in zip(zs[::7], got[::7]):
-        s = specfun.lambertw(float(z), branch)
-        assert isinstance(s, float) and abs(s - g) <= 4.0 * eps * abs(g)
+    for z in _lambertw_points():
+        with mpmath.workdps(40):
+            ref = float(mpmath.lambertw(mpmath.mpf(z), -1).real)
+        got = specfun.lambertw_m1(z)
+        assert isinstance(got, float) and got <= -1.0
+        # a few ulps times the condition number |z W'(z) / W| = 1/|1 + W|
+        tol = 2.0 * eps * (1.0 + 1.0 / abs(1.0 + ref)) * abs(ref)
+        assert abs(got - ref) <= tol, z
+        # residual of w e^w = z where it is well scaled
+        if abs(z) > 1e-300:
+            assert got * math.exp(got) == pytest.approx(z, rel=1e-12)
 
 
-def test_lambertw_branch_point_and_domain():
-    assert specfun.lambertw(-specfun.INV_E, 0) == -1.0
-    assert specfun.lambertw(-specfun.INV_E, -1) == -1.0
-    assert specfun.lambertw(0.0) == 0.0
+def test_lambertw_m1_branch_point_and_domain():
+    assert specfun.lambertw_m1(-specfun.INV_E) == -1.0
     below = math.nextafter(-specfun.INV_E, -1.0)
-    for z, branch in ((below, 0), (below, -1), (0.0, -1), (1.0, -1), (math.nan, 0),
-                      (math.inf, 0), (-math.inf, -1)):
-        with pytest.raises(specfun.LambertWDomainError):
-            specfun.lambertw(z, branch)
-    with pytest.raises(specfun.LambertWDomainError) as err:
-        specfun.lambertw(np.array([-0.1, -0.2, 0.5]), -1)
-    assert err.value.index == 2 and err.value.z == 0.5
-    assert isinstance(err.value, ValueError)
-    with pytest.raises(ValueError):
-        specfun.lambertw(-0.1, 1)
+    for z in (below, 0.0, -0.0, 1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(specfun.LambertWDomainError) as err:
+            specfun.lambertw_m1(z)
+        assert isinstance(err.value, ValueError)
