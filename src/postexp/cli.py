@@ -502,7 +502,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         source_model.EvaluationDomainError,
         source_model.SingularConfigurationError,
         normalization.InternalConsistencyError,
-        transition.RangeExhaustedError,
         lat.InsufficientWindowError,
     ) as err:
         print(f"error: {err}", file=sys.stderr)

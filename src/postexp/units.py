@@ -19,7 +19,7 @@ import numpy as np
 
 from .normalization import total_emitted
 from .source_model import SourceParams, SpaceTimePoint, kernel
-from .transition import RangeExhaustedError, critical_distance, transition_time
+from .transition import critical_distance, transition_time
 
 HBAR = 1.054571817e-34
 RB87_MASS_KG = 1.4431606e-25
@@ -108,7 +108,6 @@ class ScenarioReport:
     atoms_per_pixel_integral: float
     pixel_over_L: float
     largest_detector_distance_m: float
-    largest_distance_is_lower_bound: bool
     valid: bool
     method: str
 
@@ -146,14 +145,6 @@ def scenario_transition_report(
     tp = transition_time(p, x, method=method)
     width = s.pixel_size / L
 
-    try:
-        x_max, _ = critical_distance(p)
-        largest_m = x_max * L
-        lower_bound = False
-    except RangeExhaustedError as err:
-        largest_m = err.ceiling * L
-        lower_bound = True
-
     if tp.valid:
         n_total = total_emitted(p).n_total
         point = s.atom_number * tp.density_normalized * width
@@ -176,8 +167,7 @@ def scenario_transition_report(
         atoms_per_pixel_point=point,
         atoms_per_pixel_integral=integral,
         pixel_over_L=width,
-        largest_detector_distance_m=largest_m,
-        largest_distance_is_lower_bound=lower_bound,
+        largest_detector_distance_m=critical_distance(p)[0] * L,
         valid=tp.valid,
         method=method,
     )

@@ -104,6 +104,46 @@ def cold_atom_oracle(scenario, X: float, t: float) -> ColdAtomOracle:
     return ColdAtomOracle(k0I, x, count, ceiling)
 
 
+def log_ratio_oracle(k0I: float, x: float, t):
+    """ln(|pole|/|saddle|) from the two closed-form moduli, in logs.
+
+    |pole| = e^{k0I (2t - x)} and, with tau = x/(2 k0),
+    |saddle| = sqrt(t/pi) x / (2 |k0|^2 |t^2 - tau^2|).
+    """
+    k0 = complex(1.0, k0I)
+    tau = x / (2.0 * k0)
+    log_pole = k0I * (2.0 * t - x)
+    log_saddle = (0.5 * np.log(t / math.pi) + math.log(x / (2.0 * abs(k0) ** 2))
+                  - np.log(np.abs(t * t - tau * tau)))
+    return log_pole - log_saddle
+
+
+def max_log_ratio_after_pole(k0I: float, x: float, n: int = 200_000) -> float:
+    """Brute-force sup of ln R over t > t_c = x/(2(1 + k0I)) on a dense grid.
+
+    The grid is t_c itself (the sup is a limit there: d(ln R)/d(ln t) is
+    of order 1/|k0I| at t_c) and then geometric in t - t_c, from 1e-13 t_c
+    out past 200/|k0I|, so it also resolves the local maximum of R.
+    """
+    t_c = x / (2.0 * (1.0 + k0I))
+    offsets = np.geomspace(1e-13, 10.0 + 200.0 / (abs(k0I) * t_c), n - 1)
+    ts = t_c * (1.0 + np.concatenate(([0.0], offsets)))
+    return float(np.max(log_ratio_oracle(k0I, x, ts)))
+
+
+def brute_force_x_max(k0I: float) -> float:
+    """Largest x with a transition: geometric bisection on the sign of
+    max_log_ratio_after_pole, from [1e-4, 1e4/k0I^2] down to relative 1e-12."""
+    lo, hi = 1e-4, 1e4 / (k0I * k0I)
+    while hi / lo - 1.0 > 1e-12:
+        mid = math.sqrt(lo * hi)
+        if max_log_ratio_after_pole(k0I, mid, 20_000) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def chain_density_oracle(delta: float, t0: float, dt: float, count: int, sites) -> np.ndarray:
     """|c_n(t0 + k dt)|^2, k < count, by sparse matrix exponentials; shape (count, sites).
 

@@ -11,6 +11,8 @@ import pytest
 
 from postexp import cli
 
+from conftest import max_log_ratio_after_pole
+
 
 def _schema(name):
     from importlib import resources
@@ -181,7 +183,10 @@ def test_scenario_report_schema(capsys):
     jsonschema.validate(obj, _schema("scenario_report.schema.json"))
     rep = obj["report"]
     assert rep["t_p_physical_s"] == pytest.approx(0.01253, rel=1e-3)
-    assert rep["largest_distance_is_lower_bound"] is True
+    # the largest distance with a transition, about 1.2662 mm
+    x_max = rep["largest_detector_distance_m"] / rep["L_m"]
+    assert max_log_ratio_after_pole(rep["k0I"], x_max * (1.0 - 1e-7)) >= 0.0
+    assert max_log_ratio_after_pole(rep["k0I"], x_max * (1.0 + 1e-7)) < 0.0
 
 
 def test_scenario_distance_override(capsys):
@@ -344,8 +349,29 @@ def _fresh_footprint(argvs):
     return r.stdout.strip()
 
 
+def test_package_imports_no_scipy():
+    # scipy is a test dependency only: no module of the package may import it
+    import ast
+
+    found = []
+    for root, _, names in os.walk(os.path.dirname(cli.__file__)):
+        for name in sorted(n for n in names if n.endswith(".py")):
+            path = os.path.join(root, name)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    mods = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    mods = [node.module or ""]
+                else:
+                    continue
+                found += [(name, m) for m in mods if m.split(".")[0] == "scipy"]
+    assert found == []
+
+
 def test_continuous_model_commands_run_without_scipy():
-    # scipy costs most of a fresh process's start; only tp_turning_point may load it
+    # scipy costs most of a fresh process's start, and no command needs it
     argvs = [
         ["density", "--k0i", "-0.3", "--x", "0.5,2", "--t-grid", "lin:1:5:3"],
         ["transition", "--k0i", "-0.3", "--x-grid", "log:0.5:13:4"],

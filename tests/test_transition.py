@@ -8,6 +8,8 @@ import pytest
 from postexp import source_model as sm
 from postexp import transition as tr
 
+from conftest import brute_force_x_max, log_ratio_oracle, max_log_ratio_after_pole
+
 
 def test_ratio_value(p03):
     got = tr.ratio_R(p03, sm.SpaceTimePoint(2.5, 7.0))
@@ -78,6 +80,55 @@ def test_turning_point_near_reciprocal_decay_scale(p01, p03):
         assert abs(xstar - target) / target < 0.20
         # deterministic
         assert tr.tp_turning_point(p) == xstar
+
+
+@pytest.mark.parametrize("k0I, x, t", [(-0.3, 3.8, 7.0), (-0.05, 20.0, 60.0), (-0.9, 0.4, 2.5)])
+def test_log_ratio_partials_match_finite_differences(k0I, x, t):
+    p = sm.SourceParams(k0I)
+    f, f_x, f_t, f_xx, f_xt = tr._log_ratio_partials(p, x, t)
+    h, g = 1e-4 * x, 1e-4 * t
+
+    def d_x(x, t):
+        return (log_ratio_oracle(k0I, x + h, t) - log_ratio_oracle(k0I, x - h, t)) / (2.0 * h)
+
+    assert f == pytest.approx(log_ratio_oracle(k0I, x, t), rel=1e-12, abs=1e-12)
+    assert f_x == pytest.approx(d_x(x, t), rel=1e-6, abs=1e-9)
+    assert f_t == pytest.approx((log_ratio_oracle(k0I, x, t + g)
+                                 - log_ratio_oracle(k0I, x, t - g)) / (2.0 * g), rel=1e-6, abs=1e-9)
+    assert f_xx == pytest.approx((d_x(x + h, t) - d_x(x - h, t)) / (2.0 * h), rel=1e-3)
+    assert f_xt == pytest.approx((d_x(x, t + g) - d_x(x, t - g)) / (2.0 * g), rel=1e-3)
+
+
+def _oracle_t_p(k0I, x):
+    """Last downward root of ln R after t_c: dense-grid bracket, then brentq."""
+    from scipy.optimize import brentq
+
+    t_c = x / (2.0 * (1.0 + k0I))
+    ts = t_c * (1.0 + np.geomspace(1e-13, 10.0 + 200.0 / (abs(k0I) * t_c), 20000))
+    f = log_ratio_oracle(k0I, x, ts)
+    i = np.flatnonzero((f[:-1] >= 0.0) & (f[1:] < 0.0))[-1]
+    return brentq(lambda t: log_ratio_oracle(k0I, x, t), ts[i], ts[i + 1], xtol=1e-300)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k0I", [-0.05, -0.3, -0.6])
+def test_turning_point_is_a_local_minimum(k0I):
+    p = sm.SourceParams(k0I)
+    xstar = tr.tp_turning_point(p)
+    assert xstar < tr.critical_distance(p)[0]
+    t_star = _oracle_t_p(k0I, xstar)
+    for side in (1.0 - 1e-3, 1.0 + 1e-3):
+        assert _oracle_t_p(k0I, xstar * side) >= t_star, side
+
+
+@pytest.mark.filterwarnings("error")
+def test_turning_point_at_the_critical_distance():
+    # at k0I -0.9 the stationary point of t_p(x) lies past x_max
+    p = sm.SourceParams(-0.9)
+    x_max, _ = tr.critical_distance(p)
+    assert tr.tp_turning_point(p) == x_max
+    tps = [_oracle_t_p(-0.9, x) for x in np.linspace(0.05, 1.0 - 1e-6, 200) * x_max]
+    assert np.all(np.diff(tps) < 0.0)
 
 
 def test_critical_distance_frozen(p03):
@@ -151,17 +202,21 @@ def _late_time_closed_form(k0I, x, t):
     return t ** 1.5 / rhs - 1.0
 
 
-@pytest.mark.parametrize("k0I", [-0.05, -0.3, -0.8])
+@pytest.mark.parametrize("k0I", [-0.023, -0.05, -0.3, -0.8])
 @pytest.mark.parametrize("method", ["exact_ratio", "late_time"])
 def test_transition_rows_are_last_downward_crossings(k0I, method):
     p = sm.SourceParams(k0I)
-    x_max, _ = tr.critical_distance(p)
-    xs = np.geomspace(1e-3, 1.3 * x_max, 60)
+    x_max = brute_force_x_max(k0I)
+    # the rows just below x_max have their root within 1e-4 t_c of t_c
+    near = x_max * (1.0 - 10.0 ** -np.arange(4.0, 10.0))
+    xs = np.sort(np.concatenate([np.geomspace(1e-3, 1.3 * x_max, 60), near]))
     rows = tr.transition_times(p, xs, method)
     assert [q.x for q in rows] == xs.tolist()
     assert all(q.method == method for q in rows)
     valid = np.array([q.valid for q in rows])
     assert valid.sum() >= 40
+    if method == "exact_ratio":
+        np.testing.assert_array_equal(valid, xs <= x_max)
     horizon = 1e3 / p.gamma_rate
     for x, t_p, valid_row in zip(xs, [q.t_p for q in rows], valid):
         if not valid_row:
@@ -177,11 +232,14 @@ def test_transition_rows_are_last_downward_crossings(k0I, method):
             after = _late_time_closed_form(k0I, x, np.geomspace(t_p, horizon, 4000)[1:])
         # no later upward crossing: t_p is the last time the pole dominates
         assert np.all(after < 1e-6), (x, t_p)
-    # beyond the critical distance the ratio never reaches 1 after t_c
-    for x in xs[~valid & (xs > x_max)]:
-        t_c = x / (2.0 * (1.0 + k0I))
-        ts = np.geomspace(t_c, horizon, 20000)[1:]
-        assert np.all(_ratio_closed_form(k0I, x, ts) < 1.0), x
+    # an invalid row never reaches the crossing value 0 after t_c
+    for x in xs[~valid]:
+        if method == "exact_ratio":
+            assert max_log_ratio_after_pole(k0I, x) < 0.0, x
+        else:
+            t_c = x / (2.0 * (1.0 + k0I))
+            ts = t_c * (1.0 + np.geomspace(1e-13, 10.0 + horizon / t_c, 20000))
+            assert np.max(_late_time_closed_form(k0I, x, ts)) < 0.0, x
 
 
 def test_transition_times_match_scalar_form(p03):
@@ -193,22 +251,14 @@ def test_transition_times_match_scalar_form(p03):
         assert (one.t_p == row.t_p) or (math.isnan(one.t_p) and math.isnan(row.t_p))
 
 
-def test_transition_times_bounded_blocks(p03, monkeypatch):
-    xs = np.geomspace(0.01, 14.0, 23)
-    whole = tr.transition_times(p03, xs)
-    monkeypatch.setattr(tr, "SCAN_ROWS", 5)
-    blocked = tr.transition_times(p03, xs)
-    np.testing.assert_array_equal([q.t_p for q in whole], [q.t_p for q in blocked])
-    assert [q.valid for q in whole] == [q.valid for q in blocked]
-
-
 def test_transition_times_rejects_bad_x(p03):
     for bad in ([1.0, 0.0], [math.nan], [-1.0], [math.inf]):
         with pytest.raises(ValueError):
             tr.transition_times(p03, bad)
 
 
-# x_max for log:-0.855843:-0.023345:35, as computed before the array kernel
+# x_max for log:-0.855843:-0.023345:35 from the former grid scan and
+# bisection to relative 1e-3, which returned the low end of its bracket
 CRITICAL_FROZEN = [
     0.6866895316687511,
     1.147485064041505,
@@ -248,7 +298,25 @@ CRITICAL_FROZEN = [
 ]
 
 
+CRITICAL_KS = np.geomspace(-0.855843, -0.023345, 35)
+
+
+# the smallest |k0I| need R near t_c to better than eps/k0I^2
+@pytest.mark.parametrize("k0I", CRITICAL_KS.tolist() + [-0.01, -0.9999, -1e-6, -1e-7],
+                         ids="{:.4g}".format)
+def test_critical_distance_brackets_the_last_transition(k0I):
+    p = sm.SourceParams(k0I)
+    x_max, t_p = tr.critical_distance(p)
+    assert max_log_ratio_after_pole(k0I, x_max * (1.0 - 1e-7)) >= 0.0
+    assert max_log_ratio_after_pole(k0I, x_max * (1.0 + 1e-7)) < 0.0
+    t_c = x_max / (2.0 * (1.0 + k0I))
+    assert t_p > t_c
+    assert abs(math.expm1(log_ratio_oracle(k0I, x_max, t_p))) <= tr.ROOT_TOL
+
+
 def test_critical_distance_frozen_grid():
-    ks = np.geomspace(-0.855843, -0.023345, 35)
-    got = [tr.critical_distance(sm.SourceParams(float(k)))[0] for k in ks]
-    assert got == CRITICAL_FROZEN
+    got = [tr.critical_distance(sm.SourceParams(float(k)))[0] for k in CRITICAL_KS]
+    rel = np.array(got) / np.array(CRITICAL_FROZEN) - 1.0
+    # the bisection stopped at relative 1e-3 but its scan also missed roots
+    # in (t_c, t_c (1 + 1e-4)), so it sat up to 0.47 % low
+    assert np.all((rel > 0.0) & (rel < 5e-3)), rel

@@ -7,7 +7,7 @@ import pytest
 
 from postexp import units
 
-from conftest import cold_atom_oracle
+from conftest import cold_atom_oracle, max_log_ratio_after_pole
 
 
 RB87 = dict(mass=1.4431606e-25, lifetime=400e-6, release_velocity=0.01,
@@ -64,9 +64,10 @@ def test_scenario_report_frozen(rb87):
     # narrow pixel: the point sample is the headline number
     assert rep.pixel_over_L == pytest.approx(41.055, rel=1e-3)
     assert rep.atoms_per_pixel_at_transition == rep.atoms_per_pixel_point
-    # the admissible-distance scan hits its ceiling for this scenario
-    assert rep.largest_distance_is_lower_bound
-    assert rep.largest_detector_distance_m == pytest.approx(8.0e-4, rel=1e-2)
+    # the largest distance with a transition, about 1.2662 mm
+    ref = cold_atom_oracle(rb87, rep.largest_detector_distance_m, rep.t_p)
+    assert max_log_ratio_after_pole(ref.k0I, ref.x * (1.0 - 1e-7)) >= 0.0
+    assert max_log_ratio_after_pole(ref.k0I, ref.x * (1.0 + 1e-7)) < 0.0
 
 
 def test_scenario_count_under_closed_form_ceiling(rb87):
