@@ -1,12 +1,20 @@
 """Command-line front end: grid sweeps and reports as CSV or JSON.
 
-Grid syntax shared by all commands: `lin:a:b:n`, `log:a:b:n`, or a comma
-list like `0.1,0.4,1.5`. Grids are computed and written in blocks of
-BLOCK_ROWS rows, so memory stays bounded for any grid. Output is
-deterministic: identical invocations produce byte-identical files.
---parallelism is kept for compatibility and has no effect.
+Grid options (--x, --t-grid, --x-grid, --k0i-grid) take `lin:a:b:n`,
+`log:a:b:n`, or a comma list like `0.1,0.4,1.5`. Grids are computed and
+written in blocks of BLOCK_ROWS rows, so memory stays bounded for any grid.
+Output is deterministic: identical invocations produce byte-identical
+files. --parallelism is kept for compatibility and has no effect.
 
-Exit codes: 0 success, 1 computation failure, 2 usage error.
+Each subcommand imports only the modules it uses, and the process runs
+numpy's BLAS on one thread unless OPENBLAS_NUM_THREADS is already set:
+the computations are single-threaded, and an idle BLAS worker only
+spins.
+
+Exit codes: 0 success; 2 usage error or invalid input (bad flags, grids,
+config values, unrepresentable scenarios); 1 computation failure
+(evaluation domain, singular configuration, normalization consistency,
+envelope window, I/O).
 """
 
 from __future__ import annotations
@@ -18,13 +26,14 @@ import json
 import math
 import os
 import sys
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
+
+# before the first numpy import; a value the user set wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
 from . import __version__
-from . import lattice as lat
-from . import normalization, source_model, specfun, transition, units
 
 SCHEMA_VERSION = "1"
 LATTICE_SUMMARY_HORIZON = 220.0   # envelope fits need this much time to converge
@@ -107,6 +116,23 @@ def _fmt_column(col) -> List[str]:
     return list(map(repr if col.dtype.kind == "f" else str, col.tolist()))
 
 
+class _Indexed(NamedTuple):
+    """A column drawn from a short table, table[index]: its CSV cells are
+    formatted once per table entry instead of once per row."""
+
+    table: np.ndarray
+    cells: np.ndarray      # object array of _fmt_column(table)
+    index: np.ndarray
+
+
+def _cells(col) -> List[str]:
+    return col.cells[col.index].tolist() if isinstance(col, _Indexed) else _fmt_column(col)
+
+
+def _values(col) -> list:
+    return (col.table[col.index] if isinstance(col, _Indexed) else np.asarray(col)).tolist()
+
+
 def emit_table(
     args,
     command: str,
@@ -123,14 +149,14 @@ def emit_table(
         if args.format == "csv":
             fh.write(",".join(columns) + "\n")
             for block in blocks:
-                cells = [_fmt_column(c) for c in block]
+                cells = [_cells(c) for c in block]
                 fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
             if summary:
                 fh.write("".join(f"# {k} = {_fmt_column([v])[0]}\n" for k, v in summary.items()))
             return
         rows = [[_json_safe(v) for v in row]
                 for block in blocks
-                for row in zip(*(np.asarray(c).tolist() for c in block))]
+                for row in zip(*map(_values, block))]
         obj = {
             "schema_version": SCHEMA_VERSION,
             "command": command,
@@ -146,6 +172,8 @@ def emit_table(
 # --------------------------------------------------------------- commands
 
 def cmd_density(args) -> int:
+    from . import normalization, source_model
+
     k0I = check_k0i(args.k0i)
     xs = np.array(parse_grid(args.x, "--x"))
     ts = np.array(parse_grid(args.t_grid, "--t-grid"))
@@ -155,17 +183,19 @@ def cmd_density(args) -> int:
         raise UsageError("--t-grid: times must be > 0")
     p = source_model.SourceParams(k0I)
     n_total = normalization.total_emitted(p).n_total
+    x_cells, t_cells = (np.array(_fmt_column(g), dtype=object) for g in (xs, ts))
 
     def blocks():
         # rows run x-major over the flattened (x, t) grid
         for lo in range(0, xs.size * ts.size, BLOCK_ROWS):
-            i = np.arange(lo, min(lo + BLOCK_ROWS, xs.size * ts.size))
-            x, t = xs[i // ts.size], ts[i % ts.size]
+            ix, it = np.divmod(np.arange(lo, min(lo + BLOCK_ROWS, xs.size * ts.size)), ts.size)
+            x, t = xs[ix], ts[it]
             w = source_model.kernel(p, x, t)
             rho, saddle, pole = np.abs(w.psi) ** 2, np.abs(w.saddle), np.abs(w.pole)
             # R = |pole|/|saddle|; nan at x = 0 and on the saddle's singular locus
             ratio = np.divide(pole, saddle, out=np.full(x.shape, math.nan), where=x > 0.0)
-            yield x, t, rho, saddle ** 2, pole ** 2, w.pole_crossed, ratio, rho / n_total
+            yield (_Indexed(xs, x_cells, ix), _Indexed(ts, t_cells, it),
+                   rho, saddle ** 2, pole ** 2, w.pole_crossed, ratio, rho / n_total)
 
     emit_table(
         args,
@@ -178,6 +208,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_transition(args) -> int:
+    from . import source_model, transition
+
     k0I = check_k0i(args.k0i)
     xs = np.array(parse_grid(args.x_grid, "--x-grid"))
     if xs[0] <= 0.0:
@@ -197,6 +229,8 @@ def cmd_transition(args) -> int:
 
 
 def cmd_critical(args) -> int:
+    from . import source_model, transition
+
     ks = parse_grid(args.k0i_grid, "--k0i-grid")
     for k in ks:
         check_k0i(k)
@@ -214,6 +248,8 @@ def cmd_critical(args) -> int:
 
 
 def cmd_lattice(args) -> int:
+    from . import lattice as lat
+
     if not (0.0 < args.delta <= 1.0):
         raise UsageError(f"--delta must be in (0, 1]; got {args.delta!r}")
     try:
@@ -263,6 +299,8 @@ def _lattice_summary(delta: float, sites: List[int], t_max: float) -> Dict[str, 
     The user's t_max may be too short for stable envelope fits, so the
     summary evolves its own chain out to at least LATTICE_SUMMARY_HORIZON.
     """
+    from . import lattice as lat
+
     t_res = max(t_max, LATTICE_SUMMARY_HORIZON)
     p_res = lat.LatticeParams.for_horizon(delta, t_res)
     summary: Dict[str, object] = {"delta": delta}
@@ -301,6 +339,8 @@ def _lattice_summary(delta: float, sites: List[int], t_max: float) -> Dict[str, 
 
 
 def cmd_scenario(args) -> int:
+    from . import units
+
     path = _resolve_config(args.config)
     scenario, config_distance = units.load_scenario_config(path)
     distance = args.distance if args.distance is not None else config_distance
@@ -334,6 +374,8 @@ def _resolve_config(name: str) -> str:
 # --------------------------------------------------------------- selftest
 
 def _check_boundary() -> float:
+    from . import source_model
+
     ts = np.geomspace(0.01, 100.0, 50)
     devs = (source_model.kernel(p, 0.0, ts).psi - np.exp(-1j * p.omega0 * ts)
             for p in map(source_model.SourceParams, (-0.3, -0.5)))
@@ -344,6 +386,8 @@ def _check_boundary() -> float:
 
 
 def _check_faddeeva() -> float:
+    from . import specfun
+
     dev = abs(specfun.faddeeva(0.0 + 0.0j) - 1.0)
     worst = dev
     for z in (8.0 + 1.0j, -6.0 + 5.0j, 5.0 - 0.5j):
@@ -360,6 +404,8 @@ def _check_faddeeva() -> float:
 
 
 def _check_continuity() -> float:
+    from . import source_model
+
     p = source_model.SourceParams(-0.3)
     h = 1e-4
     worst = 0.0
@@ -378,6 +424,8 @@ def _check_continuity() -> float:
 
 
 def _check_lattice_norm() -> float:
+    from . import lattice as lat
+
     p = lat.LatticeParams.for_horizon(0.3, 30.0)
     worst = 0.0
     for state in lat.evolve(p, [0.0, 10.0, 30.0]):
@@ -469,6 +517,29 @@ def _add_common_noop(sp) -> None:
     sp.add_argument("--parallelism", type=int, default=1)
 
 
+# Package exception classes by exit code, as "module.Class"; besides these,
+# UsageError and ValueError exit 2 and OSError exits 1.
+USAGE_ERRORS = ("lattice.TruncationUnsoundError", "units.ScenarioUnrepresentableError")
+FAILURES = (
+    "source_model.EvaluationDomainError",
+    "source_model.SingularConfigurationError",
+    "normalization.InternalConsistencyError",
+    "lattice.InsufficientWindowError",
+)
+
+
+def _loaded(names: Sequence[str]) -> tuple:
+    """The named classes whose modules this process has imported; a module
+    never imported cannot have raised, so none is imported here."""
+    out = []
+    for name in names:
+        module, cls = name.rsplit(".", 1)
+        mod = sys.modules.get(f"{__package__}.{module}")
+        if mod is not None:
+            out.append(getattr(mod, cls))
+    return tuple(out)
+
+
 DISPATCH = {
     "density": cmd_density,
     "transition": cmd_transition,
@@ -487,23 +558,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return DISPATCH[args.command](args)
-    except UsageError as err:
+    except (UsageError, ValueError, *_loaded(USAGE_ERRORS)) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (
-        ValueError,
-        lat.TruncationUnsoundError,
-        units.ScenarioUnrepresentableError,
-    ) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (
-        OSError,
-        source_model.EvaluationDomainError,
-        source_model.SingularConfigurationError,
-        normalization.InternalConsistencyError,
-        lat.InsufficientWindowError,
-    ) as err:
+    except (OSError, *_loaded(FAILURES)) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -41,6 +41,7 @@ import numpy as np
 
 from .source_model import (
     SADDLE_SINGULAR_TOL,
+    EvaluationDomainError,
     SingularConfigurationError,
     SourceParams,
     SpaceTimePoint,
@@ -222,16 +223,29 @@ def tp_turning_point(p: SourceParams) -> float:
     raise RuntimeError(f"turning-point Newton iteration did not converge at k0I={p.k0I!r}")
 
 
+def max_distance(p: SourceParams) -> float:
+    """Largest x admitting a transition: the closed form of the module docstring."""
+    k = p.k0I
+    z = -2.0 * (1.0 + k) ** 2 / (math.pi * ((2.0 + k) ** 2 + k * k))
+    return -lambertw_m1(z) * (1.0 + k) / (2.0 * k * k)
+
+
 def critical_distance(p: SourceParams) -> Tuple[float, float]:
     """Largest x admitting a transition, with its t_p.
 
-    x_max is the closed form of the module docstring; t_p is
-    transition_time(p, x_max).t_p, just after t_c(x_max).
+    x_max is max_distance(p); t_p is transition_time(p, x_max).t_p, just
+    after t_c(x_max). Raises EvaluationDomainError where that root is not
+    resolved: R at t_c carries rounding of order eps/|k0I|, which hides the
+    root at |k0I| of about 1e-9 and below.
     """
-    k = p.k0I
-    z = -2.0 * (1.0 + k) ** 2 / (math.pi * ((2.0 + k) ** 2 + k * k))
-    x_max = -lambertw_m1(z) * (1.0 + k) / (2.0 * k * k)
-    return x_max, transition_time(p, x_max).t_p
+    x_max = max_distance(p)
+    tp = transition_time(p, x_max)
+    if not tp.valid:
+        raise EvaluationDomainError(
+            x_max, pole_crossing_time(p, x_max),
+            f"no transition root resolved at x_max for k0I={p.k0I!r}",
+        )
+    return x_max, tp.t_p
 
 
 def jittoh_criterion(p: SourceParams) -> Tuple[float, bool]:

@@ -17,9 +17,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .normalization import total_emitted
 from .source_model import SourceParams, SpaceTimePoint, kernel
-from .transition import critical_distance, transition_time
+from .transition import _n_total_cached, max_distance, transition_time
 
 HBAR = 1.054571817e-34
 RB87_MASS_KG = 1.4431606e-25
@@ -146,7 +145,7 @@ def scenario_transition_report(
     width = s.pixel_size / L
 
     if tp.valid:
-        n_total = total_emitted(p).n_total
+        n_total = _n_total_cached(p.k0I)   # transition_time has just filled it
         point = s.atom_number * tp.density_normalized * width
         integral = s.atom_number * _pixel_density_integral(p, x, width, tp.t_p, n_total)
         headline = integral if width > COARSE_PIXEL_RATIO else point
@@ -167,7 +166,7 @@ def scenario_transition_report(
         atoms_per_pixel_point=point,
         atoms_per_pixel_integral=integral,
         pixel_over_L=width,
-        largest_detector_distance_m=critical_distance(p)[0] * L,
+        largest_detector_distance_m=max_distance(p) * L,
         valid=tp.valid,
         method=method,
     )

@@ -120,6 +120,13 @@ def test_critical_single_point(capsys):
     assert row[1] == pytest.approx(4.183, rel=1e-2)
 
 
+@pytest.mark.parametrize("k0i", ["-1e-10", "-1e-12"])
+def test_critical_unresolved_root_is_computation_failure(capsys, k0i):
+    rc, _, err = _run(capsys, ["critical", f"--k0i-grid={k0i}"])
+    assert rc == 1
+    assert f"k0I={float(k0i)!r}" in err
+
+
 # ----------------------------------------------------------------- lattice
 
 def test_lattice_rows_and_summary(capsys):
@@ -336,17 +343,28 @@ import contextlib, io, sys
 from postexp import cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in {argvs!r}]
-print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == {package!r}))
 """
 
 
-def _fresh_footprint(argvs):
-    """Exit codes and loaded scipy modules of the argvs run in a fresh process."""
+def _fresh(args, **env):
+    """stdout of `python args` in a fresh process importing this tree's postexp.
+
+    The child gets this environment plus env, less OPENBLAS_NUM_THREADS
+    unless env sets it (importing cli here has set it to "1").
+    """
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    r = subprocess.run([sys.executable, "-c", FOOTPRINT.format(argvs=argvs)], capture_output=True,
-                       text=True, env=dict(os.environ, PYTHONPATH=path), check=True)
-    return r.stdout.strip()
+    child = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    child.update(env, PYTHONPATH=path)
+    r = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=child,
+                       check=True)
+    return r.stdout
+
+
+def _fresh_footprint(argvs, package="scipy"):
+    """Exit codes and loaded modules of package of the argvs run in a fresh process."""
+    return _fresh(["-c", FOOTPRINT.format(argvs=argvs, package=package)]).strip()
 
 
 def test_package_imports_no_scipy():
@@ -388,3 +406,109 @@ def test_lattice_and_selftest_run_without_scipy():
         ["selftest"],
     ]
     assert _fresh_footprint(argvs) == "[0, 0, 0] []"
+
+
+def test_package_import_loads_no_numpy():
+    code = ("import sys, postexp; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'postexp')))")
+    assert _fresh(["-c", code]).strip() == "['postexp']"
+
+
+ALL_NAMES = [
+    "__version__", "LatticeParams", "LatticeState", "NormalizationResult",
+    "PhysicalScenario", "ScenarioReport", "SourceParams", "SpaceTimePoint",
+    "TransitionPoint", "WaveDecomposition", "critical_density_curve",
+    "critical_distance", "density_and_current", "evaluate_approx", "evaluate_exact",
+    "evaluate_pole", "evaluate_saddle", "evolve", "faddeeva", "faddeeva_derivative",
+    "jittoh_criterion", "lattice_transition_time", "load_scenario_config",
+    "measured_envelope_crossing", "ratio_R", "resolve_formula_reading",
+    "scenario_transition_report", "spatial_norm", "tail_exponent", "to_dimensionless",
+    "to_physical", "total_emitted", "tp_turning_point", "transition_time", "u_moduli",
+    "wavefunction",
+]
+
+
+def test_lazy_public_names():
+    import importlib
+
+    import postexp
+
+    assert postexp.__all__ == ALL_NAMES
+    assert set(ALL_NAMES) <= set(dir(postexp))
+    ns = {}
+    exec("from postexp import *", ns)
+    assert set(ALL_NAMES) <= set(ns)
+    for name in ALL_NAMES[1:]:
+        home = importlib.import_module(f"postexp.{postexp._MODULE_OF[name]}")
+        assert ns[name] is getattr(home, name) is getattr(postexp, name)
+    with pytest.raises(AttributeError):
+        postexp.no_such_name
+
+
+FOOTPRINTS = [
+    (["density", "--k0i", "-0.3", "--x", "0.5,2", "--t-grid", "lin:1:5:3"],
+     ["normalization", "source_model", "specfun"]),
+    (["transition", "--k0i", "-0.3", "--x-grid", "log:0.5:13:4"],
+     ["normalization", "source_model", "specfun", "transition"]),
+    (["critical", "--k0i-grid", "lin:-0.5:-0.5:1"],
+     ["normalization", "source_model", "specfun", "transition"]),
+    (["lattice", "--delta", "0.3", "--sites", "1,5", "--t-max", "40"], ["lattice", "specfun"]),
+    (["scenario", "--config", "rb87.cfg"],
+     ["normalization", "source_model", "specfun", "transition", "units"]),
+    (["selftest"], ["lattice", "source_model", "specfun"]),
+]
+
+
+@pytest.mark.parametrize("argv, modules", FOOTPRINTS, ids=[a[0] for a, _ in FOOTPRINTS])
+def test_subcommand_loads_only_its_modules(argv, modules):
+    want = ["postexp", "postexp.cli"] + [f"postexp.{m}" for m in modules]
+    assert _fresh_footprint([argv], package="postexp") == f"[0] {want}"
+
+
+def test_error_path_loads_no_other_module(tmp_path):
+    # the exit-code mapping looks up only classes of modules already loaded
+    argv = ["density", "--k0i", "-0.3", "--x", "1", "--t-grid", "1",
+            "--out", str(tmp_path / "missing" / "t.csv")]
+    want = ["postexp", "postexp.cli", "postexp.normalization", "postexp.source_model",
+            "postexp.specfun"]
+    assert _fresh_footprint([argv], package="postexp") == f"[1] {want}"
+
+
+def test_cli_process_defaults_to_one_blas_thread():
+    code = "import os; from postexp import {}; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert _fresh(["-c", code.format("cli")]).strip() == "1"
+    assert _fresh(["-c", code.format("cli")], OPENBLAS_NUM_THREADS="3").strip() == "3"
+    # importing a library module leaves the environment alone
+    assert _fresh(["-c", code.format("lattice, transition, units")]).strip() == "None"
+
+
+def test_cli_blas_thread_count_leaves_bytes_unchanged():
+    for argv in (["lattice", "--delta", "0.3", "--sites", "1,5", "--t-max", "120"],
+                 ["transition", "--k0i", "-0.3", "--x-grid", "log:0.05:20:30"]):
+        one, two = (_fresh(["-m", "postexp.cli", *argv], OPENBLAS_NUM_THREADS=n)
+                    for n in ("1", "2"))
+        assert one == two and one.count("\n") > 30
+
+
+def test_exit_code_of_each_error_class(capsys, monkeypatch):
+    from postexp import lattice, normalization, source_model, units
+
+    table = [
+        (cli.UsageError("bad flag"), 2),
+        (ValueError("bad value"), 2),
+        (lattice.TruncationUnsoundError(100, 10, 50.0), 2),
+        (units.ScenarioUnrepresentableError("k0I <= -1"), 2),
+        (source_model.EvaluationDomainError(1.0, 2.0, "overflow"), 1),
+        (source_model.SingularConfigurationError("t = |tau|"), 1),
+        (normalization.InternalConsistencyError("head mismatch"), 1),
+        (lattice.InsufficientWindowError("short window"), 1),
+        (OSError("disk full"), 1),
+    ]
+    for err, code in table:
+        def fail(args, err=err):
+            raise err
+
+        monkeypatch.setitem(cli.DISPATCH, "selftest", fail)
+        rc, _, msg = _run(capsys, ["selftest"])
+        assert rc == code, type(err).__name__
+        assert msg == f"error: {err}\n"

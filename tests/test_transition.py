@@ -1,6 +1,7 @@
 """Transition-time root finding, turning point, critical distance."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -302,7 +303,7 @@ CRITICAL_KS = np.geomspace(-0.855843, -0.023345, 35)
 
 
 # the smallest |k0I| need R near t_c to better than eps/k0I^2
-@pytest.mark.parametrize("k0I", CRITICAL_KS.tolist() + [-0.01, -0.9999, -1e-6, -1e-7],
+@pytest.mark.parametrize("k0I", CRITICAL_KS.tolist() + [-0.01, -0.9999, -1e-6, -1e-7, -1e-8],
                          ids="{:.4g}".format)
 def test_critical_distance_brackets_the_last_transition(k0I):
     p = sm.SourceParams(k0I)
@@ -320,3 +321,10 @@ def test_critical_distance_frozen_grid():
     # the bisection stopped at relative 1e-3 but its scan also missed roots
     # in (t_c, t_c (1 + 1e-4)), so it sat up to 0.47 % low
     assert np.all((rel > 0.0) & (rel < 5e-3)), rel
+
+
+@pytest.mark.parametrize("k0I", [-1e-10, -1e-12])
+def test_critical_distance_unresolved_root_raises(k0I):
+    # R at t_c carries rounding of order eps/|k0I|, which hides the root here
+    with pytest.raises(sm.EvaluationDomainError, match=re.escape(f"k0I={k0I!r}")):
+        tr.critical_distance(sm.SourceParams(k0I))

@@ -89,6 +89,26 @@ def test_report_round_trips_to_dict(rb87):
     assert set(d) == set(units.ScenarioReport.__dataclass_fields__)
 
 
+def test_report_computes_the_emitted_norm_once(rb87, monkeypatch):
+    from postexp import normalization, transition
+
+    calls = []
+    real = normalization.total_emitted
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    # the module's own name and any binding units may import
+    monkeypatch.setattr(normalization, "total_emitted", counted)
+    monkeypatch.setattr(units, "total_emitted", counted, raising=False)
+    transition._n_total_cached.cache_clear()
+    units.scenario_transition_report(rb87, 100e-6)
+    assert len(calls) == 1
+    units.scenario_transition_report(rb87, 50e-6)
+    assert len(calls) == 1
+
+
 def test_atoms_per_pixel_linear_in_atom_number(rb87):
     doubled = units.PhysicalScenario(**dict(RB87, atom_number=2e6))
     a = units.scenario_transition_report(rb87, 100e-6)
