@@ -172,7 +172,7 @@ def emit_table(
 # --------------------------------------------------------------- commands
 
 def cmd_density(args) -> int:
-    from . import normalization, source_model
+    from . import source_model
 
     k0I = check_k0i(args.k0i)
     xs = np.array(parse_grid(args.x, "--x"))
@@ -182,7 +182,7 @@ def cmd_density(args) -> int:
     if ts[0] <= 0.0:
         raise UsageError("--t-grid: times must be > 0")
     p = source_model.SourceParams(k0I)
-    n_total = normalization.total_emitted(p).n_total
+    n_total = p.n_total
     x_cells, t_cells = (np.array(_fmt_column(g), dtype=object) for g in (xs, ts))
 
     def blocks():

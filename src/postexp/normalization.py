@@ -2,8 +2,8 @@
 
 The source injects probability at x = 0; the total ever emitted is the time
 integral of the boundary current J(0, t). That integral equals 2/gamma
-analytically, but total_emitted recomputes it numerically so the identity
-stays a cross-check instead of an assumption.
+analytically (SourceParams.n_total, which every command uses);
+total_emitted recomputes it numerically as a cross-check of that identity.
 
 The time integral is taken in u = sqrt(t), where the t^{-1/2} onset of J
 becomes a smooth integrand 2u J(0, u^2), by a composite 20-point
@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .source_model import SourceParams, SpaceTimePoint, kernel
+from .source_model import SourceParams, kernel
 
 T_CUT_TAU0_MULTIPLE = 50.0
 SMALL_T_FLOOR = 1e-8         # below this the t^{-1/2} onset is integrated analytically
@@ -202,10 +202,3 @@ def spatial_norm(p: SourceParams, T: float) -> float:
     xs = np.linspace(x_big * 0.85, x_big, 40)
     c = float(np.mean(rho(xs) * xs * xs))
     return float(body) + c / x_big
-
-
-def normalized_density(p: SourceParams, pt: SpaceTimePoint, n_total: Optional[float] = None) -> float:
-    """|psi|^2 / n_total at one point."""
-    if n_total is None:
-        n_total = total_emitted(p).n_total
-    return abs(kernel(p, pt.x, pt.t).psi) ** 2 / n_total

@@ -66,6 +66,16 @@ class SourceParams:
         """Exponential decay rate of the source density, 4 |k0I|."""
         return 4.0 * abs(self.k0I)
 
+    @property
+    def n_total(self) -> float:
+        """Total probability the source ever emits, 2/gamma = 1/(2 |k0I|).
+
+        By Parseval in t, the integral of J(0, t) over t > 0 is 1/pi times
+        that of k^2/|k^2 - k0^2|^2 over real k, whose residues at -k0 and
+        conj(k0) give 1/(2 |k0I|); normalization.total_emitted checks it.
+        """
+        return 0.5 / abs(self.k0I)
+
 
 def k0_from_omega0(omega0: complex) -> complex:
     """Recover k0 from omega0 = k0^2.
@@ -166,7 +176,10 @@ def kernel(p: SourceParams, x, t, exact: bool = True, derivative: bool = False) 
     saddle = sqrt(2.0 * t / math.pi) * tau * phase / ((1j - 1.0) * k0 * t2mtau2)
     singular = abs(t2mtau2) < SADDLE_SINGULAR_TOL
     saddle = np.where(singular, math.nan, saddle) if grid else (math.nan if singular else saddle)
-    pole = exp(-1j * k0 * k0 * t + 1j * k0 * x)
+    # e^{-i k0^2 t + i k0 x} = phase e^{k0I (2t - x) + i (k0I^2 t - (x - 2t)^2/(4t))}:
+    # sharing the saddle's phase keeps rounding of size x out of their relative phase
+    k = p.k0I
+    pole = phase * exp(k * (2.0 * t - x) + 1j * (k * k * t - (x - 2.0 * t) ** 2 / (4.0 * t)))
     psi = dpsi = None
     if exact:
         try:

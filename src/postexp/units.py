@@ -114,16 +114,14 @@ class ScenarioReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _pixel_density_integral(
-    p: SourceParams, x_center: float, width: float, t: float, n_total: float
-) -> float:
+def _pixel_density_integral(p: SourceParams, x_center: float, width: float, t: float) -> float:
     """Normalized density integrated over the pixel, fixed-order quadrature."""
     lo = max(x_center - 0.5 * width, 0.0)
     hi = x_center + 0.5 * width
     nodes, weights = np.polynomial.legendre.leggauss(PIXEL_QUAD_ORDER)
     xs = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     rho = np.abs(kernel(p, xs, t).psi) ** 2
-    return 0.5 * (hi - lo) * float(weights @ rho) / n_total
+    return 0.5 * (hi - lo) * float(weights @ rho) / _n_total_cached(p.k0I)
 
 
 def scenario_transition_report(
@@ -145,9 +143,8 @@ def scenario_transition_report(
     width = s.pixel_size / L
 
     if tp.valid:
-        n_total = _n_total_cached(p.k0I)   # transition_time has just filled it
         point = s.atom_number * tp.density_normalized * width
-        integral = s.atom_number * _pixel_density_integral(p, x, width, tp.t_p, n_total)
+        integral = s.atom_number * _pixel_density_integral(p, x, width, tp.t_p)
         headline = integral if width > COARSE_PIXEL_RATIO else point
         t_p, t_p_phys = tp.t_p, tp.t_p * s.time_unit
     else:

@@ -12,6 +12,7 @@ import cmath
 import math
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -102,6 +103,45 @@ def cold_atom_oracle(scenario, X: float, t: float) -> ColdAtomOracle:
     count = per_density * abs(psi_contour_oracle(k0I, x, t)) ** 2
     ceiling = per_density * 4.0 * math.exp(2.0 * k0I * (2.0 * t - x)) * 1.05
     return ColdAtomOracle(k0I, x, count, ceiling)
+
+
+def psi_mpmath_oracle(k0I: float, x: float, t: float):
+    """psi at the exact double inputs, with the condition number of its
+    double-precision evaluation.
+
+    kappa adds the size of the phase and w arguments (x^2/(4t) and |u|^2
+    carry the input rounding) and the cancellation between the two w
+    branches; a backward-stable evaluation is accurate to about eps*kappa.
+    The branches can cancel to e^{-500} at late times, so the working
+    precision grows until 25 digits survive the sum.
+    """
+    for dps in (40, 80, 160, 320, 640):
+        with mpmath.workdps(dps):
+            k0 = mpmath.mpc(1, k0I)
+            xm, tm = mpmath.mpf(x), mpmath.mpf(t)
+            tau = xm / (2 * k0)
+            pref = mpmath.mpc(1, 1) * mpmath.sqrt(tm / 2) * k0
+            u_plus, u_minus = pref * (1 - tau / tm), -pref * (1 + tau / tm)
+            w_p, w_m = (mpmath.exp(-z * z) * mpmath.erfc(-1j * z) for z in (-u_plus, -u_minus))
+            size = abs(w_p) + abs(w_m)
+            if abs(w_p + w_m) > mpmath.mpf(10) ** (25 - dps) * size:
+                psi = 0.5 * mpmath.exp(1j * xm * xm / (4 * tm)) * (w_p + w_m)
+                kappa = (xm * xm / (4 * tm) + abs(u_plus) ** 2 + abs(u_minus) ** 2
+                         + size / abs(w_p + w_m))
+                return complex(psi), float(kappa)
+    raise AssertionError(f"mpmath oracle did not converge at k0I={k0I}, x={x}, t={t}")
+
+
+def approx_mpmath_oracle(k0I: float, x: float, t: float) -> complex:
+    """Saddle plus pole at the exact double inputs, by mpmath at 40 digits:
+    sqrt(2t/pi) tau e^{i x^2/(4t)} / ((i - 1) k0 (t^2 - tau^2)) + e^{-i k0^2 t + i k0 x}."""
+    with mpmath.workdps(40):
+        k0 = mpmath.mpc(1, k0I)
+        xm, tm = mpmath.mpf(x), mpmath.mpf(t)
+        tau = xm / (2 * k0)
+        saddle = (mpmath.sqrt(2 * tm / mpmath.pi) * tau * mpmath.exp(1j * xm * xm / (4 * tm))
+                  / (mpmath.mpc(-1, 1) * k0 * (tm * tm - tau * tau)))
+        return complex(saddle + mpmath.exp(-1j * k0 * k0 * tm + 1j * k0 * xm))
 
 
 def log_ratio_oracle(k0I: float, x: float, t):

@@ -11,7 +11,7 @@ import pytest
 
 from postexp import cli
 
-from conftest import max_log_ratio_after_pole
+from conftest import max_log_ratio_after_pole, psi_mpmath_oracle
 
 
 def _schema(name):
@@ -120,11 +120,14 @@ def test_critical_single_point(capsys):
     assert row[1] == pytest.approx(4.183, rel=1e-2)
 
 
-@pytest.mark.parametrize("k0i", ["-1e-10", "-1e-12"])
-def test_critical_unresolved_root_is_computation_failure(capsys, k0i):
-    rc, _, err = _run(capsys, ["critical", f"--k0i-grid={k0i}"])
-    assert rc == 1
-    assert f"k0I={float(k0i)!r}" in err
+@pytest.mark.parametrize("k0i", ["-1e-9", "-1e-10", "-1e-12"])
+def test_critical_at_tiny_decay_rates(capsys, k0i):
+    rc, out, _ = _run(capsys, ["critical", f"--k0i-grid={k0i}"])
+    assert rc == 0
+    k, x_max, t_p, rho_n, _, valid = map(float, out.splitlines()[1].split(","))
+    assert t_p == math.nextafter(x_max / (2.0 * (1.0 + k)), math.inf) and valid == 1.0
+    psi, _ = psi_mpmath_oracle(k, x_max, t_p)
+    assert rho_n == pytest.approx(2.0 * abs(k) * abs(psi) ** 2, rel=1e-5, abs=0.0)
 
 
 # ----------------------------------------------------------------- lattice
@@ -447,14 +450,12 @@ def test_lazy_public_names():
 
 FOOTPRINTS = [
     (["density", "--k0i", "-0.3", "--x", "0.5,2", "--t-grid", "lin:1:5:3"],
-     ["normalization", "source_model", "specfun"]),
+     ["source_model", "specfun"]),
     (["transition", "--k0i", "-0.3", "--x-grid", "log:0.5:13:4"],
-     ["normalization", "source_model", "specfun", "transition"]),
-    (["critical", "--k0i-grid", "lin:-0.5:-0.5:1"],
-     ["normalization", "source_model", "specfun", "transition"]),
+     ["source_model", "specfun", "transition"]),
+    (["critical", "--k0i-grid", "lin:-0.5:-0.5:1"], ["source_model", "specfun", "transition"]),
     (["lattice", "--delta", "0.3", "--sites", "1,5", "--t-max", "40"], ["lattice", "specfun"]),
-    (["scenario", "--config", "rb87.cfg"],
-     ["normalization", "source_model", "specfun", "transition", "units"]),
+    (["scenario", "--config", "rb87.cfg"], ["source_model", "specfun", "transition", "units"]),
     (["selftest"], ["lattice", "source_model", "specfun"]),
 ]
 
@@ -465,12 +466,27 @@ def test_subcommand_loads_only_its_modules(argv, modules):
     assert _fresh_footprint([argv], package="postexp") == f"[0] {want}"
 
 
+def test_traced_benchmark_harness_runs_every_subcommand(tmp_path):
+    # the benchmark's traced pass (perfbench/inproc.py) reads private caches
+    # and wraps functions by name before any argv runs; a rename it does not
+    # know about stops it with exit 1
+    root = os.path.dirname(os.path.dirname(os.path.dirname(cli.__file__)))
+    argvs = [a for a, _ in FOOTPRINTS]
+    spec, result = tmp_path / "spec.json", tmp_path / "result.json"
+    spec.write_text(json.dumps({"argvs": argvs, "trace": True, "out_dir": str(tmp_path)}))
+    _fresh([os.path.join(root, "perfbench", "inproc.py"), str(spec), str(result)])
+    out = json.loads(result.read_text())
+    assert out["exit_codes"] == [0] * len(argvs)
+    names = {span[0] for span in out["spans"]}
+    assert "transition.critical_distance" in names
+    assert "normalization.total_emitted" not in names
+
+
 def test_error_path_loads_no_other_module(tmp_path):
     # the exit-code mapping looks up only classes of modules already loaded
     argv = ["density", "--k0i", "-0.3", "--x", "1", "--t-grid", "1",
             "--out", str(tmp_path / "missing" / "t.csv")]
-    want = ["postexp", "postexp.cli", "postexp.normalization", "postexp.source_model",
-            "postexp.specfun"]
+    want = ["postexp", "postexp.cli", "postexp.source_model", "postexp.specfun"]
     assert _fresh_footprint([argv], package="postexp") == f"[1] {want}"
 
 

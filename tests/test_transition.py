@@ -1,15 +1,18 @@
 """Transition-time root finding, turning point, critical distance."""
 
 import math
-import re
 
+import mpmath
 import numpy as np
 import pytest
 
 from postexp import source_model as sm
 from postexp import transition as tr
 
-from conftest import brute_force_x_max, log_ratio_oracle, max_log_ratio_after_pole
+from conftest import (approx_mpmath_oracle, brute_force_x_max, log_ratio_oracle,
+                      max_log_ratio_after_pole, psi_mpmath_oracle)
+
+EPS = np.finfo(float).eps
 
 
 def test_ratio_value(p03):
@@ -323,8 +326,29 @@ def test_critical_distance_frozen_grid():
     assert np.all((rel > 0.0) & (rel < 5e-3)), rel
 
 
-@pytest.mark.parametrize("k0I", [-1e-10, -1e-12])
-def test_critical_distance_unresolved_root_raises(k0I):
-    # R at t_c carries rounding of order eps/|k0I|, which hides the root here
-    with pytest.raises(sm.EvaluationDomainError, match=re.escape(f"k0I={k0I!r}")):
-        tr.critical_distance(sm.SourceParams(k0I))
+@pytest.mark.parametrize("k0I", [-1e-9, -1e-10, -1e-12])
+def test_critical_distance_at_tiny_decay_rates(k0I):
+    # R at t_c carries rounding of order eps/|k0I| here, but the root at
+    # x_max is t_c itself, so none is solved for
+    x_max, t_p = tr.critical_distance(sm.SourceParams(k0I))
+    with mpmath.workdps(40):
+        k = mpmath.mpf(k0I)
+        z = -2 * (1 + k) ** 2 / (mpmath.pi * ((2 + k) ** 2 + k * k))
+        want = float(-mpmath.lambertw(z, -1).real * (1 + k) / (2 * k * k))
+    assert x_max == pytest.approx(want, rel=1e-13)
+    assert t_p == math.nextafter(x_max / (2.0 * (1.0 + k0I)), math.inf)
+
+
+@pytest.mark.parametrize("k0I", [-0.5, -0.1, -1e-2, -1e-4, -1e-6, -1e-8, -1e-9, -1e-10],
+                         ids="{:.0e}".format)
+def test_critical_densities_match_mpmath(k0I):
+    # at t_c, u_+ and t^2 - tau^2 cancel to O(k0I), leaving a rounding of
+    # eps/|k0I|; the saddle and pole parts share their large phase x^2/(4t),
+    # so their sum adds none of size eps x
+    (c,) = tr.critical_density_curve([sm.SourceParams(k0I)])
+    exact = 2.0 * abs(k0I) * abs(psi_mpmath_oracle(k0I, c.x_max, c.t_p)[0]) ** 2
+    approx = 2.0 * abs(k0I) * abs(approx_mpmath_oracle(k0I, c.x_max, c.t_p)) ** 2
+    assert c.valid
+    rel = 1e-13 + EPS / abs(k0I)
+    assert c.density_exact == pytest.approx(exact, rel=rel, abs=0.0)
+    assert c.density_approx == pytest.approx(approx, rel=rel, abs=0.0)

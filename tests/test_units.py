@@ -89,7 +89,7 @@ def test_report_round_trips_to_dict(rb87):
     assert set(d) == set(units.ScenarioReport.__dataclass_fields__)
 
 
-def test_report_computes_the_emitted_norm_once(rb87, monkeypatch):
+def test_report_runs_no_quadrature(rb87, monkeypatch):
     from postexp import normalization, transition
 
     calls = []
@@ -103,10 +103,10 @@ def test_report_computes_the_emitted_norm_once(rb87, monkeypatch):
     monkeypatch.setattr(normalization, "total_emitted", counted)
     monkeypatch.setattr(units, "total_emitted", counted, raising=False)
     transition._n_total_cached.cache_clear()
-    units.scenario_transition_report(rb87, 100e-6)
-    assert len(calls) == 1
-    units.scenario_transition_report(rb87, 50e-6)
-    assert len(calls) == 1
+    for X in (100e-6, 50e-6):
+        rep = units.scenario_transition_report(rb87, X)
+        assert rep.valid
+    assert calls == []
 
 
 def test_atoms_per_pixel_linear_in_atom_number(rb87):
