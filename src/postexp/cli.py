@@ -13,8 +13,7 @@ spins.
 
 Exit codes: 0 success; 2 usage error or invalid input (bad flags, grids,
 config values, unrepresentable scenarios); 1 computation failure
-(evaluation domain, singular configuration, normalization consistency,
-envelope window, I/O).
+(evaluation domain, singular configuration, envelope window, I/O).
 """
 
 from __future__ import annotations
@@ -321,20 +320,12 @@ def _lattice_summary(delta: float, sites: List[int], t_max: float) -> Dict[str, 
         summary["tail_exponent"] = math.nan
     summary["tail_exponent_site"] = tail_site
 
-    reading = None
-    if delta < 1.0:
-        try:
-            reading = lat.resolve_formula_reading(p_res).reading
-        except lat.InsufficientWindowError:
-            reading = None
-    summary["resolved_reading"] = reading if reading else "n/a"
+    # the formula's prefactor is derived (lattice.formula_prefactor), with
+    # 2 alpha^{n+1} in its numerator; there is no resonance at delta = 1
+    summary["resolved_reading"] = "alpha_in_numerator" if delta < 1.0 else "n/a"
     for n in sites:
-        key = f"transition_time_site_{n}"
-        if reading and n >= 2:
-            t_n = lat.lattice_transition_time(p_res, n, reading)
-            summary[key] = math.nan if t_n is None else t_n
-        else:
-            summary[key] = math.nan
+        t_n = lat.lattice_transition_time(p_res, n) if delta < 1.0 and n >= 2 else None
+        summary[f"transition_time_site_{n}"] = math.nan if t_n is None else t_n
     return summary
 
 
@@ -523,7 +514,6 @@ USAGE_ERRORS = ("lattice.TruncationUnsoundError", "units.ScenarioUnrepresentable
 FAILURES = (
     "source_model.EvaluationDomainError",
     "source_model.SingularConfigurationError",
-    "normalization.InternalConsistencyError",
     "lattice.InsufficientWindowError",
 )
 

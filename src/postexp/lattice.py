@@ -56,7 +56,6 @@ MIN_POWER_MAXIMA = 4
 REFLECTION_MARGIN = 20   # sites beyond 2*t_max (group velocity 2)
 BLOCK_BYTES = 4 << 20    # complex phase rows held at once by site_density
 T_FLOOR = 1e-2           # earliest admissible formula transition time
-READINGS = ("alpha_in_numerator", "alpha_in_denominator")
 
 
 class TruncationUnsoundError(Exception):
@@ -384,26 +383,26 @@ def measured_envelope_crossing(p: LatticeParams, n: int) -> EnvelopeCrossing:
     )
 
 
-def formula_prefactor(p: LatticeParams, n: int, reading: str) -> float:
-    """Prefactor of the site-n transition equation t^{3/2} = C e^{gamma t/2}.
+def formula_prefactor(p: LatticeParams, n: int) -> float:
+    """Prefactor C_n of the site-n transition equation t^{3/2} = C_n e^{gamma t/2}.
 
-    The typeset source of this formula is ambiguous about whether the factor
-    2 alpha^{n+1} multiplies or divides; both readings are supported and
-    resolve_formula_reading settles it empirically.
+    C_n = 2 alpha^{n+1} (n + alpha^2 (n - 2)) / (sqrt(pi) (1 + alpha^2)^3),
+    from the site-n Green's function of the semi-infinite chain, n >= 2.
+    With E = -(lam + 1/lam), G_{n1} = -delta lam^n / (alpha^2 lam^2 + 1). Its
+    resonance pole lam_r = i/alpha, E_r = -i delta^2/alpha, gives
+    |c_n^pole| = delta alpha^{-(n-1)} (1 + alpha^2)/(2 alpha^2) e^{-gamma t/2};
+    each band edge E = +-2 gives a term of size
+    delta (n + alpha^2 (n - 2)) / (2 sqrt(pi) (1 + alpha^2)^2) t^{-3/2},
+    so the band envelope peaks at twice that. Setting |c_n^pole| equal to
+    that peak gives the equation and C_n.
     """
-    if reading not in READINGS:
-        raise ValueError(f"unknown reading {reading!r}")
+    if n < 2:
+        raise ValueError("transition formula needs site index n >= 2")
     a2 = p.alpha_sq
-    alpha = p.alpha
-    base = (n + a2 * (n - 2)) / (math.sqrt(math.pi) * (1.0 + a2) ** 3)
-    if reading == "alpha_in_numerator":
-        return base * 2.0 * alpha ** (n + 1)
-    return base / (2.0 * alpha ** (n + 1))
+    return 2.0 * (n + a2 * (n - 2)) / (math.sqrt(math.pi) * (1.0 + a2) ** 3) * p.alpha ** (n + 1)
 
 
-def lattice_transition_time(
-    p: LatticeParams, n: int, reading: str = "alpha_in_numerator"
-) -> Optional[float]:
+def lattice_transition_time(p: LatticeParams, n: int) -> Optional[float]:
     """Smallest admissible root of the site-n transition equation, or None.
 
     g(t) = t^{3/2} - C e^{gamma t/2} is negative at both ends when a root
@@ -413,9 +412,7 @@ def lattice_transition_time(
     argument lies below -1/e, and None is also returned for a root outside
     [T_FLOOR, t_max].
     """
-    if n < 2:
-        raise ValueError("transition formula needs site index n >= 2")
-    c = formula_prefactor(p, n, reading)
+    c = formula_prefactor(p, n)
     gamma = p.gamma
     # t^{3/2} = c e^{gamma t/2} is u e^u = z with u = -gamma t/3; z = -0.0
     # (c underflowed) puts the root at t = inf
@@ -428,49 +425,26 @@ def lattice_transition_time(
 
 @dataclass(frozen=True)
 class FormulaResolution:
-    reading: str
     sites: Tuple[int, ...]
     measured_times: Tuple[float, ...]
     measured_densities: Tuple[float, ...]
-    predicted_numerator: Tuple[Optional[float], ...]
-    predicted_denominator: Tuple[Optional[float], ...]
-    spread_numerator: float
-    spread_denominator: float
+    predicted_times: Tuple[Optional[float], ...]
 
 
 def resolve_formula_reading(
     p: LatticeParams, sites: Sequence[int] = (5, 10, 15)
 ) -> FormulaResolution:
-    """Pick the transition-formula reading that tracks the measured crossings.
+    """Measured envelope crossings next to the derived transition times.
 
-    Scored by the spread (std) of log(measured/predicted) across sites, with
-    mean |log| as tie-break: the envelope measurement carries a uniform late
-    bias, so cross-site consistency discriminates better than any single
-    site's absolute error.
+    A check of formula_prefactor against the density itself: the crossing
+    of the fitted exponential and power-law envelope lines at each site
+    beside the formula's root there.
     """
     sites = tuple(int(n) for n in sites)
-    if len(sites) < 2:
-        raise ValueError("need at least two sites to resolve the reading")
     crossings = [measured_envelope_crossing(p, n) for n in sites]
-    measured = tuple(c.t for c in crossings)
-    preds = {}
-    scores = {}
-    for reading in READINGS:
-        ts = tuple(lattice_transition_time(p, n, reading) for n in sites)
-        preds[reading] = ts
-        if any(t is None for t in ts):
-            scores[reading] = (math.inf, math.inf)
-            continue
-        logs = np.log(np.array(measured) / np.array(ts, dtype=float))
-        scores[reading] = (float(np.std(logs)), float(np.mean(np.abs(logs))))
-    chosen = min(READINGS, key=lambda r: scores[r])
     return FormulaResolution(
-        reading=chosen,
         sites=sites,
-        measured_times=measured,
+        measured_times=tuple(c.t for c in crossings),
         measured_densities=tuple(c.density for c in crossings),
-        predicted_numerator=preds["alpha_in_numerator"],
-        predicted_denominator=preds["alpha_in_denominator"],
-        spread_numerator=scores["alpha_in_numerator"][0],
-        spread_denominator=scores["alpha_in_denominator"][0],
+        predicted_times=tuple(lattice_transition_time(p, n) for n in sites),
     )

@@ -158,6 +158,19 @@ def test_lattice_summary_values(capsys):
     assert s["transition_time_site_5"] == pytest.approx(67.61, abs=0.1)
 
 
+def test_lattice_summary_without_an_exponential_window(capsys):
+    # at delta 0.6 the envelope fits find no exponential window; the
+    # transition times come from the derived formula all the same
+    rc, out, _ = _run(capsys, ["lattice", "--delta", "0.6", "--sites", "1,5,10",
+                               "--t-max", "300", "--format", "json"])
+    assert rc == 0
+    s = json.loads(out)["summary"]
+    assert s["resolved_reading"] == "alpha_in_numerator"
+    assert s["transition_time_site_1"] is None
+    assert s["transition_time_site_5"] == pytest.approx(9.047886, abs=1e-6)
+    assert s["transition_time_site_10"] == pytest.approx(10.184971, abs=1e-6)
+
+
 def test_lattice_band_edge_summary(capsys):
     rc, out, _ = _run(capsys, ["lattice", "--delta", "1", "--sites", "1",
                                "--t-max", "40", "--format", "json"])
@@ -507,7 +520,7 @@ def test_cli_blas_thread_count_leaves_bytes_unchanged():
 
 
 def test_exit_code_of_each_error_class(capsys, monkeypatch):
-    from postexp import lattice, normalization, source_model, units
+    from postexp import lattice, source_model, units
 
     table = [
         (cli.UsageError("bad flag"), 2),
@@ -516,7 +529,6 @@ def test_exit_code_of_each_error_class(capsys, monkeypatch):
         (units.ScenarioUnrepresentableError("k0I <= -1"), 2),
         (source_model.EvaluationDomainError(1.0, 2.0, "overflow"), 1),
         (source_model.SingularConfigurationError("t = |tau|"), 1),
-        (normalization.InternalConsistencyError("head mismatch"), 1),
         (lattice.InsufficientWindowError("short window"), 1),
         (OSError("disk full"), 1),
     ]

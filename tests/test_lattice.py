@@ -158,9 +158,8 @@ def test_envelope_crossing_outside_the_window_is_refused(monkeypatch, case):
 def test_reading_resolution():
     p = lat.LatticeParams.for_horizon(0.3, 220.0)
     res = lat.resolve_formula_reading(p)
-    assert res.reading == "alpha_in_numerator"
-    assert res.spread_numerator < res.spread_denominator
-    for m, pred in zip(res.measured_times, res.predicted_numerator):
+    assert res.sites == (5, 10, 15)
+    for m, pred in zip(res.measured_times, res.predicted_times):
         assert abs(m / pred - 1.0) < 0.25
 
 
@@ -168,12 +167,10 @@ def test_formula_transition_times_frozen():
     p = lat.LatticeParams.for_horizon(0.3, 220.0)
     assert lat.lattice_transition_time(p, 5) == pytest.approx(67.6138, abs=1e-3)
     assert lat.lattice_transition_time(p, 10) == pytest.approx(59.5735, abs=1e-3)
-    denom = lat.lattice_transition_time(p, 5, "alpha_in_denominator")
-    assert denom == pytest.approx(78.73, abs=0.05)
     with pytest.raises(ValueError):
         lat.lattice_transition_time(p, 1)
     with pytest.raises(ValueError):
-        lat.lattice_transition_time(p, 5, "alpha_everywhere")
+        lat.formula_prefactor(p, 1)
 
 
 # ------------------------------------------- site densities against oracles
@@ -338,10 +335,10 @@ def test_spectrum_roots_interlace_with_the_uniform_chain():
 
 # ------------------------------------- transition formula against a dense scan
 
-def _scan_transition_time(p, n, reading):
+def _scan_transition_time(p, n):
     from scipy.optimize import brentq
 
-    c = lat.formula_prefactor(p, n, reading)
+    c = lat.formula_prefactor(p, n)
     gamma = p.gamma
 
     def g(t):
@@ -362,24 +359,53 @@ def test_transition_time_matches_scan_and_brentq():
         for t_max in (30.0, 220.0):
             p = lat.LatticeParams.for_horizon(float(delta), t_max)
             for n in range(2, 40):
-                for reading in lat.READINGS:
-                    want = _scan_transition_time(p, n, reading)
-                    got = lat.lattice_transition_time(p, n, reading)
-                    assert (got is None) == (want is None), (delta, t_max, n, reading)
-                    if want is None:
-                        missing += 1
-                        continue
-                    found += 1
-                    assert abs(got - want) <= 1e-12 * want, (delta, t_max, n, reading)
+                want = _scan_transition_time(p, n)
+                got = lat.lattice_transition_time(p, n)
+                assert (got is None) == (want is None), (delta, t_max, n)
+                if want is None:
+                    missing += 1
+                    continue
+                found += 1
+                assert abs(got - want) <= 1e-12 * want, (delta, t_max, n)
     assert found > 100 and missing > 100       # both outcomes exercised
 
 
 def test_transition_time_without_a_root():
-    # alpha_in_denominator at a large site: C is so large that
-    # t^{3/2} < C e^{gamma t/2} everywhere (argument below -1/e)
-    p = lat.LatticeParams.for_horizon(0.8, 220.0)
-    assert lat.lattice_transition_time(p, 300, "alpha_in_denominator") is None
-    # alpha_in_numerator at a far site: C underflows, the root is at t = inf
+    # a far site: C underflows, the root is at t = inf
     p = lat.LatticeParams.for_horizon(0.8, 800.0)
-    assert lat.formula_prefactor(p, 1500, "alpha_in_numerator") == 0.0
-    assert lat.lattice_transition_time(p, 1500, "alpha_in_numerator") is None
+    assert lat.formula_prefactor(p, 1500) == 0.0
+    assert lat.lattice_transition_time(p, 1500) is None
+
+
+# ------------------------------ the formula's derivation against the spectrum
+
+def _pole_and_edge(delta, n, t):
+    """Resonance-pole amplitude c_n^pole(t) and one band edge's |term|."""
+    alpha = math.sqrt(1.0 - delta * delta)
+    a2 = alpha * alpha
+    pole = (delta * (1j / alpha) ** (n - 1) * (1.0 + a2) / (2.0 * a2)
+            * np.exp(-delta * delta / alpha * t))          # e^{-i E_r t}
+    edge = delta * (n + a2 * (n - 2)) / (2.0 * math.sqrt(math.pi) * (1.0 + a2) ** 2) * t ** -1.5
+    return pole, edge
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.6])
+def test_transition_formula_derivation(delta):
+    from scipy.linalg import eigh_tridiagonal
+
+    # c_n - pole_n is the two band-edge terms, whose envelope is 2 edge_n
+    p = lat.LatticeParams.for_horizon(delta, 200.0)
+    hops = -np.ones(p.n_sites - 1)
+    hops[0] = -delta
+    energies, modes = eigh_tridiagonal(np.zeros(p.n_sites), hops)
+    ts = np.arange(40.0, p.t_max, 0.05)
+    phases = np.exp(-1j * np.outer(ts, energies))
+    for n in (2, 5, 10):
+        c_n = phases @ (modes[n - 1] * modes[0])
+        pole, edge = _pole_and_edge(delta, n, ts)
+        ratio = float(np.max(np.abs(c_n - pole) / (2.0 * edge)))
+        assert 0.99 <= ratio <= 1.02, (delta, n, ratio)
+        # the formula time is where |pole| meets the band envelope
+        t = lat.lattice_transition_time(p, n)
+        pole_t, edge_t = _pole_and_edge(delta, n, t)
+        assert abs(abs(pole_t) / (2.0 * edge_t) - 1.0) <= 1e-12, (delta, n, t)
