@@ -77,17 +77,6 @@ class SourceParams:
         return 0.5 / abs(self.k0I)
 
 
-def k0_from_omega0(omega0: complex) -> complex:
-    """Recover k0 from omega0 = k0^2.
-
-    Completeness helper only; the library always builds k0 = 1 + i k0I
-    directly. Uses the principal square root, whose cut runs along the
-    negative real axis approached from above, and returns the root in the
-    right half-plane (positive imaginary axis for negative real omega0).
-    """
-    return cmath.sqrt(omega0)
-
-
 @dataclass(frozen=True)
 class SpaceTimePoint:
     x: float

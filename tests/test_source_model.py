@@ -24,14 +24,6 @@ def test_params_derived_quantities(p03):
     assert p03.gamma_rate == pytest.approx(1.2, rel=1e-15)
 
 
-def test_k0_from_omega0_roundtrip():
-    for k0I in (-0.1, -0.45, -0.9):
-        p = sm.SourceParams(k0I)
-        assert sm.k0_from_omega0(p.omega0) == pytest.approx(p.k0, rel=1e-14)
-    # negative real frequency maps to the positive imaginary root
-    assert sm.k0_from_omega0(-4.0 + 0j) == pytest.approx(2j, rel=1e-14)
-
-
 def test_point_validation():
     with pytest.raises(ValueError):
         sm.SpaceTimePoint(-0.1, 1.0)
