@@ -7,26 +7,36 @@ all, and the purely-non-exponential threshold, all from the closed form
 
     ln R = ln(2 sqrt(pi) |k0|^2) - ln x - (ln t)/2 + 2 k0I t - k0I x + ln|t^2 - tau^2|
 
-with tau = x/(2 k0). With a = Re tau^2 > 0 and b = |tau|^4, t |t^2 - tau^2|^2
-d(ln R)/dt is the quintic 2 k0I t^5 + 1.5 t^4 - 4 k0I a t^3 - a t^2 + 2 k0I b t
-- b/2, whose signs run - + + - - -: by Descartes' rule R has at most one
-local maximum t_M in t > 0 and falls strictly after it. The local minimum
-before t_M always lies before the pole crossing t_c = x/(2(1 + k0I)) (in
-t = x u the roots solve x = h(u) for an h of k0I alone, and t_c/x lies past
-h's peak), so the transition, the last downward crossing after t_c, is the
-one root in [max(t_c, t_M), inf) and exists iff R >= 1 there. The late-time
-reduction has a concave log-residual peaking at 3/gamma, which takes t_M's place.
+with tau = x/(2 k0). Near the pole crossing t_c = x/(2(1 + k0I)), t^2 - tau^2
+cancels to order |k0I| t^2, so R is coded once, in sigma = (t/t_c - 1)/kappa
+with kappa = |k0I|: rho = tau/t_c = (1 + k0I)/(1 + i k0I) is fixed, and
+1 + kappa sigma - rho = kappa (sigma + c) exactly with c = (1 - i)/(1 - i kappa).
+With beta = kappa^2/(1 - kappa) and k0I (2t - x) = -beta x (sigma + 1), for t > 0
 
-Along t = t_c(x) the ratio tau/t_c = (1 + k0I)/(1 + i k0I) is fixed, so
-g(x) = ln R(x, t_c) = C + (ln x)/2 - beta x with beta = k0I^2/(1 + k0I) and
-C = ln(2 sqrt(pi) |k0|^2) - 1.5 ln(2(1 + k0I)) + ln|1 - (tau/t_c)^2|. R already
+    ln R = ln(2 sqrt(pi) |k0|^2 kappa) - 1.5 ln(2(1 - kappa)) + (ln x)/2 - log1p(kappa sigma)/2
+           + ln|sigma + c| + ln|1 + kappa sigma + rho| - beta x (sigma + 1),
+    d(ln R)/d sigma = -kappa/(2(1 + kappa sigma)) + Re 1/(sigma + c)
+                      + kappa Re 1/(1 + kappa sigma + rho) - beta x,
+
+in which no term cancels. With a = Re tau^2 > 0 and b = |tau|^4,
+t |t^2 - tau^2|^2 d(ln R)/dt = 2 k0I t^5 + 1.5 t^4 - 4 k0I a t^3 - a t^2
++ 2 k0I b t - b/2 has signs - + + - - -: by Descartes' rule R has at most one
+local maximum t_M in t > 0 and falls strictly after it. The local minimum
+before t_M lies before t_c (in t = x u the roots solve x = h(u) for an h of
+k0I alone, and t_c/x lies past h's peak), so the transition is the one root
+of ln R past sigma_M = max(0, sigma(t_M)) and exists iff ln R(sigma_M) >= 0.
+Re c, Re rho > 0 give d(ln R)/d sigma < 2/sigma - beta x, so sigma_M < 2/(beta x).
+The late-time reduction's concave log-residual peaks at 3/gamma, standing in for t_M.
+
+At sigma = 0, g(x) = ln R(x, t_c) = C + (ln x)/2 - beta x with
+C = ln(2 sqrt(pi) |k0|^2) - 1.5 ln(2(1 + k0I)) + ln|1 - rho^2|. R already
 falls at t_c wherever x >= x_max / 2.44, so max R over t > t_c is e^g near
 x_max and x_max = -W_{-1}(-2 beta e^{-2C})/(2 beta); the argument reduces to
 -2(1 + k0I)^2/(pi((2 + k0I)^2 + k0I^2)), in [-1/(2 pi), 0).
 
 The turning point of t_p(x) solves {ln R = 0, d(ln R)/dx = 0} by Newton's
 method in (x, t). With s0 = 1/(4 k0^2) and q = t^2 - s0 x^2 the partials are
-d/dx = -1/x - k0I + Re(-2 s0 x/q), d/dt = -1/(2t) + 2 k0I + Re(2t/q),
+d/dx = -1/x - k0I + Re(-2 s0 x/q), d/dt = (d/d sigma)/(kappa t_c),
 d2/dx2 = 1/x^2 + Re(-2 s0/q - 4 s0^2 x^2/q^2) and d2/dxdt = Re(4 s0 x t/q^2).
 """
 
@@ -40,16 +50,15 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .source_model import (
-    SADDLE_SINGULAR_TOL,
-    SingularConfigurationError,
+    EvaluationDomainError,
     SourceParams,
     SpaceTimePoint,
     kernel,
     pole_crossing_time,
 )
-from .specfun import lambertw_m1
+from .specfun import OVERFLOW_LIMIT, lambertw_m1
 
-ROOT_TOL = 1e-6          # |R - 1| at the reported transition time
+ROOT_TOL = 1e-6          # |ln R| (exact_ratio) or |residual| (late_time) at the root
 NEWTON_STEPS = 50        # turning-point iteration cap
 
 
@@ -61,61 +70,55 @@ class TransitionPoint:
     density_normalized: float
     method: str          # "exact_ratio" or "late_time"
     valid: bool
-    residual: float      # |R - 1| for exact_ratio, equation residual for late_time
+    residual: float      # |R - 1| at the solved sigma for exact_ratio (at the double
+                         # t_p, + eps |t d(ln R)/dt|), equation residual for late_time
 
 
-def _ratio_vec(p: SourceParams, x, ts):
-    """Pole/saddle modulus ratio over broadcast x and t.
-
-    Near t_c, |t^2 - tau^2| is of order |k0I| t^2; formed in complex
-    arithmetic it keeps a relative rounding of about eps/|k0I|, where the
-    expanded t^4 + |tau|^4 - 2 Re(tau^2) t^2 would lose eps/k0I^2.
-    """
-    tau = x / (2.0 * p.k0)
-    pref = 2.0 * math.sqrt(math.pi) * abs(p.k0) ** 2 / x
-    return pref * np.exp(2.0 * p.k0I * ts - p.k0I * x) * np.abs(ts * ts - tau * tau) / np.sqrt(ts)
+def _log_ratio_sigma(p: SourceParams, x, s):
+    """ln R and d(ln R)/d sigma at t = t_c(1 + kappa sigma), the module docstring's form."""
+    k = abs(p.k0I)
+    c, rho = (1.0 - 1j) / (1.0 - 1j * k), (1.0 - k) / (1.0 - 1j * k)
+    bx, ks = k * k * x / (1.0 - k), k * s
+    # real parts and moduli of sigma + c and 1 + kappa sigma + rho
+    w, v = s + c.real, 1.0 + ks + rho.real
+    mw, mv = np.hypot(w, c.imag), np.hypot(v, rho.imag)
+    log_r = (math.log(2.0 * math.sqrt(math.pi) * abs(p.k0) ** 2 * k) - 1.5 * math.log(2.0 - 2.0 * k)
+             + 0.5 * (np.log(x) - np.log1p(ks)) + np.log(mw) + np.log(mv) - bx * (s + 1.0))
+    return log_r, -0.5 * k / (1.0 + ks) + w / mw / mw + k * v / mv / mv - bx
 
 
 def ratio_R(p: SourceParams, pt: SpaceTimePoint) -> float:
     """R = 2 sqrt(pi) |k0|^2 |t^2 - tau^2| / (x sqrt(t)) * e^{2 k0I t - k0I x}.
 
-    This is |pole|/|saddle| identically away from the saddle's singular
-    locus t^2 = tau^2, where it raises.
+    This is |pole|/|saddle| at every t > 0 (t^2 = tau^2 has no real root),
+    evaluated in sigma so that it stays accurate near t_c.
     """
     if pt.x <= 0.0:
         raise ValueError("ratio is defined for x > 0")
-    tau = pt.x / (2.0 * p.k0)
-    if abs(pt.t * pt.t - tau * tau) < SADDLE_SINGULAR_TOL:
-        raise SingularConfigurationError(f"ratio singular at (x={pt.x!r}, t={pt.t!r})")
-    return float(_ratio_vec(p, pt.x, pt.t))
+    s = (pt.t / pole_crossing_time(p, pt.x) - 1.0) / abs(p.k0I)
+    if not math.isfinite(s):
+        raise EvaluationDomainError(pt.x, pt.t, "sigma = (t/t_c - 1)/|k0I| overflows")
+    return math.exp(_log_ratio_sigma(p, pt.x, s)[0])
 
 
-def _crossing_value(p: SourceParams, x, ts, method: str):
-    """Positive while the pole dominates, negative after the transition.
-
-    exact_ratio gives R - 1; late_time gives the relative residual of the
-    t >> |tau| reduction t^{3/2} = x e^{k0I x} e^{gamma t/2} / (2 sqrt(pi) |k0|^2).
-    """
-    if method == "exact_ratio":
-        return _ratio_vec(p, x, ts) - 1.0
-    log_c = np.log(x / (2.0 * math.sqrt(math.pi) * abs(p.k0) ** 2)) + p.k0I * x
-    return np.expm1(1.5 * np.log(ts) - (log_c + 0.5 * p.gamma_rate * ts))
-
-
-def _ratio_peak(p: SourceParams, xs: np.ndarray) -> np.ndarray:
-    """t_M per x (0 where R has no local maximum): x times the largest
-    positive real root of the quintic in u = t/x, from its companion matrix."""
-    s0 = 1.0 / (4.0 * p.k0 * p.k0)
-    a, b, k = s0.real, abs(s0) ** 2, p.k0I
-    lead = 2.0 * k * xs
-    comp = np.zeros(xs.shape + (5, 5))
-    comp[..., 1:, :-1] = np.eye(4)
-    # last column: minus the monic coefficients of u^0 .. u^4
-    comp[..., 4] = np.stack([0.5 * b / lead, -b * np.ones_like(xs), a / lead,
-                             2.0 * a * np.ones_like(xs), -1.5 / lead], axis=-1)
-    lam = np.linalg.eigvals(comp)
-    # a near-double root may come out as a complex pair: R is monotone through it
-    return xs * np.where((lam.imag == 0.0) & (lam.real > 0.0), lam.real, 0.0).max(axis=-1)
+def _falling_root(f, a, b):
+    """(s, f(s)) per row: s >= a with |f(s)| < ROOT_TOL where f falls through 0
+    once past a, or s = a where f(a) < ROOT_TOL. b doubles until f(b) < 0,
+    then all rows bisect [a, b] together."""
+    s, val = a, f(a)
+    going = up = val >= ROOT_TOL
+    while up.any():
+        up = up & (f(b) >= 0.0)
+        a, b = np.where(up, b, a), np.where(up, 2.0 * b, b)
+    for _ in range(200):
+        if not going.any():
+            break
+        mid = 0.5 * (a + b)
+        v = f(mid)
+        s, val = np.where(going, mid, s), np.where(going, v, val)
+        going = going & (np.abs(v) >= ROOT_TOL)
+        a, b = np.where(going & (v >= 0.0), mid, a), np.where(going & (v < 0.0), mid, b)
+    return s, val
 
 
 # a closed form needs no cache, but the benchmark harness reads this
@@ -130,50 +133,45 @@ def transition_times(
 ) -> List[TransitionPoint]:
     """Transition point per x of a grid; t_p is nan and invalid where none exists.
 
-    t_p is the time where R falls through 1 (the downward crossing; the
-    upward crossing right after the pole first appears is not a transition)
-    at t > x/(2(1 + k0I)). Past s = max(t_c, t_M) the crossing value falls
-    strictly (module docstring), so a root exists iff it is >= -ROOT_TOL at s;
-    all rows bisect [s, 2^j s] together until |R - 1| < ROOT_TOL. method
-    "late_time" solves the t >> |tau| reduction (see _crossing_value) and
-    reports its residual.
+    t_p is where R falls through 1 after t_c = x/(2(1 + k0I)); the upward
+    crossing as the pole appears is not one. exact_ratio solves in sigma for
+    sigma_M, then for the root of ln R past it, which exists iff
+    ln R(sigma_M) >= -ROOT_TOL (at x_max it is sigma = 0, where ln R rounds
+    to about 1e-14); t_p is at least the double after t_c. residual is
+    |R - 1| at that sigma; at the double t_p add eps |t d(ln R)/dt|, of order
+    eps/|k0I| and past 1e-6 below |k0I| = 1e-10. late_time solves the
+    t >> |tau| reduction t^{3/2} = x e^{k0I x + gamma t/2} / (2 sqrt(pi) |k0|^2)
+    in t past max(t_c, 3/gamma); its residual is relative.
     """
     if method not in ("exact_ratio", "late_time"):
         raise ValueError(f"unknown method {method!r}")
     xs = np.asarray(xs, dtype=float)
     if not ((xs > 0.0) & (xs < math.inf)).all():
         raise ValueError("transition_time requires finite x > 0")
-    peak = _ratio_peak(p, xs) if method == "exact_ratio" else 3.0 / p.gamma_rate
-    a = np.maximum(pole_crossing_time(p, xs), peak)
-    # at x_max the root sits at t_c itself, where rounding decides the sign
-    found = _crossing_value(p, xs, a, method) >= -ROOT_TOL
-    b = 2.0 * a
-    up = np.flatnonzero(found)
-    while up.size:
-        up = up[_crossing_value(p, xs[up], b[up], method) >= 0.0]
-        a[up] = b[up]
-        b[up] *= 2.0
-
-    t_p, residual = np.full(xs.shape, math.nan), np.full(xs.shape, math.nan)
-    active = np.flatnonzero(found)
-    for _ in range(200):
-        if active.size == 0:
-            break
-        mid = 0.5 * (a[active] + b[active])
-        val = _crossing_value(p, xs[active], mid, method)
-        res = np.abs(val)
-        t_p[active] = mid
-        residual[active] = res
-        going = res >= ROOT_TOL
-        above = val >= 0.0
-        a[active[going & above]] = mid[going & above]
-        b[active[going & ~above]] = mid[going & ~above]
-        active = active[going]
+    t_c = pole_crossing_time(p, xs)
+    if method == "exact_ratio":
+        k, x0 = abs(p.k0I), float(xs.min(initial=math.inf))
+        # sigma_M < b = 2/(beta x) and sigma_p < 1e3 b stay doubles while b < e^OVERFLOW_LIMIT
+        if math.log(2.0 - 2.0 * k) - 2.0 * math.log(k) - math.log(x0) > OVERFLOW_LIMIT:
+            raise EvaluationDomainError(x0, x0 / (2.0 - 2.0 * k), "sigma overflows")
+        b = 2.0 * (1.0 - k) / (k * k * xs)
+        # (1 + sigma) d(ln R)/d sigma stops relative at large sigma
+        s_m = _falling_root(lambda s: (1.0 + s) * _log_ratio_sigma(p, xs, s)[1],
+                            np.zeros(xs.shape), b)[0]
+        s_p, val = _falling_root(lambda s: _log_ratio_sigma(p, xs, s)[0], s_m, b)
+        t_p = np.maximum(t_c + t_c * k * s_p, np.nextafter(t_c, math.inf))
+        residual = np.abs(np.expm1(val))
+    else:
+        log_c = np.log(xs / (2.0 * math.sqrt(math.pi) * abs(p.k0) ** 2)) + p.k0I * xs
+        a = np.maximum(t_c, 3.0 / p.gamma_rate)
+        t_p, val = _falling_root(
+            lambda t: np.expm1(1.5 * np.log(t) - (log_c + 0.5 * p.gamma_rate * t)), a, 2.0 * a)
+        residual = np.abs(val)
+    found = np.abs(val) < ROOT_TOL
+    t_p[~found] = residual[~found] = math.nan
 
     rho = np.full(xs.shape, math.nan)
-    if found.any():
-        rho[found] = np.abs(kernel(p, xs[found], t_p[found]).psi) ** 2
-    # brackets start at t_c or later and mid > a, so every root is pole-crossed (valid)
+    rho[found] = np.abs(kernel(p, xs[found], t_p[found]).psi) ** 2
     rows = zip(xs.tolist(), t_p.tolist(), rho.tolist(), (rho / _n_total_cached(p.k0I)).tolist(),
                found.tolist(), residual.tolist())
     return [TransitionPoint(x, t, r, rn, method, ok, res) for x, t, r, rn, ok, res in rows]
@@ -188,13 +186,13 @@ def transition_time(
 
 def _log_ratio_partials(p: SourceParams, x: float, t: float):
     """ln R and its partials d/dx, d/dt, d2/dx2, d2/dxdt at one (x, t)."""
-    s0, k = 1.0 / (4.0 * p.k0 * p.k0), p.k0I
+    s0, k, t_c = 1.0 / (4.0 * p.k0 * p.k0), p.k0I, pole_crossing_time(p, x)
     q = t * t - s0 * x * x
+    f, f_s = _log_ratio_sigma(p, x, (t / t_c - 1.0) / abs(k))
     d_x = -1.0 / x - k + (-2.0 * s0 * x / q).real
-    d_t = -0.5 / t + 2.0 * k + (2.0 * t / q).real
     d_xx = 1.0 / (x * x) + (-2.0 * s0 / q - 4.0 * (s0 * x / q) ** 2).real
     d_xt = (4.0 * s0 * x * t / (q * q)).real
-    return math.log(_ratio_vec(p, x, t)), d_x, d_t, d_xx, d_xt
+    return float(f), d_x, float(f_s) / (abs(k) * t_c), d_xx, d_xt
 
 
 def tp_turning_point(p: SourceParams) -> float:

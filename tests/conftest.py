@@ -158,6 +158,23 @@ def log_ratio_oracle(k0I: float, x: float, t):
     return log_pole - log_saddle
 
 
+def log_ratio_mpmath_oracle(k0I: float, x: float, t):
+    """ln R and t d(ln R)/dt from the t-form at 40 digits, as mpf.
+
+    Near t_c, t^2 - tau^2 cancels to order |k0I| t^2, so log_ratio_oracle
+    rounds ln R to about eps/|k0I|, as the code under test would in t; 40
+    digits keep about 28 down to k0I = -1e-12. t may be a double or an mpf.
+    """
+    with mpmath.workdps(40):
+        k0 = mpmath.mpc(1, k0I)
+        xm, tm = mpmath.mpf(x), mpmath.mpf(t)
+        tau = xm / (2 * k0)
+        q = tm * tm - tau * tau
+        log_r = (mpmath.log(2 * mpmath.sqrt(mpmath.pi) * abs(k0) ** 2 / xm) - mpmath.log(tm) / 2
+                 + k0I * (2 * tm - xm) + mpmath.log(abs(q)))
+        return log_r, 2 * k0I * tm - mpmath.mpf(1) / 2 + mpmath.re(2 * tm * tm / q)
+
+
 def max_log_ratio_after_pole(k0I: float, x: float, n: int = 200_000) -> float:
     """Brute-force sup of ln R over t > t_c = x/(2(1 + k0I)) on a dense grid.
 

@@ -100,6 +100,19 @@ def test_transition_valid_flag_beyond_reach(capsys):
     assert rows[0][5] == "exact_ratio"
 
 
+def test_transition_found_at_tiny_decay_rate(capsys):
+    from postexp import source_model, transition
+
+    x_max = transition.max_distance(source_model.SourceParams(-1e-9))
+    rc, out, _ = _run(capsys, ["transition", "--k0i=-1e-9", "--x-grid",
+                               f"{0.5 * x_max!r},{0.99 * x_max!r}", "--parallelism", "1"])
+    assert rc == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 2
+    for row in rows:
+        assert row[4] == "1" and math.isfinite(float(row[1])), row
+
+
 def test_transition_late_time_method(capsys):
     rc, out, _ = _run(capsys, ["transition", "--k0i", "-0.3", "--x-grid", "0.1",
                                "--method", "late_time", "--parallelism", "1"])

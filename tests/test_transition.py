@@ -9,8 +9,8 @@ import pytest
 from postexp import source_model as sm
 from postexp import transition as tr
 
-from conftest import (approx_mpmath_oracle, brute_force_x_max, log_ratio_oracle,
-                      max_log_ratio_after_pole, psi_mpmath_oracle)
+from conftest import (approx_mpmath_oracle, brute_force_x_max, log_ratio_mpmath_oracle,
+                      log_ratio_oracle, max_log_ratio_after_pole, psi_mpmath_oracle)
 
 EPS = np.finfo(float).eps
 
@@ -23,6 +23,22 @@ def test_ratio_value(p03):
 def test_ratio_rejects_boundary(p03):
     with pytest.raises(ValueError):
         tr.ratio_R(p03, sm.SpaceTimePoint(0.0, 5.0))
+
+
+def test_ratio_at_tiny_distance_and_time(p03):
+    # no singular locus for real t: R is finite where t^2 - tau^2 is below 1e-12
+    got = tr.ratio_R(p03, sm.SpaceTimePoint(1e-6, 1e-6))
+    assert got == pytest.approx(float(mpmath.exp(log_ratio_mpmath_oracle(-0.3, 1e-6, 1e-6)[0])),
+                                rel=1e-13)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sigma_overflow_is_a_typed_error(p03):
+    # t_p/t_c passes the double range once k0I^2 x is below about 1e-277
+    with pytest.raises(sm.EvaluationDomainError):
+        tr.transition_times(sm.SourceParams(-1e-12), [1e-300, 1.0])
+    with pytest.raises(sm.EvaluationDomainError):
+        tr.ratio_R(p03, sm.SpaceTimePoint(1e-300, 1e10))
 
 
 def test_pole_crossing_time(p03):
@@ -186,6 +202,21 @@ def test_transition_curve_monotone_sections(p03):
     sel = (xs >= 4.0) & (xs <= 11.0)
     assert bool(np.all(np.diff(exact[sel]) > 0))
     assert exact[-1] / exact[0] > 1e6
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k0I", [-1e-3, -1e-6, -1e-9, -1e-12], ids="{:.0e}".format)
+def test_turning_point_is_a_local_minimum_at_small_decay_rates(k0I):
+    # the t-form at 40 digits resolves t_p(x) near x*, where its relative
+    # change over x* (1 +- 1e-3) is only a few 1e-8
+    p = sm.SourceParams(k0I)
+    xstar = tr.tp_turning_point(p)
+    t_ps = []
+    for x in (xstar * (1.0 - 1e-3), xstar, xstar * (1.0 + 1e-3)):
+        with mpmath.workdps(40):
+            t_ps.append(mpmath.findroot(lambda t: log_ratio_mpmath_oracle(k0I, x, t)[0],
+                                        tr.transition_time(p, x).t_p))
+    assert t_ps[1] < t_ps[0] and t_ps[1] < t_ps[2], t_ps
 
 
 # ------------------------------------------- array form vs the closed form
@@ -352,3 +383,35 @@ def test_critical_densities_match_mpmath(k0I):
     rel = 1e-13 + EPS / abs(k0I)
     assert c.density_exact == pytest.approx(exact, rel=rel, abs=0.0)
     assert c.density_approx == pytest.approx(approx, rel=rel, abs=0.0)
+
+
+# fractions of x_max; a transition exists at each, the last one at t_c itself
+SWEEP_FRACTIONS = np.concatenate([np.linspace(0.02, 0.98, 24), [0.999, 1.0]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k0I", (-np.geomspace(0.9999, 1e-12, 25)).tolist(), ids="{:.3g}".format)
+def test_transition_found_at_every_distance_down_to_tiny_decay_rates(k0I):
+    # at a double t_p, ln R is conditioned as eps |t d(ln R)/dt|, of order eps/|k0I|
+    p = sm.SourceParams(k0I)
+    x_max = tr.max_distance(p)
+    rows = tr.transition_times(p, SWEEP_FRACTIONS * x_max)
+    # late_time rows need only return without a warning
+    tr.transition_times(p, SWEEP_FRACTIONS * x_max, "late_time")
+    assert all(q.valid for q in rows), [q.x / x_max for q in rows if not q.valid]
+    for q in rows:
+        log_r, t_dlog_r = log_ratio_mpmath_oracle(k0I, q.x, q.t_p)
+        assert abs(log_r) <= tr.ROOT_TOL + 2.0 * EPS * abs(t_dlog_r), q
+        assert q.t_p > q.x / (2.0 * (1.0 + k0I))
+    beyond = tr.transition_times(p, [1.02 * x_max, 1.5 * x_max])
+    assert not any(q.valid for q in beyond)
+    assert all(math.isnan(q.t_p) for q in beyond)
+
+
+@pytest.mark.parametrize("k0I", [-0.9999, -0.3, -1e-4, -1e-9, -1e-12], ids="{:.4g}".format)
+def test_transition_at_x_max_meets_critical_distance(k0I):
+    p = sm.SourceParams(k0I)
+    x_max, t_p = tr.critical_distance(p)
+    res = tr.transition_time(p, x_max)
+    assert res.valid
+    assert res.t_p == pytest.approx(t_p, rel=1e-6)
