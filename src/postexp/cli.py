@@ -6,10 +6,12 @@ written in blocks of BLOCK_ROWS rows, so memory stays bounded for any grid.
 Output is deterministic: identical invocations produce byte-identical
 files. --parallelism is kept for compatibility and has no effect.
 
-Each subcommand imports only the modules it uses, and the process runs
-numpy's BLAS on one thread unless OPENBLAS_NUM_THREADS is already set:
-the computations are single-threaded, and an idle BLAS worker only
-spins.
+Each subcommand imports only the modules it uses. `scenario`, `transition`
+and `critical` compute one point at a time in pure Python and load no
+numpy; `density`, `lattice` and `selftest` work on arrays and import it.
+The process runs numpy's BLAS on one thread unless OPENBLAS_NUM_THREADS is
+already set: the computations are single-threaded, and an idle BLAS
+worker only spins.
 
 Exit codes: 0 success; 2 usage error or invalid input (bad flags, grids,
 config values, unrepresentable scenarios); 1 computation failure
@@ -25,12 +27,10 @@ import json
 import math
 import os
 import sys
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence
 
-# before the first numpy import; a value the user set wins
+# before any numpy import; a value the user set wins
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np
 
 from . import __version__
 
@@ -44,6 +44,12 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------- plumbing
+
+def _linspace(a: float, b: float, n: int) -> List[float]:
+    """n >= 2 points i step + a, the last set to b: numpy.linspace's rounding."""
+    step = (b - a) / (n - 1)
+    return [i * step + a for i in range(n - 1)] + [b]
+
 
 def parse_grid(text: str, name: str) -> List[float]:
     if text.startswith(("lin:", "log:")):
@@ -59,11 +65,14 @@ def parse_grid(text: str, name: str) -> List[float]:
         if n == 1:
             vals = [a]
         elif kind == "lin":
-            vals = np.linspace(a, b, n).tolist()
+            vals = _linspace(a, b, n)
         else:
             if a == 0.0 or b == 0.0 or (a < 0.0) != (b < 0.0):
                 raise UsageError(f"{name}: log grid endpoints must be nonzero and same-signed")
-            vals = np.geomspace(a, b, n).tolist()
+            # 10^(evenly spaced log10 |v|) with both ends exact, as numpy.geomspace
+            sign = -1.0 if a < 0.0 else 1.0
+            exps = _linspace(math.log10(abs(a)), math.log10(abs(b)), n)
+            vals = [a] + [sign * 10.0 ** e for e in exps[1:-1]] + [b]
     else:
         items = [s for s in text.split(",") if s.strip()]
         try:
@@ -86,13 +95,13 @@ def check_k0i(value: float) -> float:
 
 
 def _json_safe(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        f = float(v)
-        return f if math.isfinite(f) else None
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(v, np.generic):
+        v = v.item()   # a numpy scalar as its Python value
+    if isinstance(v, (bool, int)):
+        return v
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
     if isinstance(v, dict):
         return {k: _json_safe(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -108,20 +117,22 @@ def _output(out: Optional[str]):
 
 
 def _fmt_column(col) -> List[str]:
-    """CSV cells for one column: bools as 1/0, floats by repr (nan, inf, -inf)."""
-    col = np.asarray(col)
-    if col.dtype.kind == "b":
-        return ["1" if v else "0" for v in col.tolist()]
-    return list(map(repr if col.dtype.kind == "f" else str, col.tolist()))
+    """CSV cells for one column, a numpy array or a sequence of Python values
+    of one type: bools as 1/0, floats by repr (nan, inf, -inf), others by str."""
+    values = col.tolist() if hasattr(col, "tolist") else list(col)
+    kind = type(values[0]) if values else str
+    if kind is bool:
+        return ["1" if v else "0" for v in values]
+    return list(map(repr if kind is float else str, values))
 
 
 class _Indexed(NamedTuple):
-    """A column drawn from a short table, table[index]: its CSV cells are
-    formatted once per table entry instead of once per row."""
+    """A column drawn from a short table, table[index] (numpy arrays): its CSV
+    cells are formatted once per table entry instead of once per row."""
 
-    table: np.ndarray
-    cells: np.ndarray      # object array of _fmt_column(table)
-    index: np.ndarray
+    table: Any
+    cells: Any      # object array of _fmt_column(table)
+    index: Any
 
 
 def _cells(col) -> List[str]:
@@ -129,7 +140,8 @@ def _cells(col) -> List[str]:
 
 
 def _values(col) -> list:
-    return (col.table[col.index] if isinstance(col, _Indexed) else np.asarray(col)).tolist()
+    col = col.table[col.index] if isinstance(col, _Indexed) else col
+    return col.tolist() if hasattr(col, "tolist") else list(col)
 
 
 def emit_table(
@@ -171,6 +183,8 @@ def emit_table(
 # --------------------------------------------------------------- commands
 
 def cmd_density(args) -> int:
+    import numpy as np
+
     from . import source_model
 
     k0I = check_k0i(args.k0i)
@@ -210,12 +224,12 @@ def cmd_transition(args) -> int:
     from . import source_model, transition
 
     k0I = check_k0i(args.k0i)
-    xs = np.array(parse_grid(args.x_grid, "--x-grid"))
+    xs = parse_grid(args.x_grid, "--x-grid")
     if xs[0] <= 0.0:
         raise UsageError("--x-grid: positions must be > 0")
     p = source_model.SourceParams(k0I)
     blocks = (transition.transition_times(p, xs[lo:lo + BLOCK_ROWS], args.method)
-              for lo in range(0, xs.size, BLOCK_ROWS))
+              for lo in range(0, len(xs), BLOCK_ROWS))
     emit_table(
         args,
         "transition",
@@ -272,7 +286,7 @@ def cmd_lattice(args) -> int:
         if ts[0] < 0.0 or ts[-1] > p.t_max:
             raise UsageError("--t-grid: times must lie within [0, t_max]")
     else:
-        ts = np.linspace(0.0, p.t_max, 801).tolist()
+        ts = _linspace(0.0, p.t_max, 801)
 
     def density(n):
         if args.t_grid:
@@ -365,6 +379,8 @@ def _resolve_config(name: str) -> str:
 # --------------------------------------------------------------- selftest
 
 def _check_boundary() -> float:
+    import numpy as np
+
     from . import source_model
 
     ts = np.geomspace(0.01, 100.0, 50)

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, NamedTuple, Optional, Tuple
 
-import numpy as np
-
 from . import specfun
 
 SQRT_PI = math.sqrt(math.pi)
@@ -129,6 +127,10 @@ def _u_pair(k0: complex, x, t, sqrt=math.sqrt):
 
 
 def _point(x, t, i: int) -> Tuple[float, float]:
+    if not specfun._is_array(x, t):
+        return float(x), float(t)
+    import numpy as np
+
     xb, tb = np.broadcast_arrays(x, t)
     return float(xb.flat[i]), float(tb.flat[i])
 
@@ -154,8 +156,13 @@ def kernel(p: SourceParams, x, t, exact: bool = True, derivative: bool = False) 
     if i is not None:
         raise EvaluationDomainError(*_point(x, t, i), "pole part overflows")
     # one arithmetic for both; math/cmath are the faster choice for scalars
-    grid = isinstance(x, np.ndarray) or isinstance(t, np.ndarray)
-    sqrt, exp = (np.sqrt, np.exp) if grid else (math.sqrt, cmath.exp)
+    grid = specfun._is_array(x, t)
+    if grid:
+        import numpy as np
+
+        sqrt, exp = np.sqrt, np.exp
+    else:
+        sqrt, exp = math.sqrt, cmath.exp
     k0 = p.k0
     u_plus, u_minus, tau = _u_pair(k0, x, t, sqrt)
     k_s = x / (2.0 * t)
@@ -271,8 +278,10 @@ def density_and_current(
     return abs(psi) ** 2, dpsi, 2.0 * (psi.conjugate() * dpsi).imag
 
 
-def density_grid(p: SourceParams, xs, ts) -> np.ndarray:
+def density_grid(p: SourceParams, xs, ts):
     """|psi|^2 on the outer product of xs and ts (rows are x, columns t); 0 for t <= 0."""
+    import numpy as np
+
     xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
     out = np.zeros((xs.size, ts.size))
     on = ts > 0.0

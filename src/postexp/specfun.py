@@ -6,7 +6,8 @@ its analytic derivative. Everything here is pure and stateless.
 
 w(z) is Weideman's rational series (J.A.C. Weideman, SIAM J. Numer. Anal.
 31, 1497, 1994) with N = 40 terms in the upper half-plane and the
-reflection w(z) = 2 exp(-z^2) - w(-z) below it; it needs numpy only.
+reflection w(z) = 2 exp(-z^2) - w(-z) below it. Scalars need no numpy; array
+arguments use it, and only they import it.
 
 lambertw_m1 gives the lower real branch W_{-1} of w e^w = z, which closes
 the transition equations t^{3/2} = C e^{gamma t/2} and a t + b = c ln t + d.
@@ -19,8 +20,6 @@ import math
 import sys
 from typing import Optional
 
-import numpy as np
-
 SQRT_PI = math.sqrt(math.pi)
 
 # exp(-z^2) in the lower half-plane grows like exp(Im(z)^2 - Re(z)^2);
@@ -28,22 +27,28 @@ SQRT_PI = math.sqrt(math.pi)
 OVERFLOW_LIMIT = 0.9 * math.log(sys.float_info.max)
 
 
-def _weideman_coefficients(n: int):
-    """Taylor coefficients of Weideman's series in Z = (L + iz)/(L - iz),
-    highest power first, and the scale L = sqrt(n / sqrt(2)).
-
-    They are the discrete Fourier coefficients of
-    f(t) = exp(-t^2) (L^2 + t^2) sampled at t = L tan(theta/2).
-    """
-    m = 2 * n
-    scale = math.sqrt(n / math.sqrt(2.0))
-    t = scale * np.tan(np.arange(1 - m, m) * math.pi / (2 * m))
-    f = np.concatenate(([0.0], np.exp(-t * t) * (scale * scale + t * t)))
-    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
-    return a[n:0:-1].tolist(), scale
-
-
-_W_COEF, _W_L = _weideman_coefficients(40)
+# Weideman's N = 40 series: the Taylor coefficients in Z = (L + iz)/(L - iz),
+# highest power first, and the scale L = sqrt(N / sqrt(2)). They are the
+# discrete Fourier coefficients of f(t) = exp(-t^2) (L^2 + t^2) sampled at
+# t = L tan(theta/2), theta = k pi/(2N), k = 1 - 2N .. 2N - 1, taken from
+# numpy.fft and written out (tests/test_specfun.py rebuilds them).
+_W_L = 5.3182958969449885
+_W_COEF = (
+    -1.7356980998791865e-15, 1.201674910759281e-15, 1.1519170220749485e-14,
+    -5.231716366324404e-15, -7.071088022159408e-14, 1.3778224047664046e-14,
+    4.5341448909434655e-13, 1.203330952919568e-13, -2.90771851041427e-12,
+    -2.7277735625830245e-12, 1.771418567386718e-11, 3.4727420938907015e-11,
+    -9.055138860958323e-11, -3.5632350403602684e-10, 2.1085990731251058e-10,
+    3.017780425551564e-09, 3.249746582945079e-09, -1.8315616834296834e-08,
+    -6.351773483015411e-08, 1.419864237295343e-08, 5.912136953029057e-07,
+    1.4835661133172014e-06, -1.066013898416273e-06, -1.8007447144723407e-05,
+    -5.5913092642348794e-05, -3.939363145483805e-05, 0.000439807015986967,
+    0.002705405633073729, 0.010048186242783535, 0.02920291647124188,
+    0.07182361779074328, 0.15504263802479504, 0.2998943799615006,
+    0.5266528988277086, 0.8472174576593815, 1.2563815675765133,
+    1.7253830848179779, 2.201513794878312, 2.6160541527618597,
+    2.899624509389705,
+)
 
 
 class FaddeevaDomainError(ValueError):
@@ -55,14 +60,20 @@ class FaddeevaDomainError(ValueError):
         super().__init__(f"w(z) domain error at z={z!r}: {reason}")
 
 
+def _is_array(*values) -> bool:
+    """Whether any value is a numpy array; no value is one while numpy is unloaded."""
+    np = sys.modules.get("numpy")
+    return np is not None and any(isinstance(v, np.ndarray) for v in values)
+
+
 def first_false(ok) -> Optional[int]:
     """Flat index of the first False in a boolean array or scalar, else None.
 
     Scalars skip the array reduction, which costs more than what it guards.
     """
-    if not isinstance(ok, np.ndarray):
+    if not _is_array(ok):
         return None if ok else 0
-    return None if ok.all() else int(np.flatnonzero(~ok)[0])
+    return None if ok.all() else int((~ok).ravel().argmax())
 
 
 def faddeeva(z):
@@ -81,7 +92,7 @@ def faddeeva(z):
     A non-finite argument, or one past the overflow guard, raises
     FaddeevaDomainError at the first offending z rather than returning inf.
     """
-    array = isinstance(z, np.ndarray)
+    array = _is_array(z)
     if not array:
         z = complex(z)
     # |z| < inf fails exactly when a part is nan or infinite
@@ -110,7 +121,9 @@ def _faddeeva_scalar(z: complex) -> complex:
     return 2.0 * cmath.exp(-z * z) - w if lower else w
 
 
-def _faddeeva_array(z: np.ndarray) -> np.ndarray:
+def _faddeeva_array(z):
+    import numpy as np
+
     lower = z.imag < 0.0
     zu = np.where(lower, -z, z)
     d = _W_L - 1j * zu

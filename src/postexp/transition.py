@@ -47,8 +47,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from .source_model import (
     EvaluationDomainError,
     SourceParams,
@@ -74,16 +72,25 @@ class TransitionPoint:
                          # t_p, + eps |t d(ln R)/dt|), equation residual for late_time
 
 
+@lru_cache(maxsize=256)
+def _sigma_terms(k0I: float):
+    """kappa, c, rho = tau/t_c (real and imaginary parts) and the constant of ln R."""
+    k = abs(k0I)
+    c, rho = (1.0 - 1j) / (1.0 - 1j * k), (1.0 - k) / (1.0 - 1j * k)
+    const = (math.log(2.0 * math.sqrt(math.pi) * abs(complex(1.0, k0I)) ** 2 * k)
+             - 1.5 * math.log(2.0 - 2.0 * k))
+    return k, c.real, c.imag, rho.real, rho.imag, const
+
+
 def _log_ratio_sigma(p: SourceParams, x, s):
     """ln R and d(ln R)/d sigma at t = t_c(1 + kappa sigma), the module docstring's form."""
-    k = abs(p.k0I)
-    c, rho = (1.0 - 1j) / (1.0 - 1j * k), (1.0 - k) / (1.0 - 1j * k)
+    k, c_re, c_im, rho_re, rho_im, const = _sigma_terms(p.k0I)
     bx, ks = k * k * x / (1.0 - k), k * s
     # real parts and moduli of sigma + c and 1 + kappa sigma + rho
-    w, v = s + c.real, 1.0 + ks + rho.real
-    mw, mv = np.hypot(w, c.imag), np.hypot(v, rho.imag)
-    log_r = (math.log(2.0 * math.sqrt(math.pi) * abs(p.k0) ** 2 * k) - 1.5 * math.log(2.0 - 2.0 * k)
-             + 0.5 * (np.log(x) - np.log1p(ks)) + np.log(mw) + np.log(mv) - bx * (s + 1.0))
+    w, v = s + c_re, 1.0 + ks + rho_re
+    mw, mv = math.hypot(w, c_im), math.hypot(v, rho_im)
+    log_r = (const + 0.5 * (math.log(x) - math.log1p(ks)) + math.log(mw) + math.log(mv)
+             - bx * (s + 1.0))
     return log_r, -0.5 * k / (1.0 + ks) + w / mw / mw + k * v / mv / mv - bx
 
 
@@ -102,22 +109,31 @@ def ratio_R(p: SourceParams, pt: SpaceTimePoint) -> float:
 
 
 def _falling_root(f, a, b):
-    """(s, f(s)) per row: s >= a with |f(s)| < ROOT_TOL where f falls through 0
-    once past a, or s = a where f(a) < ROOT_TOL. b doubles until f(b) < 0,
-    then all rows bisect [a, b] together."""
-    s, val = a, f(a)
-    going = up = val >= ROOT_TOL
-    while up.any():
-        up = up & (f(b) >= 0.0)
-        a, b = np.where(up, b, a), np.where(up, 2.0 * b, b)
+    """(s, f(s)): s >= a with |f(s)| < ROOT_TOL where f falls through 0 once
+    past a, or s = a where f(a) < ROOT_TOL. b doubles until f(b) < 0, then
+    false position with the Illinois modification (the end kept twice in a
+    row has its value halved) closes the bracket [a, b]."""
+    fa = f(a)
+    if fa < ROOT_TOL:
+        return a, fa
+    fb = f(b)
+    while fb >= 0.0:
+        a, fa, b = b, fb, 2.0 * b
+        fb = f(b)
+    s, val, kept = a, fa, 0
     for _ in range(200):
-        if not going.any():
+        s = a + (b - a) * (fa / (fa - fb))
+        val = f(s)
+        if abs(val) < ROOT_TOL:
             break
-        mid = 0.5 * (a + b)
-        v = f(mid)
-        s, val = np.where(going, mid, s), np.where(going, v, val)
-        going = going & (np.abs(v) >= ROOT_TOL)
-        a, b = np.where(going & (v >= 0.0), mid, a), np.where(going & (v < 0.0), mid, b)
+        if val > 0.0:
+            a, fa = s, val
+            fb = 0.5 * fb if kept > 0 else fb
+            kept = 1
+        else:
+            b, fb = s, val
+            fa = 0.5 * fa if kept < 0 else fa
+            kept = -1
     return s, val
 
 
@@ -134,47 +150,52 @@ def transition_times(
     """Transition point per x of a grid; t_p is nan and invalid where none exists.
 
     t_p is where R falls through 1 after t_c = x/(2(1 + k0I)); the upward
-    crossing as the pole appears is not one. exact_ratio solves in sigma for
+    crossing as the pole appears is not one. Each x is solved on its own by
+    _falling_root. exact_ratio solves in sigma for
     sigma_M, then for the root of ln R past it, which exists iff
     ln R(sigma_M) >= -ROOT_TOL (at x_max it is sigma = 0, where ln R rounds
     to about 1e-14); t_p is at least the double after t_c. residual is
     |R - 1| at that sigma; at the double t_p add eps |t d(ln R)/dt|, of order
     eps/|k0I| and past 1e-6 below |k0I| = 1e-10. late_time solves the
     t >> |tau| reduction t^{3/2} = x e^{k0I x + gamma t/2} / (2 sqrt(pi) |k0|^2)
-    in t past max(t_c, 3/gamma); its residual is relative.
+    in t past max(t_c, 3/gamma), on the log of both sides; its residual is
+    relative, |expm1| of the log residual at the root.
     """
     if method not in ("exact_ratio", "late_time"):
         raise ValueError(f"unknown method {method!r}")
-    xs = np.asarray(xs, dtype=float)
-    if not ((xs > 0.0) & (xs < math.inf)).all():
+    xs = [float(x) for x in xs]
+    if not all(0.0 < x < math.inf for x in xs):
         raise ValueError("transition_time requires finite x > 0")
-    t_c = pole_crossing_time(p, xs)
-    if method == "exact_ratio":
-        k, x0 = abs(p.k0I), float(xs.min(initial=math.inf))
+    k = abs(p.k0I)
+    if method == "exact_ratio" and xs:
         # sigma_M < b = 2/(beta x) and sigma_p < 1e3 b stay doubles while b < e^OVERFLOW_LIMIT
+        x0 = min(xs)
         if math.log(2.0 - 2.0 * k) - 2.0 * math.log(k) - math.log(x0) > OVERFLOW_LIMIT:
             raise EvaluationDomainError(x0, x0 / (2.0 - 2.0 * k), "sigma overflows")
-        b = 2.0 * (1.0 - k) / (k * k * xs)
-        # (1 + sigma) d(ln R)/d sigma stops relative at large sigma
-        s_m = _falling_root(lambda s: (1.0 + s) * _log_ratio_sigma(p, xs, s)[1],
-                            np.zeros(xs.shape), b)[0]
-        s_p, val = _falling_root(lambda s: _log_ratio_sigma(p, xs, s)[0], s_m, b)
-        t_p = np.maximum(t_c + t_c * k * s_p, np.nextafter(t_c, math.inf))
-        residual = np.abs(np.expm1(val))
-    else:
-        log_c = np.log(xs / (2.0 * math.sqrt(math.pi) * abs(p.k0) ** 2)) + p.k0I * xs
-        a = np.maximum(t_c, 3.0 / p.gamma_rate)
-        t_p, val = _falling_root(
-            lambda t: np.expm1(1.5 * np.log(t) - (log_c + 0.5 * p.gamma_rate * t)), a, 2.0 * a)
-        residual = np.abs(val)
-    found = np.abs(val) < ROOT_TOL
-    t_p[~found] = residual[~found] = math.nan
-
-    rho = np.full(xs.shape, math.nan)
-    rho[found] = np.abs(kernel(p, xs[found], t_p[found]).psi) ** 2
-    rows = zip(xs.tolist(), t_p.tolist(), rho.tolist(), (rho / _n_total_cached(p.k0I)).tolist(),
-               found.tolist(), residual.tolist())
-    return [TransitionPoint(x, t, r, rn, method, ok, res) for x, t, r, rn, ok, res in rows]
+    n_total = _n_total_cached(p.k0I)
+    rows = []
+    for x in xs:
+        t_c = pole_crossing_time(p, x)
+        if method == "exact_ratio":
+            b = 2.0 * (1.0 - k) / (k * k * x)
+            # (1 + sigma) d(ln R)/d sigma stops relative at large sigma
+            s_m = _falling_root(lambda s: (1.0 + s) * _log_ratio_sigma(p, x, s)[1], 0.0, b)[0]
+            s_p, val = _falling_root(lambda s: _log_ratio_sigma(p, x, s)[0], s_m, b)
+            t_p = max(t_c + t_c * k * s_p, math.nextafter(t_c, math.inf))
+        else:
+            # the log residual 1.5 ln t - ln(x e^{k0I x + gamma t/2}/(2 sqrt(pi) |k0|^2))
+            # stays finite where its exponential overflows
+            log_c = math.log(x / (2.0 * math.sqrt(math.pi) * abs(p.k0) ** 2)) + p.k0I * x
+            a = max(t_c, 3.0 / p.gamma_rate)
+            t_p, val = _falling_root(
+                lambda t: 1.5 * math.log(t) - (log_c + 0.5 * p.gamma_rate * t), a, 2.0 * a)
+        if abs(val) < ROOT_TOL:
+            rho = abs(kernel(p, x, t_p).psi) ** 2
+            rows.append(TransitionPoint(x, t_p, rho, rho / n_total, method, True,
+                                        abs(math.expm1(val))))
+        else:
+            rows.append(TransitionPoint(x, math.nan, math.nan, math.nan, method, False, math.nan))
+    return rows
 
 
 def transition_time(
@@ -192,7 +213,7 @@ def _log_ratio_partials(p: SourceParams, x: float, t: float):
     d_x = -1.0 / x - k + (-2.0 * s0 * x / q).real
     d_xx = 1.0 / (x * x) + (-2.0 * s0 / q - 4.0 * (s0 * x / q) ** 2).real
     d_xt = (4.0 * s0 * x * t / (q * q)).real
-    return float(f), d_x, float(f_s) / (abs(k) * t_c), d_xx, d_xt
+    return f, d_x, f_s / (abs(k) * t_c), d_xx, d_xt
 
 
 def tp_turning_point(p: SourceParams) -> float:

@@ -12,10 +12,10 @@ Compiled-in constants (sources):
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
-
-import numpy as np
 
 from .source_model import SourceParams, SpaceTimePoint, kernel
 from .transition import _n_total_cached, max_distance, transition_time
@@ -25,6 +25,7 @@ RB87_MASS_KG = 1.4431606e-25
 
 COARSE_PIXEL_RATIO = 100.0   # pixel/L above this: pixel integral, not point sample
 PIXEL_QUAD_ORDER = 128       # fixed-order Gauss-Legendre keeps output byte-stable
+NEWTON_STEPS = 20            # cap on the Newton steps per Gauss-Legendre node
 
 CONFIG_KEYS = {
     "mass_kg": "mass",
@@ -114,14 +115,44 @@ class ScenarioReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on P_n from Tricomi's x = (1 - 1/(8 n^2) + 1/(8 n^3))
+    cos(pi (i - 1/4)/(n + 1/2)) finds each root of the upper half to
+    rounding in 2-4 steps, and the lower half mirrors it. The weight is
+    2/((1 - x^2) P_n'(x)^2), with P_n and P_n' from the three-term recurrence.
+    """
+    def legendre(x):
+        p0, p1 = 1.0, x
+        for m in range(2, n + 1):
+            p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+        return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+    upper = []
+    for i in range(1, n // 2 + 1):
+        x = (1.0 - (1.0 - 1.0 / n) / (8.0 * n * n)) * math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(NEWTON_STEPS):
+            value, slope = legendre(x)
+            x -= value / slope
+            if abs(value / slope) <= sys.float_info.epsilon:
+                break
+        slope = legendre(x)[1]
+        upper.append((x, 2.0 / ((1.0 - x * x) * slope * slope)))
+    middle = [(0.0, 2.0 / legendre(0.0)[1] ** 2)] if n % 2 else []
+    pairs = [(-x, w) for x, w in upper] + middle + upper[::-1]
+    return tuple(x for x, _ in pairs), tuple(w for _, w in pairs)
+
+
 def _pixel_density_integral(p: SourceParams, x_center: float, width: float, t: float) -> float:
     """Normalized density integrated over the pixel, fixed-order quadrature."""
     lo = max(x_center - 0.5 * width, 0.0)
     hi = x_center + 0.5 * width
-    nodes, weights = np.polynomial.legendre.leggauss(PIXEL_QUAD_ORDER)
-    xs = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-    rho = np.abs(kernel(p, xs, t).psi) ** 2
-    return 0.5 * (hi - lo) * float(weights @ rho) / _n_total_cached(p.k0I)
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    nodes, weights = _gauss_legendre(PIXEL_QUAD_ORDER)
+    total = math.fsum(w * abs(kernel(p, half * u + mid, t).psi) ** 2 for u, w in zip(nodes, weights))
+    return half * total / _n_total_cached(p.k0I)
 
 
 def scenario_transition_report(

@@ -553,3 +553,79 @@ def test_exit_code_of_each_error_class(capsys, monkeypatch):
         rc, _, msg = _run(capsys, ["selftest"])
         assert rc == code, type(err).__name__
         assert msg == f"error: {err}\n"
+
+
+# ---------------------------------------------------- numpy-free commands
+
+def test_cli_import_loads_no_numpy():
+    code = "import sys, postexp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    assert _fresh(["-c", code]).strip() == "[]"
+
+
+NUMPY_RUN = """
+import contextlib, io, json, sys
+if {blocked!r}:
+    sys.modules["numpy"] = None   # any import of numpy now fails
+from postexp import cli
+runs = []
+for argv in {argvs!r}:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        runs.append([cli.main(argv), buf.getvalue()])
+print(json.dumps([runs, "numpy" in sys.modules and sys.modules["numpy"] is not None]))
+"""
+
+
+def _numpy_run(argvs, blocked):
+    """[[exit code, stdout], ...] of argvs in a fresh process, and whether numpy loaded."""
+    return json.loads(_fresh(["-c", NUMPY_RUN.format(argvs=argvs, blocked=blocked)]))
+
+
+def test_scalar_commands_run_with_numpy_blocked():
+    argvs = [
+        ["scenario", "--config", "rb87.cfg"],
+        ["transition", "--k0i", "-0.3", "--x-grid", "log:0.05:20:40"],
+        ["transition", "--k0i", "-0.3", "--x-grid", "log:0.05:20:40", "--method", "late_time"],
+        ["critical", "--k0i-grid", "log:-0.9:-0.02:35"],
+    ]
+    blocked, loaded = _numpy_run(argvs, blocked=True)
+    assert not loaded
+    assert [code for code, _ in blocked] == [0] * len(argvs)
+    assert all(out.count("\n") > 30 for _, out in blocked[1:])
+    assert _numpy_run(argvs, blocked=False) == [blocked, False]
+
+
+def test_array_commands_still_load_numpy():
+    argvs = [
+        ["density", "--k0i", "-0.3", "--x", "0.5,2", "--t-grid", "log:1:5:3"],
+        ["lattice", "--delta", "0.3", "--sites", "1,5", "--t-max", "40"],
+        ["selftest"],
+    ]
+    runs, loaded = _numpy_run(argvs, blocked=False)
+    assert loaded
+    assert [code for code, _ in runs] == [0, 0, 0]
+    assert runs[2][1].count("PASS") == len(cli.SELFTEST_CHECKS)
+
+
+def test_parse_grid_matches_numpy_spacing():
+    # lin: is numpy.linspace's rounding exactly; log: computes log10 and 10^y
+    # with libm, which may differ from numpy's by an ulp, so it is held to
+    # relative 1e-13 with both ends exact
+    import random
+
+    import numpy as np
+
+    rng = random.Random(20261019)
+    for _ in range(1000):
+        n = rng.randint(2, 400)
+        a = rng.uniform(-50.0, 50.0)
+        b = a + rng.uniform(1e-3, 100.0)
+        assert cli.parse_grid(f"lin:{a!r}:{b!r}:{n}", "g") == np.linspace(a, b, n).tolist()
+        lo = rng.uniform(-8.0, 8.0)
+        a, b = 10.0 ** lo, 10.0 ** (lo + rng.uniform(0.01, 12.0))
+        if rng.random() < 0.5:
+            a, b = -b, -a
+        got = cli.parse_grid(f"log:{a!r}:{b!r}:{n}", "g")
+        want = np.geomspace(a, b, n)
+        assert got[0] == a and got[-1] == b
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)

@@ -149,3 +149,16 @@ def test_lambertw_m1_branch_point_and_domain():
         with pytest.raises(specfun.LambertWDomainError) as err:
             specfun.lambertw_m1(z)
         assert isinstance(err.value, ValueError)
+
+
+def test_weideman_table_is_its_fft_construction():
+    # the coefficients are written out so that scalar callers need no numpy;
+    # rebuild them from the sampled f(t) = exp(-t^2) (L^2 + t^2)
+    n = 40
+    m = 2 * n
+    scale = math.sqrt(n / math.sqrt(2.0))
+    t = scale * np.tan(np.arange(1 - m, m) * math.pi / (2 * m))
+    f = np.concatenate(([0.0], np.exp(-t * t) * (scale * scale + t * t)))
+    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
+    assert specfun._W_L == scale
+    assert specfun._W_COEF == tuple(a[n:0:-1].tolist())

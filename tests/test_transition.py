@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from postexp import source_model as sm
 from postexp import transition as tr
@@ -415,3 +417,59 @@ def test_transition_at_x_max_meets_critical_distance(k0I):
     res = tr.transition_time(p, x_max)
     assert res.valid
     assert res.t_p == pytest.approx(t_p, rel=1e-6)
+
+
+# ------------------------------------------------- the scalar solve's domain
+
+@st.composite
+def _decay_rate_and_distance(draw):
+    """k0I log-uniform in [-0.9999, -1e-12], x log-uniform in [1e-300, 2 x_max]."""
+    k0I = -10.0 ** draw(st.floats(-12.0, math.log10(0.9999)))
+    top = math.log10(2.0 * tr.max_distance(sm.SourceParams(k0I)))
+    return k0I, 10.0 ** draw(st.floats(-300.0, top))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_decay_rate_and_distance(), st.sampled_from(["exact_ratio", "late_time"]))
+@example((-1e-6, 1e-300), "late_time")
+@example((-1e-12, 1e-300), "late_time")
+@example((-1e-12, 1e-300), "exact_ratio")
+@example((-0.9999, 1e-300), "late_time")
+def test_every_distance_gives_rows_or_a_typed_error(case, method):
+    # scalar math raises OverflowError, ValueError or ZeroDivisionError where
+    # numpy only warned; each must stay out of reach or become the typed error
+    k0I, x = case
+    p = sm.SourceParams(k0I)
+    try:
+        (row,) = tr.transition_times(p, [x], method)
+    except sm.EvaluationDomainError:
+        return
+    assert row.x == x and row.method == method
+    if row.valid:
+        assert x / (2.0 * (1.0 + k0I)) <= row.t_p < math.inf
+        assert 0.0 <= row.density_raw < math.inf
+        assert row.residual <= 1.001 * tr.ROOT_TOL
+    else:
+        assert math.isnan(row.t_p) and math.isnan(row.density_raw)
+
+
+def test_transition_solve_cost_per_distance(monkeypatch):
+    # false position with the Illinois modification closes each bracket in a
+    # few steps; the bisection it replaced took about 45 evaluations per x
+    calls = []
+    log_ratio = tr._log_ratio_sigma
+
+    def counted(*args):
+        calls.append(args[1])
+        return log_ratio(*args)
+
+    monkeypatch.setattr(tr, "_log_ratio_sigma", counted)
+    rows = 0
+    for k0I in (-np.geomspace(0.9999, 1e-12, 25)).tolist():
+        p = sm.SourceParams(k0I)
+        for x in (SWEEP_FRACTIONS * tr.max_distance(p)).tolist():
+            del calls[:]
+            assert tr.transition_time(p, x).valid
+            assert 0 < len(calls) <= 20, (k0I, x / tr.max_distance(p), len(calls))
+            rows += 1
+    assert rows == 650

@@ -149,3 +149,42 @@ def test_config_error_reporting(tmp_path):
         write("ok.cfg", "# header\n\n" + good))
     assert distance is None
     assert scenario.mass == pytest.approx(1.44e-25)
+
+
+def test_pixel_rule_integrates_polynomials_exactly():
+    nodes, weights = units._gauss_legendre(units.PIXEL_QUAD_ORDER)
+    assert len(nodes) == len(weights) == 128
+    assert list(nodes) == sorted(nodes)
+    for k in range(2 * 128):
+        want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        got = sum(w * x ** k for x, w in zip(nodes, weights))
+        assert abs(got - want) <= 1e-14, k
+
+
+def test_pixel_rule_matches_a_40_digit_newton_solve():
+    import mpmath
+
+    n = units.PIXEL_QUAD_ORDER
+    nodes, weights = units._gauss_legendre(n)
+
+    def legendre(x):
+        p0, p1 = mpmath.mpf(1), x
+        for m in range(2, n + 1):
+            p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+        return p1, n * (x * p1 - p0) / (x * x - 1)
+
+    # the rule is symmetric, so the upper half fixes it
+    assert list(nodes) == [-x for x in reversed(nodes)]
+    assert list(weights) == list(reversed(weights))
+    with mpmath.workdps(40):
+        for i in range(1, n // 2 + 1):
+            # the i-th largest root, from its standard first guess
+            x = mpmath.cos(mpmath.pi * (i - mpmath.mpf(0.25)) / (n + mpmath.mpf(0.5)))
+            for _ in range(6):
+                value, slope = legendre(x)
+                x -= value / slope
+            value, slope = legendre(x)
+            assert abs(value / slope) < 1e-35, i
+            w = 2 / ((1 - x * x) * slope * slope)
+            assert abs(nodes[n - i] - float(x)) <= 1e-15, i
+            assert abs(weights[n - i] - float(w)) <= 1e-15, i
