@@ -8,7 +8,9 @@ files. --parallelism is kept for compatibility and has no effect.
 
 Each subcommand imports only the modules it uses. `scenario`, `transition`
 and `critical` compute one point at a time in pure Python and load no
-numpy; `density`, `lattice` and `selftest` work on arrays and import it.
+numpy; so does `density` on grids of at most SCALAR_POINTS points, below
+which numpy's import costs more than the grid. Larger `density` grids,
+`lattice` and `selftest` work on arrays and import it.
 The process runs numpy's BLAS on one thread unless OPENBLAS_NUM_THREADS is
 already set: the computations are single-threaded, and an idle BLAS
 worker only spins.
@@ -37,6 +39,7 @@ from . import __version__
 SCHEMA_VERSION = "1"
 LATTICE_SUMMARY_HORIZON = 220.0   # envelope fits need this much time to converge
 BLOCK_ROWS = 8192                 # table rows computed and written at a time
+SCALAR_POINTS = 4096              # density grids up to this size skip numpy
 
 
 class UsageError(Exception):
@@ -183,41 +186,74 @@ def emit_table(
 # --------------------------------------------------------------- commands
 
 def cmd_density(args) -> int:
-    import numpy as np
-
     from . import source_model
 
     k0I = check_k0i(args.k0i)
-    xs = np.array(parse_grid(args.x, "--x"))
-    ts = np.array(parse_grid(args.t_grid, "--t-grid"))
+    xs = parse_grid(args.x, "--x")
+    ts = parse_grid(args.t_grid, "--t-grid")
     if xs[0] < 0.0:
         raise UsageError("--x: positions must be >= 0")
     if ts[0] <= 0.0:
         raise UsageError("--t-grid: times must be > 0")
     p = source_model.SourceParams(k0I)
-    n_total = p.n_total
-    x_cells, t_cells = (np.array(_fmt_column(g), dtype=object) for g in (xs, ts))
-
-    def blocks():
-        # rows run x-major over the flattened (x, t) grid
-        for lo in range(0, xs.size * ts.size, BLOCK_ROWS):
-            ix, it = np.divmod(np.arange(lo, min(lo + BLOCK_ROWS, xs.size * ts.size)), ts.size)
-            x, t = xs[ix], ts[it]
-            w = source_model.kernel(p, x, t)
-            rho, saddle, pole = np.abs(w.psi) ** 2, np.abs(w.saddle), np.abs(w.pole)
-            # R = |pole|/|saddle|; nan at x = 0 and on the saddle's singular locus
-            ratio = np.divide(pole, saddle, out=np.full(x.shape, math.nan), where=x > 0.0)
-            yield (_Indexed(xs, x_cells, ix), _Indexed(ts, t_cells, it),
-                   rho, saddle ** 2, pole ** 2, w.pole_crossed, ratio, rho / n_total)
-
+    # up to SCALAR_POINTS, one point at a time costs less than importing numpy
+    table = _density_points if len(xs) * len(ts) <= SCALAR_POINTS else _density_arrays
     emit_table(
         args,
         "density",
         {"k0i": k0I, "x": args.x, "t_grid": args.t_grid},
         ["x", "t", "rho_exact", "rho_saddle", "rho_pole", "pole_crossed", "R", "rho_normalized"],
-        blocks(),
+        table(p, xs, ts),
     )
     return 0
+
+
+def _density_points(p, xs: List[float], ts: List[float]):
+    """The density table as one block of Python columns, one kernel call per
+    point, x-major; the whole grid is computed before it is yielded, so an
+    error leaves only the header written, as in _density_arrays."""
+    from .source_model import kernel
+
+    n_total = p.n_total
+    rows = []
+    for x in xs:
+        for t in ts:
+            w = kernel(p, x, t)
+            mod, saddle, pole = abs(w.psi), abs(w.saddle), abs(w.pole)
+            # R = |pole|/|saddle| as IEEE division gives it; nan at x = 0
+            if x == 0.0:
+                ratio = math.nan
+            elif saddle == 0.0:
+                ratio = math.inf if pole > 0.0 else math.nan
+            else:
+                ratio = pole / saddle
+            rho = mod * mod
+            rows.append((x, t, rho, saddle * saddle, pole * pole, w.pole_crossed, ratio,
+                         rho / n_total))
+    yield tuple(zip(*rows))
+
+
+def _density_arrays(p, xs: List[float], ts: List[float]):
+    """The density table in numpy blocks of BLOCK_ROWS rows."""
+    import numpy as np
+
+    from .source_model import kernel
+
+    xs, ts = np.array(xs), np.array(ts)
+    n_total = p.n_total
+    x_cells, t_cells = (np.array(_fmt_column(g), dtype=object) for g in (xs, ts))
+    # rows run x-major over the flattened (x, t) grid
+    for lo in range(0, xs.size * ts.size, BLOCK_ROWS):
+        ix, it = np.divmod(np.arange(lo, min(lo + BLOCK_ROWS, xs.size * ts.size)), ts.size)
+        x, t = xs[ix], ts[it]
+        w = kernel(p, x, t)
+        rho, saddle, pole = np.abs(w.psi) ** 2, np.abs(w.saddle), np.abs(w.pole)
+        # R = |pole|/|saddle|; nan at x = 0 and on the saddle's singular
+        # locus, inf where the saddle underflows to 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.divide(pole, saddle, out=np.full(x.shape, math.nan), where=x > 0.0)
+        yield (_Indexed(xs, x_cells, ix), _Indexed(ts, t_cells, it),
+               rho, saddle ** 2, pole ** 2, w.pole_crossed, ratio, rho / n_total)
 
 
 def cmd_transition(args) -> int:
@@ -319,7 +355,10 @@ def _lattice_summary(delta: float, sites: List[int], t_max: float) -> Dict[str, 
     summary: Dict[str, object] = {"delta": delta}
     if delta < 1.0:
         summary["gamma_formula"] = p_res.gamma
-        summary["fitted_gamma"] = lat.fitted_decay_rate(p_res, n=1)
+        try:
+            summary["fitted_gamma"] = lat.fitted_decay_rate(p_res, n=1)
+        except lat.InsufficientWindowError:
+            summary["fitted_gamma"] = math.nan   # from delta ~0.81: no window before 12/gamma
     else:
         summary["gamma_formula"] = math.nan
         summary["fitted_gamma"] = math.nan
@@ -472,7 +511,7 @@ def _add_common(sp) -> None:
         "--parallelism",
         type=int,
         default=os.cpu_count() or 1,
-        help="kept for compatibility; has no effect (grids are single-process numpy blocks)",
+        help="kept for compatibility; has no effect (grids run in one process)",
     )
 
 

@@ -291,12 +291,15 @@ def fitted_decay_rate(
     """Exponential rate of |c_n|^2 from a linear fit of its log over the window.
 
     The default window ends at 12/gamma, before the power-law tail starts
-    contaminating the fit.
+    contaminating the fit. From delta ~0.81 on, 12/gamma comes less than ten
+    envelope steps after the start at t = 5, or before it; a window that
+    short raises InsufficientWindowError.
     """
     if window is None:
-        window = (5.0, min(12.0 / p.gamma, 0.9 * p.t_max))
+        lo = 5.0
+        window = (lo, max(lo, min(12.0 / p.gamma, 0.9 * p.t_max)))
     lo, hi = window
-    if not (0.0 <= lo < hi <= p.t_max):
+    if not (0.0 <= lo <= hi <= p.t_max):
         raise ValueError(f"window {window!r} outside [0, t_max]")
     if hi - lo < 10.0 * ENVELOPE_STEP:
         raise InsufficientWindowError(f"window {window!r} too short for a rate fit")

@@ -22,6 +22,10 @@ SQRT_PI = math.sqrt(math.pi)
 # saddle form (the exact evaluator is fine there, the asymptotics are not)
 SADDLE_SINGULAR_TOL = 1e-12
 
+# the kernel squares t, x and k_s = x/(2t) and multiplies two such squares;
+# below this scale none of those products overflows
+SCALE_LIMIT = 1e150
+
 
 class EvaluationDomainError(Exception):
     """Exact evaluation left double precision at some (x, t)."""
@@ -146,15 +150,22 @@ def kernel(p: SourceParams, x, t, exact: bool = True, derivative: bool = False) 
 
     x < 0, t <= 0 and non-finite inputs raise ValueError; a value that
     leaves double precision raises EvaluationDomainError at the first
-    offending point (flat order), never inf or nan.
+    offending point (flat order), never inf or nan. Scalars and arrays
+    refuse the same points with the same message.
     """
     i = specfun.first_false((x >= 0.0) & (x < math.inf) & (t > 0.0) & (t < math.inf))
     if i is not None:
         raise ValueError(f"need finite x >= 0 and t > 0, got (x, t) = {_point(x, t, i)}")
-    # |pole| = e^{k0I (2t - x)} overflows far beyond the front
-    i = specfun.first_false(p.k0I * (2.0 * t - x) <= specfun.OVERFLOW_LIMIT)
+    # |pole| = e^{k0I (2t - x)} overflows far beyond the front; halved, the
+    # test is the same in binary and cannot overflow itself
+    i = specfun.first_false((p.k0I * (t - 0.5 * x) <= 0.5 * specfun.OVERFLOW_LIMIT)
+                            & (t < SCALE_LIMIT) & (x < SCALE_LIMIT)
+                            & (x / (2.0 * SCALE_LIMIT) < t))
     if i is not None:
-        raise EvaluationDomainError(*_point(x, t, i), "pole part overflows")
+        xi, ti = _point(x, t, i)
+        reason = ("pole part overflows" if p.k0I * (ti - 0.5 * xi) > 0.5 * specfun.OVERFLOW_LIMIT
+                  else f"t, x or x/(2t) >= {SCALE_LIMIT!r}, where products of squares overflow")
+        raise EvaluationDomainError(xi, ti, reason)
     # one arithmetic for both; math/cmath are the faster choice for scalars
     grid = specfun._is_array(x, t)
     if grid:
@@ -167,11 +178,16 @@ def kernel(p: SourceParams, x, t, exact: bool = True, derivative: bool = False) 
     u_plus, u_minus, tau = _u_pair(k0, x, t, sqrt)
     k_s = x / (2.0 * t)
     phase = exp(1j * k_s * k_s * t)
-    # Im(tau^2) != 0 for x > 0 and tau = 0 at x = 0, so this never divides by 0
+    # masked before dividing: t^2 and tau^2 may both underflow to 0
     t2mtau2 = t * t - tau * tau
-    saddle = sqrt(2.0 * t / math.pi) * tau * phase / ((1j - 1.0) * k0 * t2mtau2)
     singular = abs(t2mtau2) < SADDLE_SINGULAR_TOL
-    saddle = np.where(singular, math.nan, saddle) if grid else (math.nan if singular else saddle)
+    num = sqrt(2.0 * t / math.pi) * tau * phase
+    den = (1j - 1.0) * k0 * t2mtau2
+    if grid:
+        saddle = np.divide(num, den, out=np.full(np.shape(den), complex(math.nan)),
+                           where=~singular)
+    else:
+        saddle = math.nan if singular else num / den
     # e^{-i k0^2 t + i k0 x} = phase e^{k0I (2t - x) + i (k0I^2 t - (x - 2t)^2/(4t))}:
     # sharing the saddle's phase keeps rounding of size x out of their relative phase
     k = p.k0I

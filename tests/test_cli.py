@@ -184,6 +184,21 @@ def test_lattice_summary_without_an_exponential_window(capsys):
     assert s["transition_time_site_10"] == pytest.approx(10.184971, abs=1e-6)
 
 
+@pytest.mark.parametrize("delta", [0.81, 0.85, 0.9, 0.99])
+def test_lattice_summary_at_strong_coupling(capsys, delta):
+    # 12/gamma falls before the rate fit's start at t = 5: no fitted rate,
+    # the rest of the summary as at weak coupling
+    rc, out, _ = _run(capsys, ["lattice", "--delta", str(delta), "--sites", "1,5",
+                               "--t-max", "40", "--format", "json"])
+    assert rc == 0
+    s = json.loads(out)["summary"]
+    assert s["gamma_formula"] == pytest.approx(2.0 * delta ** 2 / math.sqrt(1.0 - delta ** 2),
+                                               rel=1e-12)
+    assert s["fitted_gamma"] is None
+    assert s["tail_exponent"] == pytest.approx(-3.0, abs=0.1)
+    assert 0.0 < s["transition_time_site_5"] < 40.0
+
+
 def test_lattice_band_edge_summary(capsys):
     rc, out, _ = _run(capsys, ["lattice", "--delta", "1", "--sites", "1",
                                "--t-max", "40", "--format", "json"])
@@ -332,12 +347,17 @@ def _bytes(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", STREAMED)
-def test_small_blocks_give_identical_bytes(capsys, monkeypatch, argv):
-    whole = _bytes(capsys, argv)
-    whole_json = _bytes(capsys, argv + ["--format", "json"])
-    monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
-    assert _bytes(capsys, argv) == whole
-    assert _bytes(capsys, argv + ["--format", "json"]) == whole_json
+def test_small_blocks_give_identical_bytes(capsys, argv):
+    # the density grid is small enough for the scalar path; SCALAR_POINTS = 0
+    # sends it through the array path's blocks
+    for scalar_points in (cli.SCALAR_POINTS, 0):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(cli, "SCALAR_POINTS", scalar_points)
+            whole = _bytes(capsys, argv)
+            whole_json = _bytes(capsys, argv + ["--format", "json"])
+            m.setattr(cli, "BLOCK_ROWS", 7)
+            assert _bytes(capsys, argv) == whole
+            assert _bytes(capsys, argv + ["--format", "json"]) == whole_json
     rows = [line.split(",") for line in whole.splitlines()[1:]]
     assert len(rows) % 7 != 0
     assert any(cell == "nan" for row in rows for cell in row)
@@ -346,6 +366,80 @@ def test_small_blocks_give_identical_bytes(capsys, monkeypatch, argv):
         assert all(row[6] == "nan" for row in rows if row[0] == "0.0")
     else:
         assert {row[4] for row in rows} == {"0", "1"}
+
+
+# ------------------------------------------------- density: two paths
+
+def _load_workloads():
+    import importlib.util
+
+    root = os.path.dirname(os.path.dirname(os.path.dirname(cli.__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(root, "perfbench", "workloads.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+SCAN_DENSITY = [argv for seed in range(1, 11)
+                for argv in _load_workloads().argv_lists("scan", seed) if argv[0] == "density"]
+
+
+def _both_paths(capsys, monkeypatch, argv):
+    """(exit code, stdout, stderr) of argv on the scalar and on the array path."""
+    runs = []
+    for scalar_points in (10 ** 9, 0):
+        monkeypatch.setattr(cli, "SCALAR_POINTS", scalar_points)
+        runs.append(_run(capsys, argv))
+    return runs
+
+
+EDGE_DENSITY = [
+    # t^2 and tau^2 underflow to 0: the saddle is singular, rho_saddle and R nan
+    ["density", "--k0i", "-0.3", "--x", "1e-200", "--t-grid", "1e-170"],
+    # the saddle underflows to 0: R is inf
+    ["density", "--k0i", "-0.3", "--x", "5e-324", "--t-grid", "1"],
+]
+
+
+NEAR_UNIT = ["density", "--k0i", "-0.999", "--x", "0,0.001,0.015,0.5", "--t-grid", "log:100:1e6:30"]
+
+
+@pytest.mark.parametrize("argv", SCAN_DENSITY + STREAMED[:1] + [NEAR_UNIT] + EDGE_DENSITY)
+def test_density_paths_agree(capsys, monkeypatch, argv):
+    # the scalar and numpy Faddeeva sums agree to a few ulps, not bit for bit;
+    # rho is bounded through |psi|, as O(1) terms cancel in it near k0I = -1
+    # (NEAR_UNIT: rho ~ 2e-26 at x 0.001, t 1e6 differs by 3e-7 relative)
+    (rc_s, out_s, err_s), (rc_a, out_a, err_a) = _both_paths(capsys, monkeypatch, argv)
+    assert rc_s == rc_a == 0 and err_s == err_a == ""
+    head_s, *rows_s = out_s.splitlines()
+    head_a, *rows_a = out_a.splitlines()
+    assert head_s == head_a and len(rows_s) == len(rows_a) > 0
+    for row_s, row_a in zip(rows_s, rows_a):
+        s, a = row_s.split(","), row_a.split(",")
+        assert s[:2] == a[:2] and s[5] == a[5], (row_s, row_a)
+        for j in (2, 3, 4, 6, 7):
+            fs, fa = float(s[j]), float(a[j])
+            if not (math.isfinite(fs) and math.isfinite(fa)):
+                assert s[j] == a[j], (row_s, row_a)
+            elif j in (2, 7):
+                assert abs(math.sqrt(fs) - math.sqrt(fa)) <= 1e-14, (row_s, row_a)
+            else:
+                assert abs(fs - fa) <= 1e-14 * abs(fa), (row_s, row_a)
+
+
+def test_density_edges_on_both_paths(capsys, monkeypatch):
+    for argv, want in zip(EDGE_DENSITY, (("nan", "nan"), ("0.0", "inf"))):
+        for _, out, _ in _both_paths(capsys, monkeypatch, argv):
+            row = out.splitlines()[1].split(",")
+            assert (row[3], row[6]) == want
+    # t^2 overflows at the second point: a typed error and only the header
+    argv = ["density", "--k0i", "-0.3", "--x", "0.5", "--t-grid", "1,1e300"]
+    scalar, array = _both_paths(capsys, monkeypatch, argv)
+    assert scalar == array
+    assert scalar == (1, "x,t,rho_exact,rho_saddle,rho_pole,pole_crossed,R,rho_normalized\n",
+                      "error: evaluation domain error at (x=0.5, t=1e+300): "
+                      "t, x or x/(2t) >= 1e+150, where products of squares overflow\n")
 
 
 @pytest.mark.parametrize("argv", STREAMED)
@@ -587,12 +681,22 @@ def test_scalar_commands_run_with_numpy_blocked():
         ["transition", "--k0i", "-0.3", "--x-grid", "log:0.05:20:40"],
         ["transition", "--k0i", "-0.3", "--x-grid", "log:0.05:20:40", "--method", "late_time"],
         ["critical", "--k0i-grid", "log:-0.9:-0.02:35"],
+        # density grids up to SCALAR_POINTS points
+        ["density", "--k0i", "-0.3", "--x", "0.5,3,7", "--t-grid", "log:0.3:150:100"],
+        ["density", "--k0i", "-0.3", "--x", "0,0.5,3", "--t-grid", "1,2,3,4,5,6,7,8,9,10,11"],
     ]
     blocked, loaded = _numpy_run(argvs, blocked=True)
     assert not loaded
     assert [code for code, _ in blocked] == [0] * len(argvs)
     assert all(out.count("\n") > 30 for _, out in blocked[1:])
     assert _numpy_run(argvs, blocked=False) == [blocked, False]
+
+
+def test_density_loads_numpy_only_above_scalar_points():
+    for n_t, numpy_loaded in ((cli.SCALAR_POINTS, False), (cli.SCALAR_POINTS + 1, True)):
+        argv = ["density", "--k0i", "-0.3", "--x", "3", "--t-grid", f"log:0.3:150:{n_t}"]
+        runs, loaded = _numpy_run([argv + ["--out", os.devnull]], blocked=False)
+        assert runs == [[0, ""]] and loaded == numpy_loaded
 
 
 def test_array_commands_still_load_numpy():

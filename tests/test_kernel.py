@@ -159,3 +159,45 @@ def test_saddle_nan_only_on_singular_locus(p03):
     w = sm.kernel(p03, np.array([x, x]), np.array([abs(tau), 1.0]))
     assert math.isnan(w.saddle[0].real) and not math.isnan(w.saddle[1].real)
     assert np.all(np.isfinite(w.psi))
+
+
+def _outcome(p, x, t):
+    """(psi, saddle, pole) of the kernel at one point, or its error message."""
+    try:
+        w = sm.kernel(p, x, t)
+    except sm.EvaluationDomainError as err:
+        return str(err)
+    return tuple(complex(np.ravel(v)[0]) for v in (w.psi, w.saddle, w.pole))
+
+
+@pytest.mark.parametrize("x, t", [
+    (1e-200, 1e-170),   # t^2 and tau^2 underflow to 0: singular, saddle nan
+    (5e-324, 1.0),      # the saddle underflows to 0
+    (1.0, 1e300),       # t^2 overflows
+    (1.0, 1e154),       # (x - 2t)^2 overflows
+    (1.0, 1e-160),      # k_s^2 = (x/2t)^2 overflows
+])
+def test_scalar_and_array_agree_at_the_edges(p03, x, t):
+    # no ZeroDivisionError, OverflowError or silent nan: each edge gives a
+    # value or the same typed error on both branches
+    scalar = _outcome(p03, x, t)
+    array = _outcome(p03, np.array([x]), np.array([t]))
+    if isinstance(scalar, str):
+        assert scalar == array
+        assert scalar.startswith(f"evaluation domain error at (x={x!r}, t={t!r})")
+        return
+    np.testing.assert_allclose(scalar, array, rtol=1e-15, atol=0.0)
+    assert np.isfinite(scalar[0]) and np.isfinite(scalar[2])
+    assert np.isnan(scalar[1]) == (x == 1e-200)
+
+
+def test_first_offending_point_is_the_same_on_both_branches(p03):
+    # a pole overflow after a scale overflow in flat order: both branches
+    # name the scale point, as a point-by-point loop meets it first
+    xs = np.array([1.0, 1.0, 5000.0])
+    ts = np.array([1.0, 1e-160, 1.0])
+    with pytest.raises(sm.EvaluationDomainError) as err:
+        sm.kernel(p03, xs, ts)
+    assert (err.value.x, err.value.t) == (1.0, 1e-160)
+    assert str(err.value) == _outcome(p03, 1.0, 1e-160)
+    assert "pole part overflows" in _outcome(p03, 5000.0, 1.0)

@@ -78,6 +78,16 @@ def test_fitted_decay_rate_matches_formula():
         assert abs(fitted - p.gamma) / p.gamma < 0.05
 
 
+@pytest.mark.parametrize("delta", [0.81, 0.9])
+def test_fitted_decay_rate_default_window_too_short(delta):
+    # 12/gamma is within ten steps of t = 5 (0.81) or before it (0.9)
+    p = lat.LatticeParams.for_horizon(delta, 60.0)
+    with pytest.raises(lat.InsufficientWindowError):
+        lat.fitted_decay_rate(p, n=1)
+    with pytest.raises(ValueError):
+        lat.fitted_decay_rate(p, n=1, window=(5.0, 3.0))
+
+
 def test_tail_exponent_band():
     p = lat.LatticeParams.for_horizon(0.4, 400.0)
     slope = lat.tail_exponent(p, 1, window=(80.0, 380.0))
