@@ -17,7 +17,7 @@ worker only spins.
 
 Exit codes: 0 success; 2 usage error or invalid input (bad flags, grids,
 config values, unrepresentable scenarios); 1 computation failure
-(evaluation domain, singular configuration, envelope window, I/O).
+(evaluation domain, envelope window, I/O).
 """
 
 from __future__ import annotations
@@ -98,9 +98,6 @@ def check_k0i(value: float) -> float:
 
 
 def _json_safe(v):
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(v, np.generic):
-        v = v.item()   # a numpy scalar as its Python value
     if isinstance(v, (bool, int)):
         return v
     if isinstance(v, float):
@@ -248,8 +245,7 @@ def _density_arrays(p, xs: List[float], ts: List[float]):
         x, t = xs[ix], ts[it]
         w = kernel(p, x, t)
         rho, saddle, pole = np.abs(w.psi) ** 2, np.abs(w.saddle), np.abs(w.pole)
-        # R = |pole|/|saddle|; nan at x = 0 and on the saddle's singular
-        # locus, inf where the saddle underflows to 0
+        # R = |pole|/|saddle|; nan at x = 0, inf where the saddle underflows to 0
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.divide(pole, saddle, out=np.full(x.shape, math.nan), where=x > 0.0)
         yield (_Indexed(xs, x_cells, ix), _Indexed(ts, t_cells, it),
@@ -309,9 +305,9 @@ def cmd_lattice(args) -> int:
         raise UsageError("--sites: need site indices >= 1")
     if args.t_max <= 0.0:
         raise UsageError("--t-max must be positive")
-    n_sites = args.n_sites if args.n_sites is not None else lat.required_sites(args.t_max) + 20
     try:
-        p = lat.LatticeParams(delta=args.delta, n_sites=n_sites, t_max=args.t_max)
+        p = (lat.LatticeParams.for_horizon(args.delta, args.t_max) if args.n_sites is None
+             else lat.LatticeParams(delta=args.delta, n_sites=args.n_sites, t_max=args.t_max))
     except lat.TruncationUnsoundError as err:
         raise UsageError(str(err)) from None
     if max(sites) > p.n_sites:
@@ -568,7 +564,6 @@ def _add_common_noop(sp) -> None:
 USAGE_ERRORS = ("lattice.TruncationUnsoundError", "units.ScenarioUnrepresentableError")
 FAILURES = (
     "source_model.EvaluationDomainError",
-    "source_model.SingularConfigurationError",
     "lattice.InsufficientWindowError",
 )
 

@@ -91,8 +91,9 @@ class LatticeParams:
             raise TruncationUnsoundError(required, self.n_sites, self.t_max)
 
     @classmethod
-    def for_horizon(cls, delta: float, t_max: float, margin: int = 40) -> "LatticeParams":
-        return cls(delta=delta, n_sites=int(math.ceil(2.0 * t_max)) + margin, t_max=t_max)
+    def for_horizon(cls, delta: float, t_max: float) -> "LatticeParams":
+        """The chain for this horizon, twice the reflection margin past 2 t_max."""
+        return cls(delta=delta, n_sites=required_sites(t_max) + REFLECTION_MARGIN, t_max=t_max)
 
     @property
     def alpha_sq(self) -> float:

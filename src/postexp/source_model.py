@@ -10,17 +10,14 @@ saddle (algebraic) part plus a conditionally present pole (resonance) part.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Optional, Tuple
+from typing import Any, NamedTuple, Tuple
 
 from . import specfun
 
 SQRT_PI = math.sqrt(math.pi)
-
-# |t^2 - tau^2| below this is treated as the singular locus of the
-# saddle form (the exact evaluator is fine there, the asymptotics are not)
-SADDLE_SINGULAR_TOL = 1e-12
 
 # the kernel squares t, x and k_s = x/(2t) and multiplies two such squares;
 # below this scale none of those products overflows
@@ -34,10 +31,6 @@ class EvaluationDomainError(Exception):
         self.x = x
         self.t = t
         super().__init__(f"evaluation domain error at (x={x!r}, t={t!r}): {reason}")
-
-
-class SingularConfigurationError(Exception):
-    """Asymptotic form requested on (or too near) its singular locus t = |tau|."""
 
 
 @dataclass(frozen=True)
@@ -95,12 +88,12 @@ class SpaceTimePoint:
 class WaveDecomposition:
     """Exact value plus its asymptotic ingredients at one (x, t).
 
-    psi_saddle is None on the singular locus |t^2 - tau^2| < 1e-12 where
-    the algebraic form diverges; psi_exact is always filled.
+    tau = x/(2 k0) is the complex traversal time and k_saddle = x/(2t) the
+    stationary wavenumber; every field is finite.
     """
 
     psi_exact: complex
-    psi_saddle: Optional[complex]
+    psi_saddle: complex
     psi_pole: complex
     pole_crossed: bool
     u_plus: complex
@@ -113,7 +106,7 @@ class Wave(NamedTuple):
     """kernel output: arrays of the broadcast (x, t) shape, or scalars."""
 
     psi: Any            # exact value; None when exact=False
-    saddle: Any         # algebraic part; nan on |t^2 - tau^2| < 1e-12
+    saddle: Any         # algebraic part, finite: its poles k_s = +-k0 are off the real axis
     pole: Any           # resonance part e^{-i omega0 t} e^{i k0 x}, unconditional
     pole_crossed: Any   # t > x/(2(1 + k0I)), i.e. Im u_+ > 0
     dpsi_dx: Any        # d psi/dx; None unless derivative=True
@@ -124,10 +117,10 @@ def pole_crossing_time(p: SourceParams, x):
     return x / (2.0 * (1.0 + p.k0I))
 
 
-def _u_pair(k0: complex, x, t, sqrt=math.sqrt):
-    tau = x / (2.0 * k0)
-    pref = (1.0 + 1j) * sqrt(t / 2.0) * k0
-    return pref * (1.0 - tau / t), -pref * (1.0 + tau / t), tau
+def _u_pair(k0: complex, k_s, t, sqrt=math.sqrt):
+    """u_+- = +-(1 + i) sqrt(t/2) (k0 -+ k_s)."""
+    pref = (1.0 + 1j) * sqrt(t / 2.0)
+    return pref * (k0 - k_s), -pref * (k0 + k_s)
 
 
 def _point(x, t, i: int) -> Tuple[float, float]:
@@ -143,10 +136,13 @@ def kernel(p: SourceParams, x, t, exact: bool = True, derivative: bool = False) 
     """The wavefunction and its asymptotic parts over broadcast (x, t).
 
     psi = (1/2) e^{i k_s^2 t} [w(-u_+) + w(-u_-)], one vectorized w call per
-    branch; k_s = x/(2t) is the stationary wavenumber, tau = x/(2 k0) the
-    complex traversal time. exact=False skips w for callers that need only
-    the saddle and pole parts. derivative adds d psi/dx through
-    w'(z) = -2 z w(z) + 2i/sqrt(pi) and du_+-/dx = -(1+i)/(2 sqrt(2t)).
+    branch, with k_s = x/(2t) the stationary wavenumber and
+    u_+- = +-(1 + i) sqrt(t/2) (k0 -+ k_s). The saddle part is
+    sqrt(2/pi) t^{-1/2} e^{i k_s^2 t} k_s / ((i - 1)(k0 - k_s)(k0 + k_s)):
+    |k0 - k_s| >= |k0I| and |k0 + k_s| >= 1, so its denominator never
+    vanishes. exact=False skips w for callers that need only the saddle and
+    pole parts. derivative adds d psi/dx through w'(z) = -2 z w(z) + 2i/sqrt(pi)
+    and du_+-/dx = -(1+i)/(2 sqrt(2t)).
 
     x < 0, t <= 0 and non-finite inputs raise ValueError; a value that
     leaves double precision raises EvaluationDomainError at the first
@@ -167,27 +163,25 @@ def kernel(p: SourceParams, x, t, exact: bool = True, derivative: bool = False) 
                   else f"t, x or x/(2t) >= {SCALE_LIMIT!r}, where products of squares overflow")
         raise EvaluationDomainError(xi, ti, reason)
     # one arithmetic for both; math/cmath are the faster choice for scalars
-    grid = specfun._is_array(x, t)
-    if grid:
+    if specfun._is_array(x, t):
         import numpy as np
 
-        sqrt, exp = np.sqrt, np.exp
+        sqrt, exp, quiet = np.sqrt, np.exp, np.errstate(over="ignore", invalid="ignore")
     else:
-        sqrt, exp = math.sqrt, cmath.exp
+        sqrt, exp, quiet = math.sqrt, cmath.exp, contextlib.nullcontext()
     k0 = p.k0
-    u_plus, u_minus, tau = _u_pair(k0, x, t, sqrt)
     k_s = x / (2.0 * t)
+    u_plus, u_minus = _u_pair(k0, k_s, t, sqrt)
     phase = exp(1j * k_s * k_s * t)
-    # masked before dividing: t^2 and tau^2 may both underflow to 0
-    t2mtau2 = t * t - tau * tau
-    singular = abs(t2mtau2) < SADDLE_SINGULAR_TOL
-    num = sqrt(2.0 * t / math.pi) * tau * phase
-    den = (1j - 1.0) * k0 * t2mtau2
-    if grid:
-        saddle = np.divide(num, den, out=np.full(np.shape(den), complex(math.nan)),
-                           where=~singular)
-    else:
-        saddle = math.nan if singular else num / den
+    # t^{-1/2} last: t^{-1/2} k_s alone overflows at t ~ 5e-324 with k_s ~ 1e149,
+    # and sqrt(2/(pi t)) at t < 3.5e-309
+    with quiet:
+        saddle = (k_s * phase / ((1j - 1.0) * (k0 - k_s) * (k0 + k_s))
+                  * (math.sqrt(2.0 / math.pi) / sqrt(t)))
+    # only for |k0I| below ~1e-147, where k_s ~ 1 and t is tiny
+    i = specfun.first_false(abs(saddle) < math.inf)
+    if i is not None:
+        raise EvaluationDomainError(*_point(x, t, i), "saddle part overflows")
     # e^{-i k0^2 t + i k0 x} = phase e^{k0I (2t - x) + i (k0I^2 t - (x - 2t)^2/(4t))}:
     # sharing the saddle's phase keeps rounding of size x out of their relative phase
     k = p.k0I
@@ -215,27 +209,23 @@ def evaluate_exact(p: SourceParams, pt: SpaceTimePoint) -> WaveDecomposition:
     the asymptotic split would add it (Im u_+ > 0).
     """
     w = kernel(p, pt.x, pt.t)
-    u_plus, u_minus, tau = _u_pair(p.k0, pt.x, pt.t)
-    saddle = complex(w.saddle)
+    k_s = pt.x / (2.0 * pt.t)
+    u_plus, u_minus = _u_pair(p.k0, k_s, pt.t)
     return WaveDecomposition(
         psi_exact=complex(w.psi),
-        psi_saddle=None if cmath.isnan(saddle) else saddle,
+        psi_saddle=complex(w.saddle),
         psi_pole=complex(w.pole),
         pole_crossed=bool(w.pole_crossed),
         u_plus=u_plus,
         u_minus=u_minus,
-        tau=tau,
-        k_saddle=pt.x / (2.0 * pt.t),
+        tau=pt.x / (2.0 * p.k0),
+        k_saddle=k_s,
     )
 
 
 def evaluate_saddle(p: SourceParams, pt: SpaceTimePoint) -> complex:
-    """Algebraic (steepest-descent) part; diverges on t^2 = tau^2."""
-    saddle = complex(kernel(p, pt.x, pt.t, exact=False).saddle)
-    if cmath.isnan(saddle):
-        raise SingularConfigurationError(f"saddle form singular at (x={pt.x!r}, t={pt.t!r}): "
-                                         f"|t^2 - tau^2| < {SADDLE_SINGULAR_TOL}")
-    return saddle
+    """Algebraic (steepest-descent) part, finite at every t > 0."""
+    return complex(kernel(p, pt.x, pt.t, exact=False).saddle)
 
 
 def evaluate_pole(p: SourceParams, pt: SpaceTimePoint) -> complex:
@@ -246,28 +236,18 @@ def evaluate_pole(p: SourceParams, pt: SpaceTimePoint) -> complex:
 def evaluate_approx(p: SourceParams, pt: SpaceTimePoint) -> complex:
     """Saddle plus pole, the pole included only once Im u_+ > 0."""
     w = kernel(p, pt.x, pt.t, exact=False)
-    return evaluate_saddle(p, pt) + (complex(w.pole) if w.pole_crossed else 0j)
+    return complex(w.saddle) + (complex(w.pole) if w.pole_crossed else 0j)
 
 
 def u_moduli(p: SourceParams, pt: SpaceTimePoint) -> Tuple[float, float]:
-    """Closed-form |u_+| and |u_-|.
+    """Closed-form |u_+| and |u_-|, sqrt(t) |k0 -+ k_s| with k_s = x/(2t).
 
-    |u_+| = sqrt(x |k0|) sqrt(t/(2|tau|) - 1/|k0| + |tau|/(2t)) and |u_-|
-    carries + 1/|k0| instead. Both moduli diverge as t -> 0+ and t -> inf;
-    the |u_+| bracket bottoms out at t = |tau|. At x = 0 the sqrt(x) form
-    degenerates and the moduli come from the definitions directly.
+    Both moduli diverge as t -> 0+ and t -> inf; |u_+| bottoms out at
+    t = |tau|, where k_s = |k0|.
     """
-    x, t = pt.x, pt.t
-    if x == 0.0:
-        u_plus, u_minus, _ = _u_pair(p.k0, x, t)
-        return abs(u_plus), abs(u_minus)
-    abs_k0 = abs(p.k0)
-    abs_tau = x / (2.0 * abs_k0)
-    base = t / (2.0 * abs_tau) + abs_tau / (2.0 * t)
-    scale = math.sqrt(x * abs_k0)
-    mod_plus = scale * math.sqrt(base - 1.0 / abs_k0)
-    mod_minus = scale * math.sqrt(base + 1.0 / abs_k0)
-    return mod_plus, mod_minus
+    k_s = pt.x / (2.0 * pt.t)
+    root_t = math.sqrt(pt.t)
+    return root_t * math.hypot(1.0 - k_s, p.k0I), root_t * math.hypot(1.0 + k_s, p.k0I)
 
 
 def boundary_value(p: SourceParams, t: float) -> complex:

@@ -288,8 +288,7 @@ def critical_density_curve(
     for p in params:
         x_max, t_p = critical_distance(p)
         w = kernel(p, x_max, t_p)
-        # t_p > t_c, so the pole is present; the saddle part is nan on its
-        # singular locus, and so is the approximation
+        # t_p > t_c, so the pole is present
         approx = w.saddle + w.pole
         n = _n_total_cached(p.k0I) if normalized else 1.0
         out.append(CriticalDensityPoint(

@@ -132,16 +132,35 @@ def psi_mpmath_oracle(k0I: float, x: float, t: float):
     raise AssertionError(f"mpmath oracle did not converge at k0I={k0I}, x={x}, t={t}")
 
 
-def approx_mpmath_oracle(k0I: float, x: float, t: float) -> complex:
-    """Saddle plus pole at the exact double inputs, by mpmath at 40 digits:
-    sqrt(2t/pi) tau e^{i x^2/(4t)} / ((i - 1) k0 (t^2 - tau^2)) + e^{-i k0^2 t + i k0 x}."""
+def _saddle_mpc(k0, xm, tm):
+    """sqrt(2t/pi) tau e^{i x^2/(4t)} / ((i - 1) k0 (t^2 - tau^2)), tau = x/(2 k0)."""
+    tau = xm / (2 * k0)
+    return (mpmath.sqrt(2 * tm / mpmath.pi) * tau * mpmath.exp(1j * xm * xm / (4 * tm))
+            / (mpmath.mpc(-1, 1) * k0 * (tm * tm - tau * tau)))
+
+
+def saddle_mpmath_oracle(k0I: float, x: float, t: float):
+    """The saddle part at the exact double inputs, by mpmath at 40 digits in
+    the tau form, with its condition number.
+
+    mpmath's exponent range holds t^2 - tau^2 where doubles underflow. A
+    double evaluation carries the rounding of k_s = x/(2t) into the phase
+    x^2/(4t) and, amplified by t/|t - tau|, into the denominator; so
+    kappa = max(1, t/|t - tau|, x^2/(4t)).
+    """
     with mpmath.workdps(40):
         k0 = mpmath.mpc(1, k0I)
         xm, tm = mpmath.mpf(x), mpmath.mpf(t)
-        tau = xm / (2 * k0)
-        saddle = (mpmath.sqrt(2 * tm / mpmath.pi) * tau * mpmath.exp(1j * xm * xm / (4 * tm))
-                  / (mpmath.mpc(-1, 1) * k0 * (tm * tm - tau * tau)))
-        return complex(saddle + mpmath.exp(-1j * k0 * k0 * tm + 1j * k0 * xm))
+        kappa = max(1, tm / abs(tm - xm / (2 * k0)), xm * xm / (4 * tm))
+        return complex(_saddle_mpc(k0, xm, tm)), float(kappa)
+
+
+def approx_mpmath_oracle(k0I: float, x: float, t: float) -> complex:
+    """Saddle plus pole e^{-i k0^2 t + i k0 x} at the exact double inputs, at 40 digits."""
+    with mpmath.workdps(40):
+        k0 = mpmath.mpc(1, k0I)
+        xm, tm = mpmath.mpf(x), mpmath.mpf(t)
+        return complex(_saddle_mpc(k0, xm, tm) + mpmath.exp(-1j * k0 * k0 * tm + 1j * k0 * xm))
 
 
 def log_ratio_oracle(k0I: float, x: float, t):

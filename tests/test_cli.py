@@ -11,7 +11,7 @@ import pytest
 
 from postexp import cli
 
-from conftest import max_log_ratio_after_pole, psi_mpmath_oracle
+from conftest import max_log_ratio_after_pole, psi_mpmath_oracle, saddle_mpmath_oracle
 
 
 def _schema(name):
@@ -395,10 +395,12 @@ def _both_paths(capsys, monkeypatch, argv):
 
 
 EDGE_DENSITY = [
-    # t^2 and tau^2 underflow to 0: the saddle is singular, rho_saddle and R nan
+    # t^2 and tau^2 underflow to 0, the saddle does not
     ["density", "--k0i", "-0.3", "--x", "1e-200", "--t-grid", "1e-170"],
     # the saddle underflows to 0: R is inf
     ["density", "--k0i", "-0.3", "--x", "5e-324", "--t-grid", "1"],
+    # k_s = 1: |t^2 - tau^2| = 5e-15 t^2, and rho_saddle is 1.6e21
+    ["density", "--k0i=-1e-10", "--x", "0.01", "--t-grid", "0.005"],
 ]
 
 
@@ -428,11 +430,19 @@ def test_density_paths_agree(capsys, monkeypatch, argv):
                 assert abs(fs - fa) <= 1e-14 * abs(fa), (row_s, row_a)
 
 
+def _saddle_columns(k0I, x, t):
+    """rho_saddle = |saddle|^2 and R = |pole|/|saddle|, |pole| = e^{k0I (2t - x)}."""
+    mod = abs(saddle_mpmath_oracle(k0I, x, t)[0])
+    return mod * mod, math.exp(k0I * (2.0 * t - x)) / mod
+
+
 def test_density_edges_on_both_paths(capsys, monkeypatch):
-    for argv, want in zip(EDGE_DENSITY, (("nan", "nan"), ("0.0", "inf"))):
+    wants = (_saddle_columns(-0.3, 1e-200, 1e-170), (0.0, math.inf),
+             _saddle_columns(-1e-10, 0.01, 0.005))
+    for argv, want in zip(EDGE_DENSITY, wants):
         for _, out, _ in _both_paths(capsys, monkeypatch, argv):
             row = out.splitlines()[1].split(",")
-            assert (row[3], row[6]) == want
+            assert [float(row[3]), float(row[6])] == pytest.approx(want, rel=1e-14), argv
     # t^2 overflows at the second point: a typed error and only the header
     argv = ["density", "--k0i", "-0.3", "--x", "0.5", "--t-grid", "1,1e300"]
     scalar, array = _both_paths(capsys, monkeypatch, argv)
@@ -635,7 +645,6 @@ def test_exit_code_of_each_error_class(capsys, monkeypatch):
         (lattice.TruncationUnsoundError(100, 10, 50.0), 2),
         (units.ScenarioUnrepresentableError("k0I <= -1"), 2),
         (source_model.EvaluationDomainError(1.0, 2.0, "overflow"), 1),
-        (source_model.SingularConfigurationError("t = |tau|"), 1),
         (lattice.InsufficientWindowError("short window"), 1),
         (OSError("disk full"), 1),
     ]

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from postexp import source_model as sm
 from postexp import specfun
 
-from conftest import psi_mpmath_oracle
+from conftest import psi_mpmath_oracle, saddle_mpmath_oracle
 
 EPS = np.finfo(float).eps
 # derandomized: the same examples every run, so tier-1 stays deterministic
@@ -153,12 +153,39 @@ def test_faddeeva_array_guard_reports_index():
     assert err.value.index == 2
 
 
-def test_saddle_nan_only_on_singular_locus(p03):
-    x = 2e-6
-    tau = x / (2.0 * p03.k0)
-    w = sm.kernel(p03, np.array([x, x]), np.array([abs(tau), 1.0]))
-    assert math.isnan(w.saddle[0].real) and not math.isnan(w.saddle[1].real)
-    assert np.all(np.isfinite(w.psi))
+def _saddle_close(got, k0I, x, t):
+    want, kappa = saddle_mpmath_oracle(k0I, x, t)
+    return abs(got - want) <= 8.0 * EPS * kappa * abs(want)
+
+
+def test_saddle_matches_mpmath_at_tiny_x_and_t(p03):
+    # t^2 = tau^2 has no real root; t^2 and tau^2 underflow from the third
+    # point on, t^{-1/2} alone is 3.6e161 at t = 5e-324, and k_s = 1e149 at
+    # the last point, where t^{-1/2} k_s alone would overflow
+    points = [(1e-6, 1e-6), (2e-6, abs(2e-6 / (2.0 * p03.k0))), (1e-200, 1e-170),
+              (1e-300, 1e-300), (5e-324, 5e-324), (0.0, 5e-324), (1e-174, 5e-324)]
+    for x, t in points:
+        scalar = complex(sm.kernel(p03, x, t).saddle)
+        array = complex(sm.kernel(p03, np.array([x]), np.array([t])).saddle[0])
+        for got in (scalar, array):
+            assert _saddle_close(got, p03.k0I, x, t), (x, t, got)
+
+
+def test_saddle_matches_mpmath_over_the_domain():
+    # half of the times within 1e-3 of the pole crossing t_c, where t - tau
+    # is smallest; every saddle is finite on both branches
+    rng = np.random.default_rng(20)
+    for k0I in -np.logspace(math.log10(0.98), -12, 32):
+        p = sm.SourceParams(float(k0I))
+        xs = 10.0 ** rng.uniform(-8.0, 3.0, 100)
+        t_c = sm.pole_crossing_time(p, xs)
+        ts = np.where(np.arange(100) % 2, t_c * (1.0 + rng.uniform(-1e-3, 1e-3, 100)),
+                      10.0 ** rng.uniform(-6.0, 4.0, 100))
+        array = sm.kernel(p, xs, ts, exact=False).saddle
+        for x, t, got in zip(xs.tolist(), ts.tolist(), array.tolist()):
+            scalar = complex(sm.kernel(p, x, t, exact=False).saddle)
+            assert _saddle_close(scalar, p.k0I, x, t), (p.k0I, x, t, scalar)
+            assert _saddle_close(got, p.k0I, x, t), (p.k0I, x, t, got)
 
 
 def _outcome(p, x, t):
@@ -170,25 +197,30 @@ def _outcome(p, x, t):
     return tuple(complex(np.ravel(v)[0]) for v in (w.psi, w.saddle, w.pole))
 
 
-@pytest.mark.parametrize("x, t", [
-    (1e-200, 1e-170),   # t^2 and tau^2 underflow to 0: singular, saddle nan
-    (5e-324, 1.0),      # the saddle underflows to 0
-    (1.0, 1e300),       # t^2 overflows
-    (1.0, 1e154),       # (x - 2t)^2 overflows
-    (1.0, 1e-160),      # k_s^2 = (x/2t)^2 overflows
-])
-def test_scalar_and_array_agree_at_the_edges(p03, x, t):
-    # no ZeroDivisionError, OverflowError or silent nan: each edge gives a
-    # value or the same typed error on both branches
-    scalar = _outcome(p03, x, t)
-    array = _outcome(p03, np.array([x]), np.array([t]))
+EDGES = [
+    (1e-200, 1e-170, -0.3),    # t^2 and tau^2 underflow to 0, the saddle does not
+    (5e-324, 1.0, -0.3),       # the saddle underflows to 0
+    (1.0, 1e300, -0.3),        # t^2 overflows
+    (1.0, 1e154, -0.3),        # (x - 2t)^2 overflows
+    (1.0, 1e-160, -0.3),       # k_s^2 = (x/2t)^2 overflows
+    (2e-20, 1e-20, -1e-300),   # the saddle overflows: |k0 - k_s| = |k0I| at k_s = 1
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x, t, k0I", EDGES, ids=[f"{x}-{t}" for x, t, _ in EDGES])
+def test_scalar_and_array_agree_at_the_edges(x, t, k0I):
+    # no ZeroDivisionError, OverflowError, RuntimeWarning or silent nan: each
+    # edge gives a finite value or the same typed error on both branches
+    p = sm.SourceParams(k0I)
+    scalar = _outcome(p, x, t)
+    array = _outcome(p, np.array([x]), np.array([t]))
     if isinstance(scalar, str):
         assert scalar == array
         assert scalar.startswith(f"evaluation domain error at (x={x!r}, t={t!r})")
         return
     np.testing.assert_allclose(scalar, array, rtol=1e-15, atol=0.0)
-    assert np.isfinite(scalar[0]) and np.isfinite(scalar[2])
-    assert np.isnan(scalar[1]) == (x == 1e-200)
+    assert np.all(np.isfinite(scalar))
 
 
 def test_first_offending_point_is_the_same_on_both_branches(p03):
