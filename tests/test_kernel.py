@@ -171,6 +171,18 @@ def test_saddle_matches_mpmath_at_tiny_x_and_t(p03):
             assert _saddle_close(got, p03.k0I, x, t), (x, t, got)
 
 
+def test_saddle_nan_only_on_singular_locus(p03):
+    # the saddle's only singularity is k_s = +-k0, off the real k_s axis, so
+    # no point of the domain gives nan: not t = |tau| either, where the tau
+    # form t^2 - tau^2 has its nearest approach to zero
+    x = 2e-6
+    tau = x / (2.0 * p03.k0)
+    w = sm.kernel(p03, np.array([x, x]), np.array([abs(tau), 1.0]))
+    assert np.all(np.isfinite(w.saddle)) and np.all(np.isfinite(w.psi))
+    for got, t in zip(w.saddle.tolist(), (abs(tau), 1.0)):
+        assert _saddle_close(got, p03.k0I, x, t), (x, t, got)
+
+
 def test_saddle_matches_mpmath_over_the_domain():
     # half of the times within 1e-3 of the pole crossing t_c, where t - tau
     # is smallest; every saddle is finite on both branches

@@ -9,7 +9,7 @@ import pytest
 
 from postexp import source_model as sm
 
-from conftest import psi_contour_oracle
+from conftest import psi_contour_oracle, saddle_mpmath_oracle
 
 EPS = np.finfo(float).eps
 
@@ -111,6 +111,23 @@ def test_saddle_density_late_time_slope(p03):
             for t in ts]
     slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
     assert slope == pytest.approx(-3.0, abs=0.05)
+
+
+def test_saddle_singular_locus_raises(p03):
+    # the saddle's denominator (k0 - k_s)(k0 + k_s) is smallest, |k0I|, on the
+    # trajectory k_s = 1; there it overflows only when |k0I| sqrt(t) is below
+    # double range, and that raises instead of returning inf
+    t = 1e-250
+    with pytest.raises(sm.EvaluationDomainError, match="saddle part overflows"):
+        sm.evaluate_saddle(sm.SourceParams(-1e-200), sm.SpaceTimePoint(2.0 * t, t))
+    assert cmath.isfinite(sm.evaluate_saddle(sm.SourceParams(-1e-200),
+                                             sm.SpaceTimePoint(2.0, 1.0)))
+    # the former singular point t = |tau| of the tau form is finite and exact
+    x = 2e-6
+    tau = x / (2.0 * p03.k0)
+    got = sm.evaluate_saddle(p03, sm.SpaceTimePoint(x, abs(tau)))
+    want, kappa = saddle_mpmath_oracle(p03.k0I, x, abs(tau))
+    assert abs(got - want) <= 8.0 * EPS * kappa * abs(want)
 
 
 def test_wavefunction_switch_on(p03):
