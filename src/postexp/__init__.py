@@ -20,8 +20,6 @@ _SOURCES = {
         "LatticeState",
         "evolve",
         "lattice_transition_time",
-        "measured_envelope_crossing",
-        "resolve_formula_reading",
         "tail_exponent",
     ),
     "normalization": ("NormalizationResult", "spatial_norm", "total_emitted"),

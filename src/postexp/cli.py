@@ -245,11 +245,13 @@ def _density_arrays(p, xs: List[float], ts: List[float]):
         x, t = xs[ix], ts[it]
         w = kernel(p, x, t)
         rho, saddle, pole = np.abs(w.psi) ** 2, np.abs(w.saddle), np.abs(w.pole)
-        # R = |pole|/|saddle|; nan at x = 0, inf where the saddle underflows to 0
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # R = |pole|/|saddle|; nan at x = 0, inf where the saddle underflows to 0;
+        # a square past double range is IEEE inf, as on the scalar path
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratio = np.divide(pole, saddle, out=np.full(x.shape, math.nan), where=x > 0.0)
+            rho_saddle, rho_pole = saddle ** 2, pole ** 2
         yield (_Indexed(xs, x_cells, ix), _Indexed(ts, t_cells, it),
-               rho, saddle ** 2, pole ** 2, w.pole_crossed, ratio, rho / n_total)
+               rho, rho_saddle, rho_pole, w.pole_crossed, ratio, rho / n_total)
 
 
 def cmd_transition(args) -> int:

@@ -34,9 +34,8 @@ O(sqrt(count) n_sites) exponentials and memory instead of count n_sites.
 Arbitrary time lists go through site_density, which evaluates the same sum
 directly in row blocks of at most BLOCK_BYTES of phases.
 
-The transition equation t^{3/2} = C e^{gamma t/2} and the crossing of the
-fitted envelope lines are Lambert-W equations, solved in closed form by
-specfun.lambertw_m1.
+The transition equation t^{3/2} = C e^{gamma t/2} is a Lambert-W equation,
+solved in closed form by specfun.lambertw_m1.
 """
 
 from __future__ import annotations
@@ -51,8 +50,6 @@ import numpy as np
 from .specfun import INV_E, lambertw_m1
 
 ENVELOPE_STEP = 0.05
-MIN_EXP_MAXIMA = 6       # local maxima needed for the exponential-window fit
-MIN_POWER_MAXIMA = 4
 REFLECTION_MARGIN = 20   # sites beyond 2*t_max (group velocity 2)
 BLOCK_BYTES = 4 << 20    # complex phase rows held at once by site_density
 T_FLOOR = 1e-2           # earliest admissible formula transition time
@@ -237,18 +234,6 @@ def uniform_site_density(
     return np.abs(amps) ** 2
 
 
-def roundtrip_error(p: LatticeParams, t: float) -> float:
-    """Forward-then-backward evolution defect of the initial state (unitarity)."""
-    energies, modes = _modes(p.delta, p.n_sites)
-    coeff = modes[0, :].astype(complex)
-    psi_t = modes @ (np.exp(-1j * energies * t) * coeff)
-    coeff_back = modes.T @ psi_t
-    psi_0 = modes @ (np.exp(1j * energies * t) * coeff_back)
-    target = np.zeros(p.n_sites, dtype=complex)
-    target[0] = 1.0
-    return float(np.max(np.abs(psi_0 - target)))
-
-
 def envelope(ts: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Interior local maxima; falls back to all points for oscillation-free data.
 
@@ -266,16 +251,6 @@ def envelope_loglog_slope(ts: np.ndarray, vals: np.ndarray) -> float:
     if len(te) < 2:
         raise InsufficientWindowError("fewer than two envelope points")
     return float(np.polyfit(np.log(te), np.log(ve), 1)[0])
-
-
-def _longest_run(mask: np.ndarray) -> Tuple[int, int]:
-    """(start, stop) half-open indices of the longest True run; (0, 0) if none."""
-    edges = np.diff(np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0])))
-    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-    if starts.size == 0:
-        return (0, 0)
-    k = int(np.argmax(stops - starts))        # first of the longest on ties
-    return (int(starts[k]), int(stops[k]))
 
 
 def _envelope_grid(
@@ -323,70 +298,6 @@ def tail_exponent(
     return envelope_loglog_slope(*_envelope_grid(p, n, lo, hi))
 
 
-@dataclass(frozen=True)
-class EnvelopeCrossing:
-    t: float
-    density: float
-    exp_window: Tuple[float, float]
-    power_window: Tuple[float, float]
-    exp_slope: float
-    power_slope: float
-
-
-def measured_envelope_crossing(p: LatticeParams, n: int) -> EnvelopeCrossing:
-    """Empirical exponential-to-power transition at site n.
-
-    |c_n(t)|^2 oscillates with period ~pi even while decaying exponentially,
-    so everything runs on the local-maxima envelope: the exponential window
-    is the longest run of adjacent-maxima slopes within 20% of -gamma, the
-    power window the longest later run with log-log slope in -3 +- 0.6, and
-    the crossing is where the fitted exponential line last falls below the
-    fitted power line.
-    """
-    gamma = p.gamma
-    ts, dens = _envelope_grid(p, n, 2.0, p.t_max)
-    arrived = ts > n / 2.0 + 2.0     # ballistic front at group velocity 2
-    te, de = envelope(ts[arrived], dens[arrived])
-    if len(te) < MIN_EXP_MAXIMA + MIN_POWER_MAXIMA:
-        raise InsufficientWindowError(f"only {len(te)} envelope maxima at site {n}")
-    ln = np.log(de)
-    slopes = np.diff(ln) / np.diff(te)
-    exp_ok = np.abs(slopes + gamma) < 0.2 * gamma
-    i0, i1 = _longest_run(exp_ok)
-    if i1 - i0 + 1 < MIN_EXP_MAXIMA:
-        raise InsufficientWindowError(f"no exponential-decay window at site {n}")
-    exp_fit = np.polyfit(te[i0 : i1 + 1], ln[i0 : i1 + 1], 1)
-
-    loglog = np.diff(ln) / np.diff(np.log(te))
-    power_ok = (np.abs(loglog + 3.0) < 0.6) & (np.arange(len(loglog)) > i1)
-    j0, j1 = _longest_run(power_ok)
-    if j1 - j0 + 1 < MIN_POWER_MAXIMA:
-        raise InsufficientWindowError(f"no power-law window at site {n}")
-    power_fit = np.polyfit(np.log(te[j0 : j1 + 1]), ln[j0 : j1 + 1], 1)
-
-    # Both fitted slopes are negative (weighted means of slopes held near
-    # -gamma and -3), so the gap a t + b - (c ln t + d) is concave: it rises
-    # through 0, peaks at t = c/a and falls through 0 once. With r = a/c the
-    # falling root solves (-r t) e^{-r t} = -r e^{(b - d)/c}, the W_{-1} branch.
-    # An argument below -1/e means the lines never cross; one that underflows
-    # to -0.0 puts the crossing at t = inf.
-    r = exp_fit[0] / power_fit[0]
-    log_arg = math.log(r) + (exp_fit[1] - power_fit[1]) / power_fit[0]
-    z = -math.exp(min(log_arg, 0.0))
-    t_cross = -lambertw_m1(z) / r if -INV_E <= z < 0.0 else math.inf
-    if not te[i0] <= t_cross <= te[-1]:
-        raise InsufficientWindowError(f"fitted envelopes do not cross at site {n}")
-    rho = math.exp(power_fit[0] * math.log(t_cross) + power_fit[1])
-    return EnvelopeCrossing(
-        t=float(t_cross),
-        density=rho,
-        exp_window=(float(te[i0]), float(te[i1])),
-        power_window=(float(te[j0]), float(te[j1])),
-        exp_slope=float(exp_fit[0]),
-        power_slope=float(power_fit[0]),
-    )
-
-
 def formula_prefactor(p: LatticeParams, n: int) -> float:
     """Prefactor C_n of the site-n transition equation t^{3/2} = C_n e^{gamma t/2}.
 
@@ -425,30 +336,3 @@ def lattice_transition_time(p: LatticeParams, n: int) -> Optional[float]:
         return None
     t = -3.0 / gamma * lambertw_m1(z)
     return t if T_FLOOR <= t <= p.t_max else None
-
-
-@dataclass(frozen=True)
-class FormulaResolution:
-    sites: Tuple[int, ...]
-    measured_times: Tuple[float, ...]
-    measured_densities: Tuple[float, ...]
-    predicted_times: Tuple[Optional[float], ...]
-
-
-def resolve_formula_reading(
-    p: LatticeParams, sites: Sequence[int] = (5, 10, 15)
-) -> FormulaResolution:
-    """Measured envelope crossings next to the derived transition times.
-
-    A check of formula_prefactor against the density itself: the crossing
-    of the fitted exponential and power-law envelope lines at each site
-    beside the formula's root there.
-    """
-    sites = tuple(int(n) for n in sites)
-    crossings = [measured_envelope_crossing(p, n) for n in sites]
-    return FormulaResolution(
-        sites=sites,
-        measured_times=tuple(c.t for c in crossings),
-        measured_densities=tuple(c.density for c in crossings),
-        predicted_times=tuple(lattice_transition_time(p, n) for n in sites),
-    )

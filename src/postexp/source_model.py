@@ -250,11 +250,6 @@ def u_moduli(p: SourceParams, pt: SpaceTimePoint) -> Tuple[float, float]:
     return root_t * math.hypot(1.0 - k_s, p.k0I), root_t * math.hypot(1.0 + k_s, p.k0I)
 
 
-def boundary_value(p: SourceParams, t: float) -> complex:
-    """Prescribed origin value e^{-i omega0 t} for t > 0."""
-    return cmath.exp(-1j * p.omega0 * t)
-
-
 def wavefunction(p: SourceParams, x: float, t: float) -> complex:
     """Convenience evaluator honoring the switch-on: exactly 0 for t <= 0."""
     if t <= 0.0:
@@ -272,14 +267,3 @@ def density_and_current(
     w = kernel(p, pt.x, pt.t, derivative=True)
     psi, dpsi = complex(w.psi), complex(w.dpsi_dx)
     return abs(psi) ** 2, dpsi, 2.0 * (psi.conjugate() * dpsi).imag
-
-
-def density_grid(p: SourceParams, xs, ts):
-    """|psi|^2 on the outer product of xs and ts (rows are x, columns t); 0 for t <= 0."""
-    import numpy as np
-
-    xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
-    out = np.zeros((xs.size, ts.size))
-    on = ts > 0.0
-    out[:, on] = np.abs(kernel(p, xs[:, None], ts[on]).psi) ** 2
-    return out

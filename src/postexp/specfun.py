@@ -10,7 +10,8 @@ reflection w(z) = 2 exp(-z^2) - w(-z) below it. Scalars need no numpy; array
 arguments use it, and only they import it.
 
 lambertw_m1 gives the lower real branch W_{-1} of w e^w = z, which closes
-the transition equations t^{3/2} = C e^{gamma t/2} and a t + b = c ln t + d.
+the lattice transition equation t^{3/2} = C e^{gamma t/2} and the critical
+distance x_max.
 """
 
 from __future__ import annotations

@@ -252,6 +252,53 @@ def chain_density_oracle(delta: float, t0: float, dt: float, count: int, sites) 
     return out
 
 
+def envelope_crossing_oracle(ts, density, n: int, gamma: float):
+    """(t, density) where the fitted exponential and power-law envelope lines
+    of a sampled site-n density cross.
+
+    |c_n(t)|^2 oscillates with period ~pi even while decaying exponentially,
+    so everything runs on the local-maxima envelope past the ballistic front
+    (group velocity 2): the exponential window is the first longest run of
+    adjacent-maxima slopes within 20% of -gamma, the power window the first
+    longest later run with log-log slope in -3 +- 0.6. The gap
+    a t + b - (c ln t + d) between the two fits is concave with its peak at
+    t = c/a; brentq finds its falling root, which must lie in the windows.
+    """
+    from scipy.optimize import brentq
+
+    from postexp.lattice import envelope
+
+    def longest_run(mask):
+        edges = np.diff(np.concatenate(([0], mask.astype(np.int8), [0])))
+        starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+        assert starts.size, f"no envelope window at site {n}"
+        k = int(np.argmax(stops - starts))
+        return int(starts[k]), int(stops[k])
+
+    arrived = ts > n / 2.0 + 2.0
+    te, de = envelope(ts[arrived], density[arrived])
+    ln = np.log(de)
+    slopes = np.diff(ln) / np.diff(te)
+    i0, i1 = longest_run(np.abs(slopes + gamma) < 0.2 * gamma)
+    assert i1 - i0 + 1 >= 6, f"no exponential-decay window at site {n}"
+    a, b = np.polyfit(te[i0 : i1 + 1], ln[i0 : i1 + 1], 1)
+    loglog = np.diff(ln) / np.diff(np.log(te))
+    j0, j1 = longest_run((np.abs(loglog + 3.0) < 0.6) & (np.arange(loglog.size) > i1))
+    assert j1 - j0 + 1 >= 4, f"no power-law window at site {n}"
+    c, d = np.polyfit(np.log(te[j0 : j1 + 1]), ln[j0 : j1 + 1], 1)
+    assert abs(a + gamma) < 0.2 * gamma and abs(c + 3.0) < 0.6, (a, c)
+
+    def gap(t):
+        return a * t + b - (c * math.log(t) + d)
+
+    peak, last = c / a, te[-1]
+    assert peak < last and gap(peak) > 0.0 > gap(last), \
+        f"fitted envelopes do not cross at site {n}"
+    t = brentq(gap, peak, last, xtol=1e-13)
+    assert te[i0] <= t, f"fitted envelopes cross before the exponential window at site {n}"
+    return t, math.exp(c * math.log(t) + d)
+
+
 def erfc_one_series() -> float:
     """erfc(1) from the Maclaurin series of erf, no library calls."""
     total = 0.0
@@ -283,6 +330,18 @@ def p03():
 @pytest.fixture(scope="session")
 def p05():
     return source_model.SourceParams(-0.5)
+
+
+CROSSING_DELTA, CROSSING_HORIZON, CROSSING_SITES = 0.3, 220.0, (5, 10, 15)
+
+
+@pytest.fixture(scope="session")
+def crossing_densities():
+    """ts = arange(2, 220, 0.05) and, by site, the delta = 0.3 chain density
+    there from chain_density_oracle, computed once for the session."""
+    ts = np.arange(2.0, CROSSING_HORIZON, 0.05)
+    dens = chain_density_oracle(CROSSING_DELTA, 2.0, 0.05, ts.size, CROSSING_SITES)
+    return ts, dict(zip(CROSSING_SITES, dens.T))
 
 
 # ------------------------------------------------- acceptance verdict lines

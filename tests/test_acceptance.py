@@ -6,6 +6,7 @@ value. Criteria run against the public API or the installed CLI, never
 against private helpers.
 """
 
+import cmath
 import json
 import math
 import subprocess
@@ -20,7 +21,8 @@ from postexp import source_model as sm
 from postexp import transition as tr
 from postexp import units
 
-from conftest import cold_atom_oracle, psi_contour_oracle
+from conftest import (CROSSING_DELTA, CROSSING_HORIZON, CROSSING_SITES, cold_atom_oracle,
+                      envelope_crossing_oracle, psi_contour_oracle)
 
 VERDICTS = []
 
@@ -38,8 +40,8 @@ def test_a01_boundary_identity():
     for k0I in (-0.1, -0.3, -0.5, -0.9):
         p = sm.SourceParams(k0I)
         for t in np.geomspace(0.01, 100.0, 200):
-            got = sm.wavefunction(p, 0.0, float(t))
-            worst = max(worst, abs(got - sm.boundary_value(p, float(t))))
+            t = float(t)
+            worst = max(worst, abs(sm.wavefunction(p, 0.0, t) - cmath.exp(-1j * p.omega0 * t)))
     dt = time.perf_counter() - t0
     ok = worst < 1e-10 and dt < 1.0
     assert _verdict("A1", ok, f"max boundary deviation {worst:.2e} (tol 1e-10), {dt:.2f}s")
@@ -208,12 +210,14 @@ def test_a10_lattice_oracles():
                                f"tail {tail:.3f}, band-edge dev {bessel_dev:.1e}, {dt:.1f}s")
 
 
-def test_a11_lattice_transition_formula():
+def test_a11_lattice_transition_formula(crossing_densities):
     t0 = time.perf_counter()
-    p = lat.LatticeParams.for_horizon(0.3, 220.0)
-    res = lat.resolve_formula_reading(p, sites=(5, 10, 15))
-    errs = [abs(m / q - 1.0) for m, q in zip(res.measured_times, res.predicted_times)]
-    dens = list(res.measured_densities)
+    p = lat.LatticeParams.for_horizon(CROSSING_DELTA, CROSSING_HORIZON)
+    ts, by_site = crossing_densities
+    crossings = [envelope_crossing_oracle(ts, by_site[n], n, p.gamma) for n in CROSSING_SITES]
+    errs = [abs(t / lat.lattice_transition_time(p, n) - 1.0)
+            for n, (t, _) in zip(CROSSING_SITES, crossings)]
+    dens = [rho for _, rho in crossings]
     dt = time.perf_counter() - t0
     ok = (max(errs) < 0.25 and dens[0] < dens[1] < dens[2] and dt < 120.0)
     assert _verdict("A11", ok, f"derived C_n, errors "

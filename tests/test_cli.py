@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import pytest
@@ -401,6 +402,8 @@ EDGE_DENSITY = [
     ["density", "--k0i", "-0.3", "--x", "5e-324", "--t-grid", "1"],
     # k_s = 1: |t^2 - tau^2| = 5e-15 t^2, and rho_saddle is 1.6e21
     ["density", "--k0i=-1e-10", "--x", "0.01", "--t-grid", "0.005"],
+    # |saddle| = 2.8e159: rho_saddle is past double range, so inf
+    ["density", "--k0i=-1e-10", "--x", "2e-300", "--t-grid", "1e-300"],
 ]
 
 
@@ -438,7 +441,7 @@ def _saddle_columns(k0I, x, t):
 
 def test_density_edges_on_both_paths(capsys, monkeypatch):
     wants = (_saddle_columns(-0.3, 1e-200, 1e-170), (0.0, math.inf),
-             _saddle_columns(-1e-10, 0.01, 0.005))
+             _saddle_columns(-1e-10, 0.01, 0.005), _saddle_columns(-1e-10, 2e-300, 1e-300))
     for argv, want in zip(EDGE_DENSITY, wants):
         for _, out, _ in _both_paths(capsys, monkeypatch, argv):
             row = out.splitlines()[1].split(",")
@@ -450,6 +453,25 @@ def test_density_edges_on_both_paths(capsys, monkeypatch):
     assert scalar == (1, "x,t,rho_exact,rho_saddle,rho_pole,pole_crossed,R,rho_normalized\n",
                       "error: evaluation domain error at (x=0.5, t=1e+300): "
                       "t, x or x/(2t) >= 1e+150, where products of squares overflow\n")
+
+
+def test_density_rho_pole_past_double_range(capsys):
+    # before the front at x = 1e6, |pole|^2 = e^{2|k0I|(x - 2t)} passes DBL_MAX;
+    # both paths print exactly those cells as inf, and warn about none
+    k0I, x, edge = -1e-3, 1e6, math.log(sys.float_info.max)
+    for count in (4000, 5000):
+        assert (count <= cli.SCALAR_POINTS) == (count == 4000)
+        argv = ["density", f"--k0i={k0I}", "--x", str(x), "--t-grid", f"lin:2.5e5:6e5:{count}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = _run(capsys, argv)
+        assert rc == 0 and err == ""
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        log_sq = [2.0 * abs(k0I) * (x - 2.0 * float(row[1])) for row in rows]
+        assert {row[4] == "inf" for row in rows} == {True, False}
+        for row, e in zip(rows, log_sq):
+            if abs(e - edge) > 1e-9 * edge:
+                assert (row[4] == "inf") == (e > edge), row
 
 
 @pytest.mark.parametrize("argv", STREAMED)
@@ -553,8 +575,7 @@ ALL_NAMES = [
     "TransitionPoint", "WaveDecomposition", "critical_density_curve",
     "critical_distance", "density_and_current", "evaluate_approx", "evaluate_exact",
     "evaluate_pole", "evaluate_saddle", "evolve", "faddeeva", "faddeeva_derivative",
-    "jittoh_criterion", "lattice_transition_time", "load_scenario_config",
-    "measured_envelope_crossing", "ratio_R", "resolve_formula_reading",
+    "jittoh_criterion", "lattice_transition_time", "load_scenario_config", "ratio_R",
     "scenario_transition_report", "spatial_norm", "tail_exponent", "to_dimensionless",
     "to_physical", "total_emitted", "tp_turning_point", "transition_time", "u_moduli",
     "wavefunction",

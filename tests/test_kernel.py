@@ -65,9 +65,6 @@ def test_scalar_wrappers_match_mpmath(case):
     assert _close(sm.wavefunction(p, x, t), want, kappa)
     rho = sm.density_and_current(p, pt)[0]
     assert abs(rho - abs(want) ** 2) <= 2.0 * (1e-10 + 16.0 * EPS * kappa) * abs(want) ** 2
-    grid = sm.density_grid(p, [x], [-1.0, t])
-    assert grid[0, 0] == 0.0
-    assert abs(grid[0, 1] - abs(want) ** 2) <= 2.0 * (1e-10 + 16.0 * EPS * kappa) * abs(want) ** 2
 
 
 @EXAMPLES

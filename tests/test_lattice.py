@@ -1,4 +1,4 @@
-"""Semi-infinite chain: evolution, decay fits, envelope crossings."""
+"""Semi-infinite chain: evolution, decay fits, transition times."""
 
 import math
 
@@ -8,7 +8,8 @@ from scipy.special import j1
 
 from postexp import lattice as lat
 
-from conftest import chain_density_oracle
+from conftest import (CROSSING_DELTA, CROSSING_HORIZON, CROSSING_SITES, chain_density_oracle,
+                      envelope_crossing_oracle)
 
 
 def test_params_validation():
@@ -67,8 +68,12 @@ def test_evolve_preconditions():
 
 
 def test_forward_backward_roundtrip():
+    # the mode matrix is orthogonal, so evolving forward then back is exact
     p = lat.LatticeParams.for_horizon(0.3, 30.0)
-    assert lat.roundtrip_error(p, 17.0) < 1e-10
+    _, modes = lat._modes(p.delta, p.n_sites)
+    eye = np.eye(p.n_sites)
+    assert np.max(np.abs(modes.T @ modes - eye)) < 1e-10
+    assert np.max(np.abs(modes @ modes.T - eye)) < 1e-10
 
 
 def test_fitted_decay_rate_matches_formula():
@@ -121,56 +126,26 @@ def test_power_law_fitter_exact_on_pure_input():
     assert slope == pytest.approx(-3.0, abs=1e-9)
 
 
-def test_envelope_crossings_frozen():
-    p = lat.LatticeParams.for_horizon(0.3, 220.0)
+def test_envelope_crossings_frozen(crossing_densities):
+    # measured on the expm_multiply density, not on the library's
+    gamma = lat.LatticeParams.for_horizon(CROSSING_DELTA, CROSSING_HORIZON).gamma
     frozen = {5: 72.36, 10: 65.16, 15: 62.92}
+    ts, by_site = crossing_densities
     dens = []
     for n, expected in frozen.items():
-        cr = lat.measured_envelope_crossing(p, n)
-        assert cr.t == pytest.approx(expected, abs=0.5)
-        assert abs(cr.exp_slope + p.gamma) / p.gamma < 0.2
-        assert abs(cr.power_slope + 3.0) < 0.6
-        dens.append(cr.density)
+        t, rho = envelope_crossing_oracle(ts, by_site[n], n, gamma)
+        assert t == pytest.approx(expected, abs=0.5)
+        dens.append(rho)
     assert dens[0] < dens[1] < dens[2]
 
 
-def _crossing_with_fits(monkeypatch, p, n, exp_fit, power_fit):
-    """measured_envelope_crossing on its real windows, with the two line
-    fits replaced by the given (slope, intercept) pairs."""
-    fits = iter([np.array(exp_fit), np.array(power_fit)])
-    monkeypatch.setattr(np, "polyfit", lambda *args: next(fits))
-    try:
-        return lat.measured_envelope_crossing(p, n)
-    finally:
-        monkeypatch.undo()
-        assert next(fits, None) is None     # both fits were consumed
-
-
-@pytest.mark.parametrize("case", ["after_window", "before_window", "apart", "underflow"])
-def test_envelope_crossing_outside_the_window_is_refused(monkeypatch, case):
-    # the fitted lines a t + b and c ln t + d may cross before the
-    # exponential window opens, after the last maximum, or not at all (the
-    # W argument below -1/e, or underflowing to -0.0); each must be refused
-    p = lat.LatticeParams.for_horizon(0.3, 220.0)
-    c, d = -3.0, 0.0
-    if case == "after_window":
-        a, t = -p.gamma, 10.0 * p.t_max
-    elif case == "before_window":
-        a, t = -1.0, 4.0                  # falling root: t > c/a = 3
-    if case in ("after_window", "before_window"):
-        b = c * math.log(t) + d - a * t
-    else:
-        a, b = -p.gamma, -1000.0 if case == "apart" else 3000.0
-    with pytest.raises(lat.InsufficientWindowError, match="do not cross"):
-        _crossing_with_fits(monkeypatch, p, 5, (a, b), (c, d))
-
-
-def test_reading_resolution():
-    p = lat.LatticeParams.for_horizon(0.3, 220.0)
-    res = lat.resolve_formula_reading(p)
-    assert res.sites == (5, 10, 15)
-    for m, pred in zip(res.measured_times, res.predicted_times):
-        assert abs(m / pred - 1.0) < 0.25
+def test_reading_resolution(crossing_densities):
+    # the derived formula times beside the measured envelope crossings
+    p = lat.LatticeParams.for_horizon(CROSSING_DELTA, CROSSING_HORIZON)
+    ts, by_site = crossing_densities
+    for n in CROSSING_SITES:
+        t, _ = envelope_crossing_oracle(ts, by_site[n], n, p.gamma)
+        assert abs(t / lat.lattice_transition_time(p, n) - 1.0) < 0.25
 
 
 def test_formula_transition_times_frozen():
@@ -262,25 +237,6 @@ def test_tail_exponent_checks_window_before_evaluating(monkeypatch):
     p = lat.LatticeParams.for_horizon(0.4, 100.0)
     with pytest.raises(lat.InsufficientWindowError):
         lat.tail_exponent(p, 1, window=(99.0, 99.5))
-
-
-def test_longest_run_first_of_ties():
-    def loop(mask):
-        best, i = (0, 0), 0
-        while i < len(mask):
-            j = i
-            while j < len(mask) and mask[j]:
-                j += 1
-            if j - i > best[1] - best[0]:
-                best = (i, j)
-            i = max(j, i + 1)
-        return best
-
-    rng = np.random.default_rng(3)
-    masks = [[], [False] * 4, [True] * 5, [True, False, True], [False, True, True, False, True, True]]
-    masks += [list(rng.random(40) < 0.6) for _ in range(200)]
-    for mask in masks:
-        assert lat._longest_run(np.array(mask, dtype=bool)) == loop(mask)
 
 
 def test_envelope_keeps_plateau_maxima():
