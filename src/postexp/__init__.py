@@ -15,26 +15,9 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _SOURCES = {
-    "lattice": (
-        "LatticeParams",
-        "LatticeState",
-        "evolve",
-        "lattice_transition_time",
-        "tail_exponent",
-    ),
+    "lattice": ("LatticeParams", "evolve", "lattice_transition_time", "tail_exponent"),
     "normalization": ("NormalizationResult", "spatial_norm", "total_emitted"),
-    "source_model": (
-        "SourceParams",
-        "SpaceTimePoint",
-        "WaveDecomposition",
-        "density_and_current",
-        "evaluate_approx",
-        "evaluate_exact",
-        "evaluate_pole",
-        "evaluate_saddle",
-        "u_moduli",
-        "wavefunction",
-    ),
+    "source_model": ("SourceParams", "Wave", "kernel"),
     "specfun": ("faddeeva", "faddeeva_derivative"),
     "transition": (
         "TransitionPoint",

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +53,10 @@ ENVELOPE_STEP = 0.05
 REFLECTION_MARGIN = 20   # sites beyond 2*t_max (group velocity 2)
 BLOCK_BYTES = 4 << 20    # complex phase rows held at once by site_density
 T_FLOOR = 1e-2           # earliest admissible formula transition time
+# the CLI summary's tail fit holds two phase matrices of about 90 t_max^1.5
+# bytes each; at this chain, the default for t_max = 9980, `lattice` peaks
+# near 0.3 GB RSS
+MAX_SITES = 20_000
 
 
 class TruncationUnsoundError(Exception):
@@ -81,6 +85,9 @@ class LatticeParams:
             raise ValueError(f"delta must be in (0, 1]; got {self.delta!r}")
         if not (isinstance(self.n_sites, int) and self.n_sites >= 10):
             raise ValueError(f"n_sites must be an integer >= 10; got {self.n_sites!r}")
+        if self.n_sites > MAX_SITES:
+            raise ValueError(f"n_sites={self.n_sites} exceeds MAX_SITES={MAX_SITES} "
+                             f"(the default chain for t_max = {MAX_SITES / 2 - REFLECTION_MARGIN:g})")
         if not (self.t_max > 0.0 and math.isfinite(self.t_max)):
             raise ValueError(f"t_max must be positive and finite; got {self.t_max!r}")
         required = required_sites(self.t_max)
@@ -110,15 +117,6 @@ class LatticeParams:
 
 def required_sites(t_max: float) -> int:
     return int(math.ceil(2.0 * t_max)) + REFLECTION_MARGIN
-
-
-@dataclass(frozen=True, eq=False)
-class LatticeState:
-    t: float
-    amplitudes: np.ndarray   # c_n, index 0 is site 1
-
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
 
 
 @lru_cache(maxsize=16)
@@ -174,15 +172,13 @@ def _check_times(p: LatticeParams, ts: np.ndarray) -> None:
         raise ValueError("times must be sorted ascending")
 
 
-def evolve(p: LatticeParams, times: Sequence[float]) -> List[LatticeState]:
-    """Amplitudes of exp(-iHt)|site 1> at the requested times."""
+def evolve(p: LatticeParams, times: Sequence[float]) -> np.ndarray:
+    """Amplitudes c_n of exp(-iHt)|site 1>, (times x sites), column 0 site 1."""
     ts = np.asarray(times, dtype=float)
     _check_times(p, ts)
     energies, modes = _modes(p.delta, p.n_sites)
     weights = modes * modes[0, :]              # (n, k): <n|k><k|1>
-    phases = np.exp(-1j * np.outer(ts, energies))
-    states = phases @ weights.T
-    return [LatticeState(t=float(t), amplitudes=states[i]) for i, t in enumerate(ts)]
+    return np.exp(-1j * np.outer(ts, energies)) @ weights.T
 
 
 def _mode_weights(p: LatticeParams, n: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -47,13 +47,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
-from .source_model import (
-    EvaluationDomainError,
-    SourceParams,
-    SpaceTimePoint,
-    kernel,
-    pole_crossing_time,
-)
+from .source_model import EvaluationDomainError, SourceParams, kernel, pole_crossing_time
 from .specfun import OVERFLOW_LIMIT, lambertw_m1
 
 ROOT_TOL = 1e-6          # |ln R| (exact_ratio) or |residual| (late_time) at the root
@@ -94,18 +88,19 @@ def _log_ratio_sigma(p: SourceParams, x, s):
     return log_r, -0.5 * k / (1.0 + ks) + w / mw / mw + k * v / mv / mv - bx
 
 
-def ratio_R(p: SourceParams, pt: SpaceTimePoint) -> float:
+def ratio_R(p: SourceParams, x: float, t: float) -> float:
     """R = 2 sqrt(pi) |k0|^2 |t^2 - tau^2| / (x sqrt(t)) * e^{2 k0I t - k0I x}.
 
     This is |pole|/|saddle| at every t > 0 (t^2 = tau^2 has no real root),
-    evaluated in sigma so that it stays accurate near t_c.
+    evaluated in sigma so that it stays accurate near t_c. x <= 0, t <= 0
+    and non-finite input raise ValueError.
     """
-    if pt.x <= 0.0:
-        raise ValueError("ratio is defined for x > 0")
-    s = (pt.t / pole_crossing_time(p, pt.x) - 1.0) / abs(p.k0I)
+    if not (0.0 < x < math.inf and 0.0 < t < math.inf):
+        raise ValueError(f"ratio needs finite x > 0 and t > 0, got (x, t) = ({x!r}, {t!r})")
+    s = (t / pole_crossing_time(p, x) - 1.0) / abs(p.k0I)
     if not math.isfinite(s):
-        raise EvaluationDomainError(pt.x, pt.t, "sigma = (t/t_c - 1)/|k0I| overflows")
-    return math.exp(_log_ratio_sigma(p, pt.x, s)[0])
+        raise EvaluationDomainError(x, t, "sigma = (t/t_c - 1)/|k0I| overflows")
+    return math.exp(_log_ratio_sigma(p, x, s)[0])
 
 
 def _falling_root(f, a, b):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
-from .source_model import SourceParams, SpaceTimePoint, kernel
+from .source_model import SourceParams, kernel
 from .transition import _n_total_cached, max_distance, transition_time
 
 HBAR = 1.054571817e-34
@@ -84,14 +84,21 @@ def source_params(s: PhysicalScenario) -> SourceParams:
 
 def to_dimensionless(
     s: PhysicalScenario, X: float, T: float
-) -> Tuple[SpaceTimePoint, SourceParams]:
-    """(X meters, T seconds) -> dimensionless point plus the source parameters."""
+) -> Tuple[float, float, SourceParams]:
+    """(X meters, T seconds) -> dimensionless (x, t) and the source parameters.
+
+    X < 0, T <= 0 and non-finite input raise ValueError.
+    """
     p = source_params(s)
-    return SpaceTimePoint(X / s.length_unit, T / s.time_unit), p
+    x, t = X / s.length_unit, T / s.time_unit
+    if not (0.0 <= x < math.inf and 0.0 < t < math.inf):
+        raise ValueError(f"need finite X >= 0 and T > 0, got (X, T) = ({X!r}, {T!r})")
+    return x, t, p
 
 
-def to_physical(s: PhysicalScenario, pt: SpaceTimePoint) -> Tuple[float, float]:
-    return pt.x * s.length_unit, pt.t * s.time_unit
+def to_physical(s: PhysicalScenario, x: float, t: float) -> Tuple[float, float]:
+    """Dimensionless (x, t) -> (X meters, T seconds)."""
+    return x * s.length_unit, t * s.time_unit
 
 
 @dataclass(frozen=True)

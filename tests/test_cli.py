@@ -38,9 +38,13 @@ def test_parse_grid_forms():
     assert cli.parse_grid("lin:2:2:1", "g") == [2.0]
 
 
-def test_parse_grid_errors():
+def test_parse_grid_errors(monkeypatch):
+    # a count past MAX_GRID_POINTS is refused before any list is built
+    monkeypatch.setattr(cli, "_linspace", None)
+    too_many = cli.MAX_GRID_POINTS + 1
     for bad in ("", "lin:1:2:0", "log:0:1:5", "log:-1:1:5", "3,2,1",
-                "1,1,2", "lin:1:2", "lin:a:b:3", "nan,1"):
+                "1,1,2", "lin:1:2", "lin:a:b:3", "nan,1", f"lin:0.1:1:{too_many}",
+                f"log:0.1:1:{too_many}", "lin:0.1:1:200000000"):
         with pytest.raises(cli.UsageError):
             cli.parse_grid(bad, "g")
 
@@ -215,6 +219,12 @@ def test_lattice_truncation_guard(capsys):
                                "--t-max", "100", "--n-sites", "50"])
     assert rc == 2
     assert "need n_sites >= 220" in err
+    # chains past MAX_SITES, and horizons that need one, are refused unbuilt
+    for extra in (["--t-max", "1e6"], ["--t-max", "10", "--n-sites", "20001"],
+                  ["--t-max", "inf"], ["--t-max", "nan"]):
+        rc, out, err = _run(capsys, ["lattice", "--delta", "0.3", "--sites", "1,5", *extra])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("n_sites", ["0", "5"])
@@ -570,15 +580,12 @@ def test_package_import_loads_no_numpy():
 
 
 ALL_NAMES = [
-    "__version__", "LatticeParams", "LatticeState", "NormalizationResult",
-    "PhysicalScenario", "ScenarioReport", "SourceParams", "SpaceTimePoint",
-    "TransitionPoint", "WaveDecomposition", "critical_density_curve",
-    "critical_distance", "density_and_current", "evaluate_approx", "evaluate_exact",
-    "evaluate_pole", "evaluate_saddle", "evolve", "faddeeva", "faddeeva_derivative",
-    "jittoh_criterion", "lattice_transition_time", "load_scenario_config", "ratio_R",
+    "__version__", "LatticeParams", "NormalizationResult", "PhysicalScenario",
+    "ScenarioReport", "SourceParams", "TransitionPoint", "Wave", "critical_density_curve",
+    "critical_distance", "evolve", "faddeeva", "faddeeva_derivative", "jittoh_criterion",
+    "kernel", "lattice_transition_time", "load_scenario_config", "ratio_R",
     "scenario_transition_report", "spatial_norm", "tail_exponent", "to_dimensionless",
-    "to_physical", "total_emitted", "tp_turning_point", "transition_time", "u_moduli",
-    "wavefunction",
+    "to_physical", "total_emitted", "tp_turning_point", "transition_time",
 ]
 
 

@@ -1,4 +1,4 @@
-"""Array kernel and its scalar wrappers: property tests over the whole domain.
+"""The kernel on scalars and arrays: property tests over the whole domain.
 
 The domain is -1 < k0I < 0, x from 0 to past the critical distance (the
 scan ceiling 100/|k0I| times 1.2), and t from 1e-6 into the tail (the
@@ -55,15 +55,13 @@ def test_kernel_psi_matches_mpmath(case):
 
 @EXAMPLES
 @given(domain_points(n=1))
-def test_scalar_wrappers_match_mpmath(case):
+def test_scalar_kernel_matches_mpmath(case):
     k0I, (x,), (t,) = case
     x, t = float(x), float(t)
-    p = sm.SourceParams(k0I)
     want, kappa = psi_mpmath_oracle(k0I, x, t)
-    pt = sm.SpaceTimePoint(x, t)
-    assert _close(sm.evaluate_exact(p, pt).psi_exact, want, kappa)
-    assert _close(sm.wavefunction(p, x, t), want, kappa)
-    rho = sm.density_and_current(p, pt)[0]
+    psi = sm.kernel(sm.SourceParams(k0I), x, t).psi
+    assert _close(psi, want, kappa)
+    rho = abs(psi) ** 2
     assert abs(rho - abs(want) ** 2) <= 2.0 * (1e-10 + 16.0 * EPS * kappa) * abs(want) ** 2
 
 
@@ -108,6 +106,17 @@ def test_continuity_residual_on_arrays(case):
     assert np.all(np.abs(drho_dt + dj_dx) <= bound), (k0I, xs, ts)
 
 
+@pytest.mark.parametrize("x, t", [(2.5, 7.0), (0, 3), (1, 1e-6), (2.5, 70.0)])
+def test_scalar_fields_are_python_types(p03, x, t):
+    # Python float or int in, Python complex (and bool) out; arrays keep
+    # the broadcast shape
+    w = sm.kernel(p03, x, t, derivative=True)
+    assert [type(v) for v in w] == [complex, complex, complex, bool, complex]
+    assert w.pole_crossed == (t > x / (2.0 * (1.0 + p03.k0I)))
+    w = sm.kernel(p03, np.full((3, 1), float(x)), np.array([t, 2 * t]), derivative=True)
+    assert [v.shape for v in w] == [(3, 2)] * 5
+
+
 # ---------------------------------------------------------------- domain
 
 @pytest.mark.parametrize("x, t", [
@@ -137,7 +146,7 @@ def test_overflow_raises_typed_error_at_first_point(p03):
         sm.kernel(p03, xs, ts)
     assert (err.value.x, err.value.t) == (3000.0, 1.0)
     with pytest.raises(sm.EvaluationDomainError):
-        sm.evaluate_exact(p03, sm.SpaceTimePoint(4000.0, 1e-3))
+        sm.kernel(p03, 4000.0, 1e-3)
 
 
 def test_faddeeva_array_guard_reports_index():
@@ -162,7 +171,7 @@ def test_saddle_matches_mpmath_at_tiny_x_and_t(p03):
     points = [(1e-6, 1e-6), (2e-6, abs(2e-6 / (2.0 * p03.k0))), (1e-200, 1e-170),
               (1e-300, 1e-300), (5e-324, 5e-324), (0.0, 5e-324), (1e-174, 5e-324)]
     for x, t in points:
-        scalar = complex(sm.kernel(p03, x, t).saddle)
+        scalar = sm.kernel(p03, x, t).saddle
         array = complex(sm.kernel(p03, np.array([x]), np.array([t])).saddle[0])
         for got in (scalar, array):
             assert _saddle_close(got, p03.k0I, x, t), (x, t, got)
@@ -190,9 +199,9 @@ def test_saddle_matches_mpmath_over_the_domain():
         t_c = sm.pole_crossing_time(p, xs)
         ts = np.where(np.arange(100) % 2, t_c * (1.0 + rng.uniform(-1e-3, 1e-3, 100)),
                       10.0 ** rng.uniform(-6.0, 4.0, 100))
-        array = sm.kernel(p, xs, ts, exact=False).saddle
+        array = sm.kernel(p, xs, ts).saddle
         for x, t, got in zip(xs.tolist(), ts.tolist(), array.tolist()):
-            scalar = complex(sm.kernel(p, x, t, exact=False).saddle)
+            scalar = sm.kernel(p, x, t).saddle
             assert _saddle_close(scalar, p.k0I, x, t), (p.k0I, x, t, scalar)
             assert _saddle_close(got, p.k0I, x, t), (p.k0I, x, t, got)
 

@@ -21,6 +21,12 @@ def test_params_validation():
         lat.LatticeParams(0.3, 5, 1.0)
     with pytest.raises(ValueError):
         lat.LatticeParams(0.3, 100, -1.0)
+    # the size bound comes before the horizon's own checks
+    with pytest.raises(ValueError, match="MAX_SITES"):
+        lat.LatticeParams(0.3, lat.MAX_SITES + 1, 1e6)
+    with pytest.raises(ValueError, match="MAX_SITES"):
+        lat.LatticeParams.for_horizon(0.3, 1e6)
+    assert lat.LatticeParams.for_horizon(0.3, 9980.0).n_sites == lat.MAX_SITES
     # delta = 1 is allowed (band-edge configuration)
     lat.LatticeParams(1.0, 100, 10.0)
 
@@ -50,11 +56,12 @@ def test_rate_formulas():
 
 def test_initial_state_and_norm_conservation():
     p = lat.LatticeParams.for_horizon(0.3, 30.0)
-    states = lat.evolve(p, [0.0, 10.0, 30.0])
-    assert states[0].amplitudes[0] == pytest.approx(1.0 + 0j, abs=1e-12)
-    assert np.max(np.abs(states[0].amplitudes[1:])) < 1e-12
-    for st in states:
-        assert abs(st.norm() - 1.0) < 1e-10
+    amps = lat.evolve(p, [0.0, 10.0, 30.0])
+    assert amps.shape == (3, p.n_sites)
+    assert amps[0, 0] == pytest.approx(1.0 + 0j, abs=1e-12)
+    assert np.max(np.abs(amps[0, 1:])) < 1e-12
+    for row in amps:
+        assert abs(np.sum(np.abs(row) ** 2) - 1.0) < 1e-10
 
 
 def test_evolve_preconditions():

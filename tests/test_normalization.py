@@ -235,14 +235,13 @@ def test_spatial_norm_panel_budget(p03, monkeypatch):
 def test_density_far_tail(p03):
     # rho -> 4t/(pi x^2) far beyond the propagation front
     for t, x in ((5.0, 500.0), (10.0, 2000.0)):
-        rho, _, _ = sm.density_and_current(p03, sm.SpaceTimePoint(x, t))
+        rho = abs(sm.kernel(p03, x, t).psi) ** 2
         assert rho * math.pi * x * x / (4.0 * t) == pytest.approx(1.0, abs=0.01)
 
 
 def test_normalized_density(p03):
     # densities are divided by the closed form SourceParams.n_total, which
     # the quadrature of the boundary current confirms
-    pt = sm.SpaceTimePoint(1.5, 8.0)
-    rho, _, _ = sm.density_and_current(p03, pt)
+    rho = abs(sm.kernel(p03, 1.5, 8.0).psi) ** 2
     assert p03.n_total == 1.0 / (2.0 * 0.3)
     assert rho / p03.n_total == pytest.approx(rho / nz.total_emitted(p03).n_total, rel=1e-12)

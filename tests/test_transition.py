@@ -18,18 +18,20 @@ EPS = np.finfo(float).eps
 
 
 def test_ratio_value(p03):
-    got = tr.ratio_R(p03, sm.SpaceTimePoint(2.5, 7.0))
+    got = tr.ratio_R(p03, 2.5, 7.0)
     assert got == pytest.approx(0.8866309684548577, rel=1e-9)
 
 
 def test_ratio_rejects_boundary(p03):
-    with pytest.raises(ValueError):
-        tr.ratio_R(p03, sm.SpaceTimePoint(0.0, 5.0))
+    for x, t in ((0.0, 5.0), (-1.0, 5.0), (1.0, 0.0), (1.0, -2.0), (math.nan, 5.0),
+                 (math.inf, 5.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            tr.ratio_R(p03, x, t)
 
 
 def test_ratio_at_tiny_distance_and_time(p03):
     # no singular locus for real t: R is finite where t^2 - tau^2 is below 1e-12
-    got = tr.ratio_R(p03, sm.SpaceTimePoint(1e-6, 1e-6))
+    got = tr.ratio_R(p03, 1e-6, 1e-6)
     assert got == pytest.approx(float(mpmath.exp(log_ratio_mpmath_oracle(-0.3, 1e-6, 1e-6)[0])),
                                 rel=1e-13)
 
@@ -40,7 +42,7 @@ def test_sigma_overflow_is_a_typed_error(p03):
     with pytest.raises(sm.EvaluationDomainError):
         tr.transition_times(sm.SourceParams(-1e-12), [1e-300, 1.0])
     with pytest.raises(sm.EvaluationDomainError):
-        tr.ratio_R(p03, sm.SpaceTimePoint(1e-300, 1e10))
+        tr.ratio_R(p03, 1e-300, 1e10)
 
 
 def test_pole_crossing_time(p03):
@@ -58,7 +60,7 @@ def test_transition_times_for_marked_distances(p03):
         assert res.residual < 1e-6
         assert res.t_p > tr.pole_crossing_time(p03, x)
         # the ratio really crosses 1 there
-        assert tr.ratio_R(p03, sm.SpaceTimePoint(x, res.t_p)) == pytest.approx(1.0, abs=1e-5)
+        assert tr.ratio_R(p03, x, res.t_p) == pytest.approx(1.0, abs=1e-5)
 
 
 def test_density_fields_normalized_by_total_emission(p03):
@@ -192,9 +194,8 @@ def test_transition_curve_monotone_sections(p03):
     for x in xs:
         res = tr.transition_time(p03, float(x))
         assert res.valid, x
-        pt = sm.SpaceTimePoint(float(x), res.t_p)
         exact.append(res.density_raw)
-        pole.append(abs(sm.evaluate_pole(p03, pt)) ** 2)
+        pole.append(abs(sm.kernel(p03, float(x), res.t_p).pole) ** 2)
     exact = np.array(exact)
     pole = np.array(pole)
     # pole density at the transition grows monotonically with distance;

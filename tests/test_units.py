@@ -45,11 +45,16 @@ def test_source_params_bounds():
 
 
 def test_round_trip(rb87):
-    pt, p = units.to_dimensionless(rb87, 100e-6, 1e-3)
+    x, t, p = units.to_dimensionless(rb87, 100e-6, 1e-3)
     assert p.k0I == rb87.k0I
-    X, T = units.to_physical(rb87, pt)
+    X, T = units.to_physical(rb87, x, t)
     assert X == pytest.approx(100e-6, rel=1e-12)
     assert T == pytest.approx(1e-3, rel=1e-12)
+    # the last X is finite, but x = X/L is not
+    for X, T in ((-1e-6, 1e-3), (1e-4, 0.0), (1e-4, -1e-3), (math.nan, 1e-3),
+                 (1e-4, math.inf), (1e308, 1e-3)):
+        with pytest.raises(ValueError):
+            units.to_dimensionless(rb87, X, T)
 
 
 def test_scenario_report_frozen(rb87):
