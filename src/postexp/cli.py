@@ -7,11 +7,12 @@ MAX_GRID_POINTS is refused, so memory stays bounded for any grid.
 Output is deterministic: identical invocations produce byte-identical
 files. --parallelism is kept for compatibility and has no effect.
 
-Each subcommand imports only the modules it uses. `scenario`, `transition`
-and `critical` compute one point at a time in pure Python and load no
-numpy; so does `density` on grids of at most SCALAR_POINTS points, below
-which numpy's import costs more than the grid. Larger `density` grids,
-`lattice` and `selftest` work on arrays and import it.
+Each subcommand imports only the modules it uses, and `json` only when it
+writes JSON. `scenario`, `transition` and `critical` compute one point at a
+time in pure Python and load no numpy; so does `density` on grids of at
+most SCALAR_POINTS points, below which numpy's import costs more than the
+grid. Larger `density` grids, `lattice` and `selftest` work on arrays and
+import it.
 The process runs numpy's BLAS on one thread unless OPENBLAS_NUM_THREADS is
 already set: the computations are single-threaded, and an idle BLAS
 worker only spins.
@@ -25,8 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
-import json
+import gc
 import math
 import os
 import sys
@@ -128,6 +128,10 @@ def _fmt_column(col) -> List[str]:
     return list(map(repr if kind is float else str, values))
 
 
+# the JSON document's rows while its head and tail are dumped; argv holds no NUL
+_ROWS_MARK = "\0rows"
+
+
 class _Indexed(NamedTuple):
     """A column drawn from a short table, table[index] (numpy arrays): its CSV
     cells are formatted once per table entry instead of once per row."""
@@ -156,7 +160,9 @@ def emit_table(
 ) -> None:
     """Write a table given as blocks, each a sequence of equal-length columns.
 
-    CSV streams each block as it is computed; JSON collects the rows first.
+    Both formats stream each block as it is computed. The JSON bytes are
+    json.dumps(document, indent=2, sort_keys=True) + "\n": the document is
+    dumped with _ROWS_MARK for its rows and written around them.
     """
     with _output(args.out) as fh:
         if args.format == "csv":
@@ -167,19 +173,27 @@ def emit_table(
             if summary:
                 fh.write("".join(f"# {k} = {_fmt_column([v])[0]}\n" for k, v in summary.items()))
             return
-        rows = [[_json_safe(v) for v in row]
-                for block in blocks
-                for row in zip(*map(_values, block))]
+        import json
+
         obj = {
             "schema_version": SCHEMA_VERSION,
             "command": command,
             "params": _json_safe(params),
             "columns": list(columns),
-            "rows": rows,
+            "rows": _ROWS_MARK,
         }
         if summary:
             obj["summary"] = _json_safe(summary)
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        head, _, tail = json.dumps(obj, indent=2, sort_keys=True).partition(json.dumps(_ROWS_MARK))
+        fh.write(head)
+        sep = "[\n"
+        for block in blocks:
+            rows = [[_json_safe(v) for v in row] for row in zip(*map(_values, block))]
+            if rows:
+                # nested two lists deep, as in the document: strip "[\n  [\n", "\n  ]\n]"
+                fh.write(sep + json.dumps([rows], indent=2)[6:-6])
+                sep = ",\n"
+        fh.write(("[]" if sep == "[\n" else "\n  ]") + tail + "\n")
 
 
 # --------------------------------------------------------------- commands
@@ -291,7 +305,7 @@ def cmd_critical(args) -> int:
         "critical",
         {"k0i_grid": args.k0i_grid},
         ["k0I", "x_max", "t_p", "rho_exact_normalized", "rho_approx_normalized", "valid"],
-        (tuple(zip(*map(dataclasses.astuple, pts))) for pts in curves),
+        (tuple(zip(*pts)) for pts in curves),
     )
     return 0
 
@@ -393,6 +407,8 @@ def cmd_scenario(args) -> int:
     if distance <= 0.0:
         raise UsageError("--distance must be positive")
     report = units.scenario_transition_report(scenario, distance)
+    import json
+
     obj = {
         "schema_version": SCHEMA_VERSION,
         "command": "scenario",
@@ -612,5 +628,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
 
+def run() -> None:
+    """The process entry (`postexp`, `python -m postexp.cli`): exit with
+    main()'s code. gc.freeze() moves every live object to the permanent
+    generation first, so the interpreter's final collections skip all that
+    the imports made."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -41,9 +41,8 @@ solved in closed form by specfun.lambertw_m1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,25 +73,36 @@ class InsufficientWindowError(Exception):
     """The evolution horizon is too short to isolate the requested fit window."""
 
 
-@dataclass(frozen=True)
-class LatticeParams:
+class _LatticeFields(NamedTuple):
     delta: float
     n_sites: int
     t_max: float
 
-    def __post_init__(self):
-        if not (0.0 < self.delta <= 1.0):
-            raise ValueError(f"delta must be in (0, 1]; got {self.delta!r}")
-        if not (isinstance(self.n_sites, int) and self.n_sites >= 10):
-            raise ValueError(f"n_sites must be an integer >= 10; got {self.n_sites!r}")
-        if self.n_sites > MAX_SITES:
-            raise ValueError(f"n_sites={self.n_sites} exceeds MAX_SITES={MAX_SITES} "
+
+class LatticeParams(_LatticeFields):
+    """The truncated chain. An immutable tuple; the constructor, _make and
+    _replace all check it."""
+
+    __slots__ = ()
+
+    def __new__(cls, delta: float, n_sites: int, t_max: float):
+        if not (0.0 < delta <= 1.0):
+            raise ValueError(f"delta must be in (0, 1]; got {delta!r}")
+        if not (isinstance(n_sites, int) and n_sites >= 10):
+            raise ValueError(f"n_sites must be an integer >= 10; got {n_sites!r}")
+        if n_sites > MAX_SITES:
+            raise ValueError(f"n_sites={n_sites} exceeds MAX_SITES={MAX_SITES} "
                              f"(the default chain for t_max = {MAX_SITES / 2 - REFLECTION_MARGIN:g})")
-        if not (self.t_max > 0.0 and math.isfinite(self.t_max)):
-            raise ValueError(f"t_max must be positive and finite; got {self.t_max!r}")
-        required = required_sites(self.t_max)
-        if self.n_sites < required:
-            raise TruncationUnsoundError(required, self.n_sites, self.t_max)
+        if not (t_max > 0.0 and math.isfinite(t_max)):
+            raise ValueError(f"t_max must be positive and finite; got {t_max!r}")
+        required = required_sites(t_max)
+        if n_sites < required:
+            raise TruncationUnsoundError(required, n_sites, t_max)
+        return super().__new__(cls, delta, n_sites, t_max)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @classmethod
     def for_horizon(cls, delta: float, t_max: float) -> "LatticeParams":

@@ -27,8 +27,7 @@ spatial_norm integrates |psi|^2 over x with the same rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -48,8 +47,7 @@ class InternalConsistencyError(Exception):
     """The computed norm violated a property it must have (e.g. positivity)."""
 
 
-@dataclass(frozen=True)
-class NormalizationResult:
+class NormalizationResult(NamedTuple):
     """n_total is 2/gamma, the pole term's exact integral over all time, plus
     the cross term 2 Im(psi* s) integrated over [0, t_cut]. The cross term's
     remainder past t_cut is not added but bounded by tail_estimate, which

@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
-from dataclasses import dataclass
 from typing import Any, NamedTuple, Tuple
 
 from . import specfun
@@ -34,15 +33,26 @@ class EvaluationDomainError(Exception):
         super().__init__(f"evaluation domain error at (x={x!r}, t={t!r}): {reason}")
 
 
-@dataclass(frozen=True)
-class SourceParams:
-    """Resonance parameters. k0I is the imaginary part of k0 = 1 + i k0I."""
-
+class _SourceFields(NamedTuple):
     k0I: float
 
-    def __post_init__(self):
-        if not (-1.0 < self.k0I < 0.0):
-            raise ValueError(f"k0I must lie in (-1, 0), got {self.k0I!r}")
+
+class SourceParams(_SourceFields):
+    """Resonance parameters. k0I is the imaginary part of k0 = 1 + i k0I.
+
+    An immutable tuple; the constructor, _make and _replace all check k0I.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, k0I: float):
+        if not (-1.0 < k0I < 0.0):
+            raise ValueError(f"k0I must lie in (-1, 0), got {k0I!r}")
+        return super().__new__(cls, k0I)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def k0(self) -> complex:

@@ -43,9 +43,8 @@ d2/dx2 = 1/x^2 + Re(-2 s0/q - 4 s0^2 x^2/q^2) and d2/dxdt = Re(4 s0 x t/q^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .source_model import EvaluationDomainError, SourceParams, kernel, pole_crossing_time
 from .specfun import OVERFLOW_LIMIT, lambertw_m1
@@ -54,8 +53,7 @@ ROOT_TOL = 1e-6          # |ln R| (exact_ratio) or |residual| (late_time) at the
 NEWTON_STEPS = 50        # turning-point iteration cap
 
 
-@dataclass(frozen=True)
-class TransitionPoint:
+class TransitionPoint(NamedTuple):
     x: float
     t_p: float
     density_raw: float
@@ -260,8 +258,7 @@ def jittoh_criterion(p: SourceParams) -> Tuple[float, bool]:
     return q, q >= 2.0
 
 
-@dataclass(frozen=True)
-class CriticalDensityPoint:
+class CriticalDensityPoint(NamedTuple):
     k0I: float
     x_max: float
     t_p: float

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .source_model import SourceParams, kernel
 from .transition import _n_total_cached, max_distance, transition_time
@@ -41,8 +40,7 @@ class ScenarioUnrepresentableError(Exception):
     """The scenario maps outside the model's parameter domain; names the bound."""
 
 
-@dataclass(frozen=True)
-class PhysicalScenario:
+class _ScenarioFields(NamedTuple):
     mass: float                 # kg
     lifetime: float             # s
     release_velocity: float     # m/s
@@ -50,11 +48,25 @@ class PhysicalScenario:
     pixel_size: float           # m
     hbar: float = HBAR          # J s
 
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
+
+class PhysicalScenario(_ScenarioFields):
+    """A cold-atom source in SI units. An immutable tuple; the constructor,
+    _make and _replace all check that every field is positive and finite."""
+
+    __slots__ = ()
+
+    def __new__(cls, mass: float, lifetime: float, release_velocity: float,
+                atom_number: float, pixel_size: float, hbar: float = HBAR):
+        self = super().__new__(cls, mass, lifetime, release_velocity, atom_number,
+                               pixel_size, hbar)
+        for name, v in zip(self._fields, self):
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValueError(f"{f.name} must be a positive finite number; got {v!r}")
+                raise ValueError(f"{name} must be a positive finite number; got {v!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def length_unit(self) -> float:
@@ -101,8 +113,7 @@ def to_physical(s: PhysicalScenario, x: float, t: float) -> Tuple[float, float]:
     return x * s.length_unit, t * s.time_unit
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
+class ScenarioReport(NamedTuple):
     L_m: float
     t_unit_s: float
     k0I: float
@@ -119,7 +130,7 @@ class ScenarioReport:
     method: str
 
     def to_dict(self) -> Dict[str, object]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
 
 @lru_cache(maxsize=None)

@@ -379,6 +379,44 @@ def test_small_blocks_give_identical_bytes(capsys, argv):
         assert {row[4] for row in rows} == {"0", "1"}
 
 
+def test_json_table_is_the_dumped_document(capsys):
+    # written block by block, the document is json.dumps of it whole, with no
+    # rows, an empty block, several blocks and a summary with a nan
+    import argparse
+
+    args = argparse.Namespace(format="json", out=None)
+    summary = {"b": math.nan, "a": "text", "c": 3}
+    layouts = [[], [([], [])], [([0.5], [True])],
+               [([1.0, math.inf], [False, True]), ([], []), (["x", "y"], [None, 2])]]
+    for blocks in layouts:
+        for extra in (None, summary):
+            cli.emit_table(args, "cmd", {"g": "lin:0:1:2", "n": 1}, ["u", "v"], iter(blocks),
+                           summary=extra)
+            rows = [list(row) for block in blocks for row in zip(*block)]
+            doc = {"schema_version": cli.SCHEMA_VERSION, "command": "cmd",
+                   "params": {"g": "lin:0:1:2", "n": 1}, "columns": ["u", "v"],
+                   "rows": cli._json_safe(rows)}
+            if extra:
+                doc["summary"] = cli._json_safe(extra)
+            assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_failure_after_a_block_leaves_the_rows_written(capsys, monkeypatch):
+    # x = 1e6 fails in the third block on the array path: both formats keep
+    # the head and the first two blocks, and exit 1
+    monkeypatch.setattr(cli, "SCALAR_POINTS", 0)
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 3)
+    argv = ["density", "--k0i", "-0.3", "--x", "0,1,1e6", "--t-grid", "lin:1:5:3"]
+    rc, out, err = _run(capsys, argv)
+    assert rc == 1 and err.startswith("error: evaluation domain error")
+    assert out.count("\n") == 1 + 6
+    rc, out, err = _run(capsys, argv + ["--format", "json"])
+    assert rc == 1 and err.startswith("error: evaluation domain error")
+    head = '"rows": [\n    [\n      0.0,\n'
+    assert out.startswith("{\n") and head in out and not out.endswith("}\n")
+    assert out.count("\n    [\n") == 6
+
+
 # ------------------------------------------------- density: two paths
 
 def _load_workloads():
@@ -512,8 +550,9 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] == {package!r}))
 """
 
 
-def _fresh(args, **env):
-    """stdout of `python args` in a fresh process importing this tree's postexp.
+def _spawn(args, **env):
+    """`python args` in a fresh process importing this tree's postexp, with
+    stdout and stderr as bytes.
 
     The child gets this environment plus env, less OPENBLAS_NUM_THREADS
     unless env sets it (importing cli here has set it to "1").
@@ -522,9 +561,14 @@ def _fresh(args, **env):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     child = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     child.update(env, PYTHONPATH=path)
-    r = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=child,
-                       check=True)
-    return r.stdout
+    return subprocess.run([sys.executable, *args], capture_output=True, env=child)
+
+
+def _fresh(args, **env):
+    """stdout of `python args` in a fresh process (_spawn), which must exit 0."""
+    r = _spawn(args, **env)
+    r.check_returncode()
+    return r.stdout.decode()
 
 
 def _fresh_footprint(argvs, package="scipy"):
@@ -532,8 +576,8 @@ def _fresh_footprint(argvs, package="scipy"):
     return _fresh(["-c", FOOTPRINT.format(argvs=argvs, package=package)]).strip()
 
 
-def test_package_imports_no_scipy():
-    # scipy is a test dependency only: no module of the package may import it
+def _package_imports_of(package):
+    """(file, module) for each import of package, anywhere in a module of ours."""
     import ast
 
     found = []
@@ -549,8 +593,19 @@ def test_package_imports_no_scipy():
                     mods = [node.module or ""]
                 else:
                     continue
-                found += [(name, m) for m in mods if m.split(".")[0] == "scipy"]
-    assert found == []
+                found += [(name, m) for m in mods if m.split(".")[0] == package]
+    return found
+
+
+def test_package_imports_no_scipy():
+    # scipy is a test dependency only: no module of the package may import it
+    assert _package_imports_of("scipy") == []
+
+
+def test_package_imports_no_dataclasses():
+    # dataclasses imports inspect, ast, dis and tokenize, several ms of every
+    # fresh process; the records are NamedTuples
+    assert _package_imports_of("dataclasses") == []
 
 
 def test_continuous_model_commands_run_without_scipy():
@@ -622,6 +677,38 @@ FOOTPRINTS = [
 def test_subcommand_loads_only_its_modules(argv, modules):
     want = ["postexp", "postexp.cli"] + [f"postexp.{m}" for m in modules]
     assert _fresh_footprint([argv], package="postexp") == f"[0] {want}"
+
+
+def test_subcommands_load_no_dataclasses_and_csv_no_json():
+    # scenario writes JSON; a CSV table loads no json module
+    argvs = [a for a, _ in FOOTPRINTS]
+    assert _fresh_footprint(argvs, package="dataclasses") == f"{[0] * len(argvs)} []"
+    csv = [a for a in argvs if a[0] != "scenario"]
+    assert _fresh_footprint(csv, package="json") == f"{[0] * len(csv)} []"
+
+
+def test_process_exit_loses_no_output(tmp_path, capsys):
+    # the process entry freezes the garbage collector before it exits: a piped
+    # table on the numpy path, and each exit code with its error line, come
+    # out as from main() in the test process
+    big = ["density", "--k0i", "-0.3", "--x", "0.5,3",
+           "--t-grid", f"log:0.3:150:{cli.SCALAR_POINTS}"]
+    path = tmp_path / "big.csv"
+    piped = _spawn(["-m", "postexp.cli", *big])
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert cli.main(big + ["--out", str(path)]) == 0
+    assert piped.stdout == path.read_bytes()
+    assert piped.stdout.count(b"\n") == 1 + 2 * cli.SCALAR_POINTS
+    for argv, code in (
+        (["density", "--k0i", "-0.3", "--x", "1", "--t-grid", "1",
+          "--out", str(tmp_path / "missing" / "t.csv")], 1),
+        (["density", "--k0i", "-1.5", "--x", "1", "--t-grid", "1"], 2),
+    ):
+        fresh = _spawn(["-m", "postexp.cli", *argv])
+        rc, out, err = _run(capsys, argv)
+        assert (fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode()) == (rc, out, err)
+        assert (rc, out) == (code, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_traced_benchmark_harness_runs_every_subcommand(tmp_path):

@@ -91,7 +91,7 @@ def test_report_round_trips_to_dict(rb87):
     d = rep.to_dict()
     assert d["t_p"] == rep.t_p
     assert d["valid"] is True
-    assert set(d) == set(units.ScenarioReport.__dataclass_fields__)
+    assert set(d) == set(units.ScenarioReport._fields)
 
 
 def test_report_runs_no_quadrature(rb87, monkeypatch):
