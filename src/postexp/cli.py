@@ -4,8 +4,11 @@ Grid options (--x, --t-grid, --x-grid, --k0i-grid) take `lin:a:b:n`,
 `log:a:b:n`, or a comma list like `0.1,0.4,1.5`. Grids are computed and
 written in blocks of BLOCK_ROWS rows, and a lin:/log: count above
 MAX_GRID_POINTS is refused, so memory stays bounded for any grid.
-Output is deterministic: identical invocations produce byte-identical
-files. --parallelism is kept for compatibility and has no effect.
+A table of two or more blocks is rendered by up to --parallelism
+processes (never more than the usable CPUs or the blocks): forked
+workers render their share of the blocks and this process writes every
+block in order. Output is deterministic: identical invocations produce
+byte-identical files, whatever --parallelism is.
 
 Each subcommand imports only the modules it uses, and `json` only when it
 writes JSON. `scenario`, `transition` and `critical` compute one point at a
@@ -26,11 +29,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import math
 import os
 import sys
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 # before any numpy import; a value the user set wins
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -150,29 +154,47 @@ def _values(col) -> list:
     return col.tolist() if hasattr(col, "tolist") else list(col)
 
 
+def _csv_block(block) -> str:
+    cells = [_cells(c) for c in block]
+    return "".join(",".join(row) + "\n" for row in zip(*cells))
+
+
+def _json_block(block) -> str:
+    """The block's rows as in the document, without the separator before them."""
+    import json
+
+    rows = [[_json_safe(v) for v in row] for row in zip(*map(_values, block))]
+    # nested two lists deep, as in the document: strip "[\n  [\n", "\n  ]\n]"
+    return json.dumps([rows], indent=2)[6:-6] if rows else ""
+
+
+def _thunks(block: Callable[[int, int], Sequence[object]], size: int) -> List[Callable]:
+    """block(lo, hi) for each slice of at most BLOCK_ROWS of size rows, as thunks."""
+    return [functools.partial(block, lo, min(lo + BLOCK_ROWS, size))
+            for lo in range(0, size, BLOCK_ROWS)]
+
+
 def emit_table(
     args,
     command: str,
     params: Dict[str, object],
     columns: Sequence[str],
-    blocks: Iterable[Sequence[object]],
+    blocks: Sequence[Callable[[], Sequence[object]]],
     summary: Optional[Dict[str, object]] = None,
 ) -> None:
-    """Write a table given as blocks, each a sequence of equal-length columns.
+    """Write a table given as block thunks, each returning a sequence of
+    equal-length columns.
 
-    Both formats stream each block as it is computed. The JSON bytes are
-    json.dumps(document, indent=2, sort_keys=True) + "\n": the document is
-    dumped with _ROWS_MARK for its rows and written around them.
+    Both formats write each block as it is rendered, in order; a table of
+    two or more blocks is rendered by up to --parallelism processes
+    (postexp.parallel). The JSON bytes are json.dumps(document, indent=2,
+    sort_keys=True) + "\n": the document is dumped with _ROWS_MARK for its
+    rows and written around them.
     """
-    with _output(args.out) as fh:
-        if args.format == "csv":
-            fh.write(",".join(columns) + "\n")
-            for block in blocks:
-                cells = [_cells(c) for c in block]
-                fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
-            if summary:
-                fh.write("".join(f"# {k} = {_fmt_column([v])[0]}\n" for k, v in summary.items()))
-            return
+    if args.format == "csv":
+        render, head, sep = _csv_block, ",".join(columns) + "\n", ""
+        tail = "".join(f"# {k} = {_fmt_column([v])[0]}\n" for k, v in (summary or {}).items())
+    else:
         import json
 
         obj = {
@@ -184,16 +206,29 @@ def emit_table(
         }
         if summary:
             obj["summary"] = _json_safe(summary)
+        render, sep = _json_block, "[\n"
         head, _, tail = json.dumps(obj, indent=2, sort_keys=True).partition(json.dumps(_ROWS_MARK))
+    if args.parallelism > 1 and len(blocks) > 1:
+        from . import parallel
+
+        texts = parallel.rendered(blocks, render, args.parallelism)
+    else:
+        texts = (render(block()) for block in blocks)
+    with _output(args.out) as fh, contextlib.closing(texts):
         fh.write(head)
-        sep = "[\n"
-        for block in blocks:
-            rows = [[_json_safe(v) for v in row] for row in zip(*map(_values, block))]
-            if rows:
-                # nested two lists deep, as in the document: strip "[\n  [\n", "\n  ]\n]"
-                fh.write(sep + json.dumps([rows], indent=2)[6:-6])
+        for text in texts:
+            if not text:
+                continue
+            if args.format == "json":
+                fh.write(sep)
                 sep = ",\n"
-        fh.write(("[]" if sep == "[\n" else "\n  ]") + tail + "\n")
+            if isinstance(text, str):
+                fh.write(text)
+            else:   # a worker's bytes
+                parallel.write_bytes(fh, text)
+        if args.format == "json":
+            tail = ("[]" if sep == "[\n" else "\n  ]") + tail + "\n"
+        fh.write(tail)
 
 
 # --------------------------------------------------------------- commands
@@ -210,20 +245,23 @@ def cmd_density(args) -> int:
         raise UsageError("--t-grid: times must be > 0")
     p = source_model.SourceParams(k0I)
     # up to SCALAR_POINTS, one point at a time costs less than importing numpy
-    table = _density_points if len(xs) * len(ts) <= SCALAR_POINTS else _density_arrays
+    if len(xs) * len(ts) <= SCALAR_POINTS:
+        blocks = [functools.partial(_density_points, p, xs, ts)]
+    else:
+        blocks = _density_arrays(p, xs, ts)
     emit_table(
         args,
         "density",
         {"k0i": k0I, "x": args.x, "t_grid": args.t_grid},
         ["x", "t", "rho_exact", "rho_saddle", "rho_pole", "pole_crossed", "R", "rho_normalized"],
-        table(p, xs, ts),
+        blocks,
     )
     return 0
 
 
 def _density_points(p, xs: List[float], ts: List[float]):
     """The density table as one block of Python columns, one kernel call per
-    point, x-major; the whole grid is computed before it is yielded, so an
+    point, x-major; the whole grid is computed before it is written, so an
     error leaves only the header written, as in _density_arrays."""
     from .source_model import kernel
 
@@ -243,11 +281,11 @@ def _density_points(p, xs: List[float], ts: List[float]):
             rho = mod * mod
             rows.append((x, t, rho, saddle * saddle, pole * pole, w.pole_crossed, ratio,
                          rho / n_total))
-    yield tuple(zip(*rows))
+    return tuple(zip(*rows))
 
 
 def _density_arrays(p, xs: List[float], ts: List[float]):
-    """The density table in numpy blocks of BLOCK_ROWS rows."""
+    """The density table as thunks of numpy blocks of BLOCK_ROWS rows."""
     import numpy as np
 
     from .source_model import kernel
@@ -255,9 +293,10 @@ def _density_arrays(p, xs: List[float], ts: List[float]):
     xs, ts = np.array(xs), np.array(ts)
     n_total = p.n_total
     x_cells, t_cells = (np.array(_fmt_column(g), dtype=object) for g in (xs, ts))
-    # rows run x-major over the flattened (x, t) grid
-    for lo in range(0, xs.size * ts.size, BLOCK_ROWS):
-        ix, it = np.divmod(np.arange(lo, min(lo + BLOCK_ROWS, xs.size * ts.size)), ts.size)
+
+    def block(lo, hi):
+        # rows run x-major over the flattened (x, t) grid
+        ix, it = np.divmod(np.arange(lo, hi), ts.size)
         x, t = xs[ix], ts[it]
         w = kernel(p, x, t)
         rho, saddle, pole = np.abs(w.psi) ** 2, np.abs(w.saddle), np.abs(w.pole)
@@ -266,8 +305,10 @@ def _density_arrays(p, xs: List[float], ts: List[float]):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratio = np.divide(pole, saddle, out=np.full(x.shape, math.nan), where=x > 0.0)
             rho_saddle, rho_pole = saddle ** 2, pole ** 2
-        yield (_Indexed(xs, x_cells, ix), _Indexed(ts, t_cells, it),
-               rho, rho_saddle, rho_pole, w.pole_crossed, ratio, rho / n_total)
+        return (_Indexed(xs, x_cells, ix), _Indexed(ts, t_cells, it),
+                rho, rho_saddle, rho_pole, w.pole_crossed, ratio, rho / n_total)
+
+    return _thunks(block, xs.size * ts.size)
 
 
 def cmd_transition(args) -> int:
@@ -278,15 +319,18 @@ def cmd_transition(args) -> int:
     if xs[0] <= 0.0:
         raise UsageError("--x-grid: positions must be > 0")
     p = source_model.SourceParams(k0I)
-    blocks = (transition.transition_times(p, xs[lo:lo + BLOCK_ROWS], args.method)
-              for lo in range(0, len(xs), BLOCK_ROWS))
+
+    def block(lo, hi):
+        pts = transition.transition_times(p, xs[lo:hi], args.method)
+        return tuple(zip(*((q.x, q.t_p, q.density_raw, q.density_normalized, q.valid, q.method)
+                           for q in pts)))
+
     emit_table(
         args,
         "transition",
         {"k0i": k0I, "x_grid": args.x_grid, "method": args.method},
         ["x", "t_p", "rho_at_tp_raw", "rho_at_tp_normalized", "valid", "method"],
-        (tuple(zip(*((q.x, q.t_p, q.density_raw, q.density_normalized, q.valid, q.method)
-                     for q in pts))) for pts in blocks),
+        _thunks(block, len(xs)),
     )
     return 0
 
@@ -298,14 +342,13 @@ def cmd_critical(args) -> int:
     for k in ks:
         check_k0i(k)
     params = [source_model.SourceParams(k) for k in ks]
-    curves = (transition.critical_density_curve(params[lo:lo + BLOCK_ROWS])
-              for lo in range(0, len(ks), BLOCK_ROWS))
     emit_table(
         args,
         "critical",
         {"k0i_grid": args.k0i_grid},
         ["k0I", "x_max", "t_p", "rho_exact_normalized", "rho_approx_normalized", "valid"],
-        (tuple(zip(*pts)) for pts in curves),
+        _thunks(lambda lo, hi: tuple(zip(*transition.critical_density_curve(params[lo:hi]))),
+                len(params)),
     )
     return 0
 
@@ -335,22 +378,33 @@ def cmd_lattice(args) -> int:
         ts = parse_grid(args.t_grid, "--t-grid")
         if ts[0] < 0.0 or ts[-1] > p.t_max:
             raise UsageError("--t-grid: times must lie within [0, t_max]")
+
+        def density(n, lo, hi):
+            return lat.site_density(p, n, ts[lo:hi])
     else:
         ts = _linspace(0.0, p.t_max, 801)
 
-    def density(n):
-        if args.t_grid:
-            return lat.site_density(p, n, ts)
-        return lat.uniform_site_density(p, n, 0.0, p.t_max / 800, 801)
+        def density(n, lo, hi):
+            # the two-level split depends on the count: always all 801 times
+            return lat.uniform_site_density(p, n, 0.0, p.t_max / 800, 801)[lo:hi]
 
-    blocks = ((ts, [n] * len(ts), density(n)) for n in sites)
+    def block(lo, hi):
+        # rows run site-major: row r is site r // len(ts) at time r % len(ts)
+        t_col, n_col, rho = [], [], []
+        for i in range(lo // len(ts), (hi - 1) // len(ts) + 1):
+            a, b = max(lo - i * len(ts), 0), min(hi - i * len(ts), len(ts))
+            t_col += ts[a:b]
+            n_col += [sites[i]] * (b - a)
+            rho += density(sites[i], a, b).tolist()
+        return t_col, n_col, rho
+
     summary = _lattice_summary(args.delta, sites, args.t_max)
     emit_table(
         args,
         "lattice",
         {"delta": args.delta, "sites": args.sites, "t_max": args.t_max, "n_sites": p.n_sites},
         ["t", "n", "density"],
-        blocks,
+        _thunks(block, len(sites) * len(ts)),
         summary=summary,
     )
     return 0
@@ -529,7 +583,8 @@ def _add_common(sp) -> None:
         "--parallelism",
         type=int,
         default=os.cpu_count() or 1,
-        help="kept for compatibility; has no effect (grids run in one process)",
+        help="most processes that render a table of several blocks, further capped "
+             "by the usable CPUs; 1 means one process (default: the CPU count)",
     )
 
 
@@ -602,6 +657,7 @@ def _loaded(names: Sequence[str]) -> tuple:
     return tuple(out)
 
 
+TABLES = ("density", "transition", "critical", "lattice")   # the emit_table commands
 DISPATCH = {
     "density": cmd_density,
     "transition": cmd_transition,
@@ -619,6 +675,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        if args.command in TABLES and args.parallelism < 1:
+            raise UsageError(f"--parallelism must be >= 1; got {args.parallelism}")
         return DISPATCH[args.command](args)
     except (UsageError, ValueError, *_loaded(USAGE_ERRORS)) as err:
         print(f"error: {err}", file=sys.stderr)

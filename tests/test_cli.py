@@ -1,5 +1,7 @@
 """Command-line front end: grids, formats, determinism, self checks."""
 
+import functools
+import itertools
 import json
 import math
 import os
@@ -360,15 +362,16 @@ def _bytes(capsys, argv):
 @pytest.mark.parametrize("argv", STREAMED)
 def test_small_blocks_give_identical_bytes(capsys, argv):
     # the density grid is small enough for the scalar path; SCALAR_POINTS = 0
-    # sends it through the array path's blocks
+    # sends it through the array path's blocks, which 1, 2 or 3 processes render
     for scalar_points in (cli.SCALAR_POINTS, 0):
         with pytest.MonkeyPatch.context() as m:
             m.setattr(cli, "SCALAR_POINTS", scalar_points)
             whole = _bytes(capsys, argv)
             whole_json = _bytes(capsys, argv + ["--format", "json"])
             m.setattr(cli, "BLOCK_ROWS", 7)
-            assert _bytes(capsys, argv) == whole
-            assert _bytes(capsys, argv + ["--format", "json"]) == whole_json
+            for par in ("1", "2", "3"):
+                assert _bytes(capsys, argv + ["--parallelism", par]) == whole
+                assert _bytes(capsys, argv + ["--format", "json", "--parallelism", par]) == whole_json
     rows = [line.split(",") for line in whole.splitlines()[1:]]
     assert len(rows) % 7 != 0
     assert any(cell == "nan" for row in rows for cell in row)
@@ -384,37 +387,45 @@ def test_json_table_is_the_dumped_document(capsys):
     # rows, an empty block, several blocks and a summary with a nan
     import argparse
 
-    args = argparse.Namespace(format="json", out=None)
     summary = {"b": math.nan, "a": "text", "c": 3}
     layouts = [[], [([], [])], [([0.5], [True])],
                [([1.0, math.inf], [False, True]), ([], []), (["x", "y"], [None, 2])]]
-    for blocks in layouts:
-        for extra in (None, summary):
-            cli.emit_table(args, "cmd", {"g": "lin:0:1:2", "n": 1}, ["u", "v"], iter(blocks),
-                           summary=extra)
-            rows = [list(row) for block in blocks for row in zip(*block)]
-            doc = {"schema_version": cli.SCHEMA_VERSION, "command": "cmd",
-                   "params": {"g": "lin:0:1:2", "n": 1}, "columns": ["u", "v"],
-                   "rows": cli._json_safe(rows)}
-            if extra:
-                doc["summary"] = cli._json_safe(extra)
-            assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    for blocks, extra, par in itertools.product(layouts, (None, summary), (1, 2)):
+        args = argparse.Namespace(format="json", out=None, parallelism=par)
+        cli.emit_table(args, "cmd", {"g": "lin:0:1:2", "n": 1}, ["u", "v"],
+                       [functools.partial(tuple, b) for b in blocks], summary=extra)
+        rows = [list(row) for block in blocks for row in zip(*block)]
+        doc = {"schema_version": cli.SCHEMA_VERSION, "command": "cmd",
+               "params": {"g": "lin:0:1:2", "n": 1}, "columns": ["u", "v"],
+               "rows": cli._json_safe(rows)}
+        if extra:
+            doc["summary"] = cli._json_safe(extra)
+        assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_failure_after_a_block_leaves_the_rows_written(capsys, monkeypatch):
-    # x = 1e6 fails in the third block on the array path: both formats keep
-    # the head and the first two blocks, and exit 1
+    # x = 1e6 fails in block k (one x per block) on the array path: both
+    # formats keep the head and the k blocks before it, and exit 1 with the
+    # same bytes at every --parallelism. With p processes block k is a
+    # worker's unless k % p == 0, so k = 1, 2, 3 puts the failure in a
+    # worker's block and in this process's wherever p is 2 or 3
     monkeypatch.setattr(cli, "SCALAR_POINTS", 0)
     monkeypatch.setattr(cli, "BLOCK_ROWS", 3)
-    argv = ["density", "--k0i", "-0.3", "--x", "0,1,1e6", "--t-grid", "lin:1:5:3"]
-    rc, out, err = _run(capsys, argv)
-    assert rc == 1 and err.startswith("error: evaluation domain error")
-    assert out.count("\n") == 1 + 6
-    rc, out, err = _run(capsys, argv + ["--format", "json"])
-    assert rc == 1 and err.startswith("error: evaluation domain error")
-    head = '"rows": [\n    [\n      0.0,\n'
-    assert out.startswith("{\n") and head in out and not out.endswith("}\n")
-    assert out.count("\n    [\n") == 6
+    for k in (1, 2, 3):
+        xs = ",".join(map(str, list(range(k)) + [1e6, 2e6, 3e6]))
+        argv = ["density", "--k0i", "-0.3", "--x", xs, "--t-grid", "lin:1:5:3"]
+        rc, out, err = _run(capsys, argv + ["--parallelism", "1"])
+        assert rc == 1 and err.startswith("error: evaluation domain error at (x=1000000.0, ")
+        assert err.count("\n") == 1 and out.count("\n") == 1 + 3 * k
+        rc, out_json, err_json = _run(capsys, argv + ["--format", "json", "--parallelism", "1"])
+        assert (rc, err_json) == (1, err)
+        head = '"rows": [\n    [\n      0.0,\n'
+        assert out_json.startswith("{\n") and head in out_json and not out_json.endswith("}\n")
+        assert out_json.count("\n    [\n") == 3 * k
+        for par in ("2", "3"):
+            assert _run(capsys, argv + ["--parallelism", par]) == (1, out, err)
+            assert _run(capsys, argv + ["--format", "json", "--parallelism", par]) == (
+                1, out_json, err)
 
 
 # ------------------------------------------------- density: two paths
@@ -532,11 +543,75 @@ def test_streamed_file_matches_stdout(capsys, monkeypatch, tmp_path, argv):
     assert path.read_bytes() == out.encode()
 
 
-@pytest.mark.parametrize("argv", STREAMED + [["critical", "--k0i-grid", "lin:-0.6:-0.4:3"]])
-def test_parallelism_flag_has_no_effect(capsys, argv):
+TABLE_ARGVS = STREAMED + [
+    ["critical", "--k0i-grid", "lin:-0.6:-0.4:3"],
+    # the default 801-point grid, and a --t-grid: blocks of 7 rows cross sites
+    ["lattice", "--delta", "0.3", "--sites", "1,4", "--t-max", "20"],
+    ["lattice", "--delta", "0.3", "--sites", "1,4,6", "--t-max", "20", "--t-grid", "lin:0:20:30"],
+]
+
+
+@pytest.mark.parametrize("argv", TABLE_ARGVS)
+def test_bytes_do_not_depend_on_parallelism(capsys, monkeypatch, argv):
+    # one block per table, then blocks of 7 rows rendered by 1, 2, 3 and the
+    # default number of processes, and by this process alone where fork
+    # fails: the same bytes in both formats
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
     assert cli.build_parser().parse_args(argv).parallelism >= 1
-    one = _bytes(capsys, argv + ["--parallelism", "1"])
-    assert _bytes(capsys, argv + ["--parallelism", "4"]) == one
+    for fmt in ("csv", "json"):
+        whole = _bytes(capsys, argv + ["--format", fmt, "--parallelism", "1"])
+        with monkeypatch.context() as m:
+            m.setattr(cli, "BLOCK_ROWS", 7)
+            for par in (["--parallelism", "1"], ["--parallelism", "2"], ["--parallelism", "3"], []):
+                assert _bytes(capsys, argv + ["--format", fmt] + par) == whole
+            m.setattr(os, "fork", no_fork)
+            assert _bytes(capsys, argv + ["--format", fmt, "--parallelism", "2"]) == whole
+
+
+def test_worker_that_ends_without_its_block_is_an_error(capsys, monkeypatch):
+    # a worker that exits before it sends block 1: the blocks before it are
+    # written, and the run exits 1 with one error line, not a short table
+    from postexp import parallel
+
+    if parallel.process_count(2, 2, parallel.usable_cpus()) < 2:
+        pytest.skip("needs two usable CPUs and os.fork")
+    parent = os.getpid()
+
+    def block(value):
+        if os.getpid() != parent:
+            os._exit(3)
+        return ([value],)
+
+    monkeypatch.setitem(cli.DISPATCH, "critical", lambda args: cli.emit_table(
+        args, "critical", {}, ["v"], [functools.partial(block, v) for v in (0.5, 1.5, 2.5)]))
+    rc, out, err = _run(capsys, ["critical", "--k0i-grid", "-0.5", "--parallelism", "2"])
+    assert (rc, out) == (1, "v\n0.5\n")
+    assert err == "error: table block 1 was not received: its worker process ended\n"
+
+
+def test_process_count_is_capped():
+    # one process per block at most, per usable CPU and per --parallelism
+    from postexp import parallel
+
+    assert parallel.process_count(4, 10, 2) == 2
+    assert parallel.process_count(1, 10, 8) == 1
+    assert parallel.process_count(8, 3, 8) == 3
+    assert parallel.process_count(3, 10, 8) == 3
+    assert parallel.process_count(8, 1, 8) == parallel.process_count(8, 0, 8) == 1
+    if hasattr(os, "sched_getaffinity"):
+        assert parallel.usable_cpus() == len(os.sched_getaffinity(0))
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_parallelism_below_one_is_usage_error(capsys, value):
+    for argv in TABLE_ARGVS:
+        rc, out, err = _run(capsys, argv + ["--parallelism", value])
+        assert (rc, out) == (2, "")
+        assert err == f"error: --parallelism must be >= 1; got {value}\n"
+    # scenario's flag is kept for symmetry and ignored
+    assert _run(capsys, ["scenario", "--config", "rb87.cfg", "--parallelism", value])[0] == 0
 
 
 # ------------------------------------------------------------ import cost
@@ -557,11 +632,16 @@ def _spawn(args, **env):
     The child gets this environment plus env, less OPENBLAS_NUM_THREADS
     unless env sets it (importing cli here has set it to "1").
     """
+    return subprocess.run([sys.executable, *args], capture_output=True, env=_child_env(env))
+
+
+def _child_env(env):
+    """This environment plus env, with this tree's src on PYTHONPATH (_spawn)."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     child = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     child.update(env, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args], capture_output=True, env=child)
+    return child
 
 
 def _fresh(args, **env):
@@ -709,6 +789,45 @@ def test_process_exit_loses_no_output(tmp_path, capsys):
         assert (fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode()) == (rc, out, err)
         assert (rc, out) == (code, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _cli_alone(argv, tmp_path, read=None):
+    """Run `python -m postexp.cli argv` in a new session, stdout to a file,
+    or to a pipe closed after `read` bytes; (exit code, stdout, stderr) once
+    it has exited, having checked that no process of its group, such as a
+    forked worker, is still alive."""
+    import signal
+
+    out, err = tmp_path / "out", tmp_path / "err"
+    with open(out, "wb") as fo, open(err, "wb") as fe:
+        proc = subprocess.Popen([sys.executable, "-m", "postexp.cli", *argv], env=_child_env({}),
+                                stdout=fo if read is None else subprocess.PIPE, stderr=fe,
+                                start_new_session=True)
+        if read is not None:
+            fo.write(proc.stdout.read(read))
+            proc.stdout.close()
+        code = proc.wait(timeout=120)
+    try:
+        os.killpg(proc.pid, 0)
+    except ProcessLookupError:
+        return code, out.read_bytes(), err.read_bytes()
+    os.killpg(proc.pid, signal.SIGKILL)
+    raise AssertionError(f"{argv}: a process of the CLI's group outlived it")
+
+
+def test_cli_exit_leaves_no_worker(tmp_path):
+    # density on two blocks of BLOCK_ROWS rows as a fresh process: to a pipe
+    # closed after 1 kB (exit 1, a broken pipe), to a file (exit 0), and
+    # failing in its second block (exit 1); each exits as in one process
+    for xs, read, code, rows in (("1,2", 1024, 1, None), ("1,2", None, 0, 2 * cli.BLOCK_ROWS),
+                                 ("1,5000", None, 1, cli.BLOCK_ROWS)):
+        argv = ["density", "--k0i", "-0.3", "--x", xs, "--t-grid", f"lin:1:100:{cli.BLOCK_ROWS}"]
+        one, default = (_cli_alone(argv + par, tmp_path, read)
+                        for par in (["--parallelism", "1"], []))
+        assert one == default and one[0] == code
+        assert one[2].count(b"\n") == code and one[2].startswith(b"error: " * code)
+        if rows is not None:
+            assert one[1].count(b"\n") == 1 + rows
 
 
 def test_traced_benchmark_harness_runs_every_subcommand(tmp_path):
