@@ -14,6 +14,15 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+
+class UsageError(Exception):
+    """Input outside the documented domain; the CLI exits 2."""
+
+
+class ComputationError(Exception):
+    """A computation that cannot finish for valid input; the CLI exits 1."""
+
+
 _SOURCES = {
     "lattice": ("LatticeParams", "evolve", "lattice_transition_time", "tail_exponent"),
     "normalization": ("NormalizationResult", "spatial_norm", "total_emitted"),

@@ -20,9 +20,12 @@ The process runs numpy's BLAS on one thread unless OPENBLAS_NUM_THREADS is
 already set: the computations are single-threaded, and an idle BLAS
 worker only spins.
 
-Exit codes: 0 success; 2 usage error or invalid input (bad flags, grids,
-config values, unrepresentable scenarios); 1 computation failure
-(evaluation domain, envelope window, I/O).
+Exit codes, by the class of the error: 0 success; 2 usage error or invalid
+input (postexp.UsageError, such as bad flags, grids, config values or
+unrepresentable scenarios, and ValueError); 1 computation failure
+(postexp.ComputationError, such as the evaluation domain or the envelope
+window, and OSError). Each writes one `error:` line to stderr. A reader that
+closes stdout early (`| head`) also exits 1, with no error line.
 """
 
 from __future__ import annotations
@@ -39,17 +42,13 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 # before any numpy import; a value the user set wins
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import __version__
+from . import ComputationError, UsageError, __version__
 
 SCHEMA_VERSION = "1"
 LATTICE_SUMMARY_HORIZON = 220.0   # envelope fits need this much time to converge
 BLOCK_ROWS = 8192                 # table rows computed and written at a time
 SCALAR_POINTS = 4096              # density grids up to this size skip numpy
 MAX_GRID_POINTS = 1_000_000       # lin:/log: counts above this are refused
-
-
-class UsageError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------- plumbing
@@ -122,14 +121,23 @@ def _output(out: Optional[str]):
     return contextlib.nullcontext(sys.stdout)
 
 
-def _fmt_column(col) -> List[str]:
-    """CSV cells for one column, a numpy array or a sequence of Python values
-    of one type: bools as 1/0, floats by repr (nan, inf, -inf), others by str."""
+def _fmt_column(col, as_json: bool = False) -> List[str]:
+    """Cells for one column, a numpy array or a sequence of Python values of
+    one type. CSV: bools as 1/0, floats by repr (nan, inf, -inf), others by
+    str. JSON: bools as true/false, floats by repr with non-finite ones null,
+    others as json.dumps writes them."""
     values = col.tolist() if hasattr(col, "tolist") else list(col)
     kind = type(values[0]) if values else str
     if kind is bool:
-        return ["1" if v else "0" for v in values]
-    return list(map(repr if kind is float else str, values))
+        yes, no = ("true", "false") if as_json else ("1", "0")
+        return [yes if v else no for v in values]
+    if not as_json:
+        return list(map(repr if kind is float else str, values))
+    if kind is float:
+        return [repr(v) if math.isfinite(v) else "null" for v in values]
+    import json
+
+    return [json.dumps(_json_safe(v)) for v in values]
 
 
 # the JSON document's rows while its head and tail are dumped; argv holds no NUL
@@ -137,35 +145,29 @@ _ROWS_MARK = "\0rows"
 
 
 class _Indexed(NamedTuple):
-    """A column drawn from a short table, table[index] (numpy arrays): its CSV
-    cells are formatted once per table entry instead of once per row."""
+    """A column drawn from a short table of finite floats (a parse_grid grid),
+    cells[index] (numpy arrays): its cells are formatted once per table entry
+    instead of once per row, and serve both formats."""
 
-    table: Any
-    cells: Any      # object array of _fmt_column(table)
+    cells: Any      # object array of _fmt_column(grid)
     index: Any
 
 
-def _cells(col) -> List[str]:
-    return col.cells[col.index].tolist() if isinstance(col, _Indexed) else _fmt_column(col)
-
-
-def _values(col) -> list:
-    col = col.table[col.index] if isinstance(col, _Indexed) else col
-    return col.tolist() if hasattr(col, "tolist") else list(col)
+def _cells(col, as_json: bool = False) -> List[str]:
+    if isinstance(col, _Indexed):
+        return col.cells[col.index].tolist()
+    return _fmt_column(col, as_json)
 
 
 def _csv_block(block) -> str:
-    cells = [_cells(c) for c in block]
-    return "".join(",".join(row) + "\n" for row in zip(*cells))
+    return "".join(",".join(row) + "\n" for row in zip(*(_cells(c) for c in block)))
 
 
 def _json_block(block) -> str:
-    """The block's rows as in the document, without the separator before them."""
-    import json
-
-    rows = [[_json_safe(v) for v in row] for row in zip(*map(_values, block))]
-    # nested two lists deep, as in the document: strip "[\n  [\n", "\n  ]\n]"
-    return json.dumps([rows], indent=2)[6:-6] if rows else ""
+    """The block's rows as json.dumps(document, indent=2) writes them, without
+    the separator before them."""
+    rows = zip(*(_cells(c, True) for c in block))
+    return ",\n".join("    [\n      " + ",\n      ".join(row) + "\n    ]" for row in rows)
 
 
 def _thunks(block: Callable[[int, int], Sequence[object]], size: int) -> List[Callable]:
@@ -187,7 +189,8 @@ def emit_table(
 
     Both formats write each block as it is rendered, in order; a table of
     two or more blocks is rendered by up to --parallelism processes
-    (postexp.parallel). The JSON bytes are json.dumps(document, indent=2,
+    (postexp.parallel). Both render the rows from the same cells
+    (_fmt_column), and the JSON bytes are json.dumps(document, indent=2,
     sort_keys=True) + "\n": the document is dumped with _ROWS_MARK for its
     rows and written around them.
     """
@@ -222,10 +225,7 @@ def emit_table(
             if args.format == "json":
                 fh.write(sep)
                 sep = ",\n"
-            if isinstance(text, str):
-                fh.write(text)
-            else:   # a worker's bytes
-                parallel.write_bytes(fh, text)
+            fh.write(text)
         if args.format == "json":
             tail = ("[]" if sep == "[\n" else "\n  ]") + tail + "\n"
         fh.write(tail)
@@ -305,7 +305,7 @@ def _density_arrays(p, xs: List[float], ts: List[float]):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratio = np.divide(pole, saddle, out=np.full(x.shape, math.nan), where=x > 0.0)
             rho_saddle, rho_pole = saddle ** 2, pole ** 2
-        return (_Indexed(xs, x_cells, ix), _Indexed(ts, t_cells, it),
+        return (_Indexed(x_cells, ix), _Indexed(t_cells, it),
                 rho, rho_saddle, rho_pole, w.pole_crossed, ratio, rho / n_total)
 
     return _thunks(block, xs.size * ts.size)
@@ -366,11 +366,8 @@ def cmd_lattice(args) -> int:
         raise UsageError("--sites: need site indices >= 1")
     if not (0.0 < args.t_max < math.inf):
         raise UsageError("--t-max must be positive and finite")
-    try:
-        p = (lat.LatticeParams.for_horizon(args.delta, args.t_max) if args.n_sites is None
-             else lat.LatticeParams(delta=args.delta, n_sites=args.n_sites, t_max=args.t_max))
-    except lat.TruncationUnsoundError as err:
-        raise UsageError(str(err)) from None
+    p = (lat.LatticeParams.for_horizon(args.delta, args.t_max) if args.n_sites is None
+         else lat.LatticeParams(delta=args.delta, n_sites=args.n_sites, t_max=args.t_max))
     if max(sites) > p.n_sites:
         raise UsageError(f"--sites: site {max(sites)} exceeds n_sites={p.n_sites}")
 
@@ -636,27 +633,6 @@ def _add_common_noop(sp) -> None:
     sp.add_argument("--parallelism", type=int, default=1)
 
 
-# Package exception classes by exit code, as "module.Class"; besides these,
-# UsageError and ValueError exit 2 and OSError exits 1.
-USAGE_ERRORS = ("lattice.TruncationUnsoundError", "units.ScenarioUnrepresentableError")
-FAILURES = (
-    "source_model.EvaluationDomainError",
-    "lattice.InsufficientWindowError",
-)
-
-
-def _loaded(names: Sequence[str]) -> tuple:
-    """The named classes whose modules this process has imported; a module
-    never imported cannot have raised, so none is imported here."""
-    out = []
-    for name in names:
-        module, cls = name.rsplit(".", 1)
-        mod = sys.modules.get(f"{__package__}.{module}")
-        if mod is not None:
-            out.append(getattr(mod, cls))
-    return tuple(out)
-
-
 TABLES = ("density", "transition", "critical", "lattice")   # the emit_table commands
 DISPATCH = {
     "density": cmd_density,
@@ -677,11 +653,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command in TABLES and args.parallelism < 1:
             raise UsageError(f"--parallelism must be >= 1; got {args.parallelism}")
-        return DISPATCH[args.command](args)
-    except (UsageError, ValueError, *_loaded(USAGE_ERRORS)) as err:
+        code = DISPATCH[args.command](args)
+        sys.stdout.flush()   # a closed reader shows here, not at exit
+        return code
+    except (UsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (OSError, *_loaded(FAILURES)) as err:
+    except BrokenPipeError:
+        # the reader closed stdout early, which is normal for a filter: as
+        # Python's SIGPIPE note says, stdout goes to devnull, so the flush at
+        # exit does not fail again, and the exit code is 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (ComputationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

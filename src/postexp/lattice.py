@@ -46,6 +46,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import ComputationError, UsageError
 from .specfun import INV_E, lambertw_m1
 
 ENVELOPE_STEP = 0.05
@@ -58,7 +59,7 @@ T_FLOOR = 1e-2           # earliest admissible formula transition time
 MAX_SITES = 20_000
 
 
-class TruncationUnsoundError(Exception):
+class TruncationUnsoundError(UsageError):
     """The chain is too short for the requested horizon; reflections would arrive."""
 
     def __init__(self, required_n_sites: int, n_sites: int, t_max: float):
@@ -69,7 +70,7 @@ class TruncationUnsoundError(Exception):
         )
 
 
-class InsufficientWindowError(Exception):
+class InsufficientWindowError(ComputationError):
     """The evolution horizon is too short to isolate the requested fit window."""
 
 

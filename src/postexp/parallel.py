@@ -8,16 +8,15 @@ down its own pipe as a status byte (0 text, 1 error), the payload length
 in HEADER - 1 big-endian bytes, and the payload: the block's UTF-8 text,
 or the pickled class and message of the exception its block raised,
 after which it sends nothing more. The first process renders blocks 0,
-p, 2p, ... itself and reads the others' in turn, so the text does not
-depend on p.
+p, 2p, ... itself and reads the others' in turn, decoding each to text,
+so the caller sees only text, and the text does not depend on p.
 """
 
 from __future__ import annotations
 
-import codecs
 import contextlib
 import os
-from typing import Callable, Dict, Iterator, NoReturn, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, NoReturn, Sequence, Tuple
 
 HEADER = 9
 
@@ -38,9 +37,8 @@ def process_count(parallelism: int, blocks: int, cpus: int) -> int:
 
 
 def rendered(blocks: Sequence[Callable], render: Callable,
-             parallelism: int) -> Iterator[Union[str, bytes]]:
-    """Each block rendered, in order: the text rendered here, or the bytes a
-    worker sent.
+             parallelism: int) -> Iterator[str]:
+    """Each block's text, in order, rendered here or by a worker.
 
     process_count() - 1 workers are forked on the first next(); where fork
     fails, this process renders the blocks of the workers it could not
@@ -106,15 +104,15 @@ def _work(blocks: Sequence[Callable], render: Callable, fd: int) -> NoReturn:
         os._exit(code)
 
 
-def _receive(reader, k: int) -> bytes:
-    """Block k's bytes from a worker's pipe, or the exception it raised."""
+def _receive(reader, k: int) -> str:
+    """Block k's text from a worker's pipe, or the exception it raised."""
     head = reader.read(HEADER)
     size = int.from_bytes(head[1:], "big")
     data = reader.read(size)   # b"" at once after a short head, which is the pipe's end
     if len(head) < HEADER or len(data) < size:
         raise ChildProcessError(f"table block {k} was not received: its worker process ended")
     if head[0] == 0:
-        return data
+        return data.decode()
     import pickle
 
     cls, message = pickle.loads(data)   # written by this program's worker
@@ -122,13 +120,3 @@ def _receive(reader, k: int) -> bytes:
     err.args = (message,)
     raise err
 
-
-def write_bytes(fh, data: bytes) -> None:
-    """Write a worker's UTF-8 bytes to the text stream fh: straight to its
-    binary layer where fh encodes as UTF-8, else decoded."""
-    raw = getattr(fh, "buffer", None)
-    if raw is not None and codecs.lookup(fh.encoding).name == "utf-8":
-        fh.flush()
-        raw.write(data)
-    else:
-        fh.write(data.decode())

@@ -13,9 +13,9 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
-from typing import Any, NamedTuple, Tuple
+from typing import Any, NamedTuple, Optional, Tuple
 
-from . import specfun
+from . import ComputationError, specfun
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -24,13 +24,15 @@ SQRT_PI = math.sqrt(math.pi)
 SCALE_LIMIT = 1e150
 
 
-class EvaluationDomainError(Exception):
-    """Exact evaluation left double precision at some (x, t)."""
+class EvaluationDomainError(ComputationError):
+    """Exact evaluation left double precision at some (x, t), or at no
+    point (x and t None)."""
 
-    def __init__(self, x: float, t: float, reason: str):
+    def __init__(self, x: Optional[float], t: Optional[float], reason: str):
         self.x = x
         self.t = t
-        super().__init__(f"evaluation domain error at (x={x!r}, t={t!r}): {reason}")
+        at = "" if x is None else f" at (x={x!r}, t={t!r})"
+        super().__init__(f"evaluation domain error{at}: {reason}")
 
 
 class _SourceFields(NamedTuple):

@@ -43,6 +43,7 @@ d2/dx2 = 1/x^2 + Re(-2 s0/q - 4 s0^2 x^2/q^2) and d2/dxdt = Re(4 s0 x t/q^2).
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import List, NamedTuple, Sequence, Tuple
 
@@ -216,7 +217,8 @@ def tp_turning_point(p: SourceParams) -> float:
     t_p still falls at x_max (it does at k0I -0.9: the stationary point lies
     past x_max, where no transition exists), x_max is returned. Otherwise
     Newton's method solves {ln R = 0, d(ln R)/dx = 0} in (x, t) from
-    x0 = min(1/|k0I|, x_max/2), t0 = t_p(x0), in 4-7 steps.
+    x0 = min(1/|k0I|, x_max/2), t0 = t_p(x0), in 4-7 steps; where it does
+    not converge in NEWTON_STEPS, EvaluationDomainError names its last iterate.
     """
     x_max, t_max = critical_distance(p)
     if _log_ratio_partials(p, x_max, t_max)[1] < 0.0:
@@ -230,14 +232,25 @@ def tp_turning_point(p: SourceParams) -> float:
         x, t = x + dx, t + dt
         if abs(dx) <= 1e-12 * x and abs(dt) <= 1e-12 * t:
             return x
-    raise RuntimeError(f"turning-point Newton iteration did not converge at k0I={p.k0I!r}")
+    raise EvaluationDomainError(
+        x, t, f"turning-point Newton iteration did not converge at k0I={p.k0I!r}")
 
 
 def max_distance(p: SourceParams) -> float:
-    """Largest x admitting a transition: the closed form of the module docstring."""
+    """Largest x admitting a transition: the closed form of the module docstring.
+
+    x_max is about 1.4/k0I^2 at small |k0I|. Where k0I^2 is below the least
+    normal double (|k0I| < 1.5e-154) it loses precision, then passes double
+    range and 2 k0I^2 reaches 0; EvaluationDomainError gives ln x_max there.
+    """
     k = p.k0I
     z = -2.0 * (1.0 + k) ** 2 / (math.pi * ((2.0 + k) ** 2 + k * k))
-    return -lambertw_m1(z) * (1.0 + k) / (2.0 * k * k)
+    w = lambertw_m1(z)
+    if k * k < sys.float_info.min:
+        log_x = math.log(-w) + math.log1p(k) - math.log(2.0) - 2.0 * math.log(-k)
+        raise EvaluationDomainError(
+            None, None, f"x_max = exp({log_x:.6g}) leaves double precision at k0I={k!r}")
+    return -w * (1.0 + k) / (2.0 * k * k)
 
 
 def critical_distance(p: SourceParams) -> Tuple[float, float]:

@@ -16,6 +16,7 @@ import sys
 from functools import lru_cache
 from typing import Dict, NamedTuple, Optional, Tuple
 
+from . import UsageError
 from .source_model import SourceParams, kernel
 from .transition import _n_total_cached, max_distance, transition_time
 
@@ -36,7 +37,7 @@ CONFIG_KEYS = {
 CONFIG_DETECTOR_KEY = "detector_distance_m"
 
 
-class ScenarioUnrepresentableError(Exception):
+class ScenarioUnrepresentableError(UsageError):
     """The scenario maps outside the model's parameter domain; names the bound."""
 
 

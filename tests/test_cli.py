@@ -150,6 +150,15 @@ def test_critical_at_tiny_decay_rates(capsys, k0i):
     assert rho_n == pytest.approx(2.0 * abs(k) * abs(psi) ** 2, rel=1e-5, abs=0.0)
 
 
+@pytest.mark.parametrize("k0i", ["-1e-200", "-1e-155"])
+def test_critical_past_double_range_is_a_computation_failure(capsys, k0i):
+    # x_max leaves double range (and at -1e-200, 2 k0I^2 is 0): exit 1 with
+    # one error line, after the header
+    rc, out, err = _run(capsys, ["critical", f"--k0i-grid={k0i}"])
+    assert (rc, out) == (1, "k0I,x_max,t_p,rho_exact_normalized,rho_approx_normalized,valid\n")
+    assert err.startswith("error: evaluation domain error: x_max = exp(") and err.count("\n") == 1
+
+
 # ----------------------------------------------------------------- lattice
 
 def test_lattice_rows_and_summary(capsys):
@@ -426,6 +435,42 @@ def test_failure_after_a_block_leaves_the_rows_written(capsys, monkeypatch):
             assert _run(capsys, argv + ["--parallelism", par]) == (1, out, err)
             assert _run(capsys, argv + ["--format", "json", "--parallelism", par]) == (
                 1, out_json, err)
+
+
+def _no_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+JSON_TABLES = [
+    # x = 14 lies past x_max (13.65): its row has null cells
+    (["transition", "--k0i", "-0.3", "--x-grid", "13,14"],
+     lambda obj: obj["rows"][1][1:4] == [None] * 3 and obj["rows"][1][4] is False),
+    # a string column
+    (["transition", "--k0i", "-0.3", "--x-grid", "log:0.1:10:9", "--method", "late_time"],
+     lambda obj: {row[5] for row in obj["rows"]} == {"late_time"}),
+    # R is null at x = 0
+    (["density", "--k0i", "-0.3", "--x", "0,0.5,3", "--t-grid", "log:0.1:20:11"],
+     lambda obj: [row[6] is None for row in obj["rows"]] == [row[0] == 0.0 for row in obj["rows"]]),
+    (["critical", "--k0i-grid", "lin:-0.6:-0.4:9"],
+     lambda obj: len(obj["rows"]) == 9),
+    # from delta ~0.81 the default fit window is too short: fitted_gamma is null
+    (["lattice", "--delta", "0.9", "--sites", "1,4", "--t-max", "20"],
+     lambda obj: obj["summary"]["fitted_gamma"] is None),
+]
+
+
+@pytest.mark.parametrize("argv, check", JSON_TABLES, ids=[" ".join(a[:2]) for a, _ in JSON_TABLES])
+def test_cli_json_is_the_dumped_document(capsys, monkeypatch, argv, check):
+    # each table command's JSON, in blocks of 7 rows rendered by one or two
+    # processes and on both density paths, holds no NaN or Infinity and is
+    # the strict dump of the document it parses to
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
+    for scalar_points, par in itertools.product((cli.SCALAR_POINTS, 0), ("1", "2")):
+        monkeypatch.setattr(cli, "SCALAR_POINTS", scalar_points)
+        out = _bytes(capsys, argv + ["--format", "json", "--parallelism", par])
+        obj = json.loads(out, parse_constant=_no_constant)
+        assert out == json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert check(obj)
 
 
 # ------------------------------------------------- density: two paths
@@ -791,16 +836,17 @@ def test_process_exit_loses_no_output(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def _cli_alone(argv, tmp_path, read=None):
-    """Run `python -m postexp.cli argv` in a new session, stdout to a file,
-    or to a pipe closed after `read` bytes; (exit code, stdout, stderr) once
+def _cli_alone(argv, tmp_path, read=None, **env):
+    """Run `python -m postexp.cli argv` in a new session, with this
+    environment plus env (_child_env), stdout to a file, or to a pipe
+    closed after `read` bytes; (exit code, stdout, stderr) once
     it has exited, having checked that no process of its group, such as a
     forked worker, is still alive."""
     import signal
 
     out, err = tmp_path / "out", tmp_path / "err"
     with open(out, "wb") as fo, open(err, "wb") as fe:
-        proc = subprocess.Popen([sys.executable, "-m", "postexp.cli", *argv], env=_child_env({}),
+        proc = subprocess.Popen([sys.executable, "-m", "postexp.cli", *argv], env=_child_env(env),
                                 stdout=fo if read is None else subprocess.PIPE, stderr=fe,
                                 start_new_session=True)
         if read is not None:
@@ -817,17 +863,30 @@ def _cli_alone(argv, tmp_path, read=None):
 
 def test_cli_exit_leaves_no_worker(tmp_path):
     # density on two blocks of BLOCK_ROWS rows as a fresh process: to a pipe
-    # closed after 1 kB (exit 1, a broken pipe), to a file (exit 0), and
-    # failing in its second block (exit 1); each exits as in one process
-    for xs, read, code, rows in (("1,2", 1024, 1, None), ("1,2", None, 0, 2 * cli.BLOCK_ROWS),
-                                 ("1,5000", None, 1, cli.BLOCK_ROWS)):
+    # closed after 1 kB (exit 1 with no error line, a closed reader), to a
+    # file (exit 0), and failing in its second block (exit 1, one error
+    # line); each exits as in one process
+    for xs, read, code, errors, rows in (("1,2", 1024, 1, 0, None),
+                                         ("1,2", None, 0, 0, 2 * cli.BLOCK_ROWS),
+                                         ("1,5000", None, 1, 1, cli.BLOCK_ROWS)):
         argv = ["density", "--k0i", "-0.3", "--x", xs, "--t-grid", f"lin:1:100:{cli.BLOCK_ROWS}"]
         one, default = (_cli_alone(argv + par, tmp_path, read)
                         for par in (["--parallelism", "1"], []))
         assert one == default and one[0] == code
-        assert one[2].count(b"\n") == code and one[2].startswith(b"error: " * code)
+        assert one[2].count(b"\n") == errors and one[2].startswith(b"error: " * errors)
+        assert errors or one[2] == b""
         if rows is not None:
             assert one[1].count(b"\n") == 1 + rows
+
+
+@pytest.mark.parametrize("argv", [["critical", "--k0i-grid", "-0.5"],
+                                  ["scenario", "--config", "rb87.cfg"], ["selftest"]],
+                         ids=lambda argv: argv[0])
+def test_reader_closed_before_any_output(tmp_path, argv):
+    # the reader is gone before the process writes: with stdout buffered
+    # (PYTHONUNBUFFERED empty), all of its output is still in the buffer when
+    # main returns, and it exits 1 with nothing on stderr
+    assert _cli_alone(argv, tmp_path, read=0, PYTHONUNBUFFERED="") == (1, b"", b"")
 
 
 def test_traced_benchmark_harness_runs_every_subcommand(tmp_path):
@@ -871,15 +930,28 @@ def test_cli_blas_thread_count_leaves_bytes_unchanged():
 
 
 def test_exit_code_of_each_error_class(capsys, monkeypatch):
+    # main maps an error to its exit code by base class alone: the package's
+    # four error classes, and any other class derived from either base
+    import postexp
     from postexp import lattice, source_model, units
 
+    class NewUsageError(postexp.UsageError):
+        pass
+
+    class NewComputationError(postexp.ComputationError):
+        pass
+
+    assert cli.UsageError is postexp.UsageError
+    assert not {"UsageError", "ComputationError"} & set(postexp.__all__)
     table = [
         (cli.UsageError("bad flag"), 2),
         (ValueError("bad value"), 2),
         (lattice.TruncationUnsoundError(100, 10, 50.0), 2),
         (units.ScenarioUnrepresentableError("k0I <= -1"), 2),
+        (NewUsageError("a new usage error"), 2),
         (source_model.EvaluationDomainError(1.0, 2.0, "overflow"), 1),
         (lattice.InsufficientWindowError("short window"), 1),
+        (NewComputationError("a new failure"), 1),
         (OSError("disk full"), 1),
     ]
     for err, code in table:

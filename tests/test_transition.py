@@ -360,10 +360,11 @@ def test_critical_distance_frozen_grid():
     assert np.all((rel > 0.0) & (rel < 5e-3)), rel
 
 
-@pytest.mark.parametrize("k0I", [-1e-9, -1e-10, -1e-12])
+@pytest.mark.parametrize("k0I", [-1e-9, -1e-10, -1e-12, -1.5e-154])
 def test_critical_distance_at_tiny_decay_rates(k0I):
     # R at t_c carries rounding of order eps/|k0I| here, but the root at
-    # x_max is t_c itself, so none is solved for
+    # x_max is t_c itself, so none is solved for; at -1.5e-154, k0I^2 is
+    # just above the least normal double and x_max is still finite
     x_max, t_p = tr.critical_distance(sm.SourceParams(k0I))
     with mpmath.workdps(40):
         k = mpmath.mpf(k0I)
@@ -371,6 +372,23 @@ def test_critical_distance_at_tiny_decay_rates(k0I):
         want = float(-mpmath.lambertw(z, -1).real * (1 + k) / (2 * k * k))
     assert x_max == pytest.approx(want, rel=1e-13)
     assert t_p == math.nextafter(x_max / (2.0 * (1.0 + k0I)), math.inf)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k0I", [-1e-200, -1e-155, -1.4e-154], ids="{:.1e}".format)
+def test_x_max_outside_double_precision_is_a_typed_error(k0I):
+    # k0I^2 below the least normal double: x_max ~ 1.4/k0I^2 loses precision
+    # (-1.4e-154), passes DBL_MAX (-1e-155), and 2 k0I^2 is 0 (-1e-200)
+    p = sm.SourceParams(k0I)
+    for f in (tr.max_distance, tr.critical_distance, tr.tp_turning_point):
+        with pytest.raises(sm.EvaluationDomainError, match=r"^evaluation domain error: x_max = exp"):
+            f(p)
+
+
+def test_turning_point_without_convergence_is_a_typed_error(p03, monkeypatch):
+    monkeypatch.setattr(tr, "NEWTON_STEPS", 0)
+    with pytest.raises(sm.EvaluationDomainError, match="did not converge at k0I=-0.3"):
+        tr.tp_turning_point(p03)
 
 
 @pytest.mark.parametrize("k0I", [-0.5, -0.1, -1e-2, -1e-4, -1e-6, -1e-8, -1e-9, -1e-10],
