@@ -94,8 +94,6 @@ class LatticeParams(_LatticeFields):
         if n_sites > MAX_SITES:
             raise ValueError(f"n_sites={n_sites} exceeds MAX_SITES={MAX_SITES} "
                              f"(the default chain for t_max = {MAX_SITES / 2 - REFLECTION_MARGIN:g})")
-        if not (t_max > 0.0 and math.isfinite(t_max)):
-            raise ValueError(f"t_max must be positive and finite; got {t_max!r}")
         required = required_sites(t_max)
         if n_sites < required:
             raise TruncationUnsoundError(required, n_sites, t_max)
@@ -127,6 +125,9 @@ class LatticeParams(_LatticeFields):
 
 
 def required_sites(t_max: float) -> int:
+    """The fewest sites that hold the horizon t_max, which must be positive and finite."""
+    if not (t_max > 0.0 and math.isfinite(t_max)):
+        raise ValueError(f"t_max must be positive and finite; got {t_max!r}")
     return int(math.ceil(2.0 * t_max)) + REFLECTION_MARGIN
 
 
@@ -291,12 +292,9 @@ def fitted_decay_rate(
     return float(-slope)
 
 
-def tail_exponent(
-    p: LatticeParams, n: int, window: Optional[Tuple[float, float]] = None
-) -> float:
-    """Late-time log-log slope of the density envelope at site n; expect ~ -3."""
-    if window is None:
-        window = (0.25 * p.t_max, 0.95 * p.t_max)
+def tail_exponent(p: LatticeParams, n: int, window: Tuple[float, float]) -> float:
+    """Late-time log-log slope of the density envelope at site n over the
+    window (lo, hi); expect ~ -3."""
     lo, hi = window
     if not (0.0 < lo < hi <= p.t_max):
         raise ValueError(f"window {window!r} outside (0, t_max]")

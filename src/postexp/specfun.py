@@ -88,8 +88,8 @@ def faddeeva(z):
     measured in the upper half-plane is 1.1e-15. Lower half-plane values
     follow the reflection w(z) = 2 exp(-z^2) - w(-z) and carry the rounding
     of exp(-z^2), about eps |z|^2 (5.2e-14 measured out to |z| = 30).
-    Scalars use complex/cmath arithmetic and arrays numpy, summing the same
-    series in the same order; they agree to a few ulps, not bit for bit.
+    Scalars and arrays sum the series in one function (_weideman), with
+    complex and numpy arithmetic; they agree to a few ulps, not bit for bit.
     A non-finite argument, or one past the overflow guard, raises
     FaddeevaDomainError at the first offending z rather than returning inf.
     """
@@ -101,7 +101,17 @@ def faddeeva(z):
     ok = (abs(z) < math.inf) & ((z.imag >= 0.0) | (growth <= OVERFLOW_LIMIT))
     i = first_false(ok)
     if i is None:
-        w = _faddeeva_array(z) if array else _faddeeva_scalar(z)
+        if array:
+            import numpy as np
+
+            lower = z.imag < 0.0
+            w = _weideman(np.where(lower, -z, z))
+            if lower.any():
+                # exp(-z^2) only where it is bounded by the overflow guard
+                reflection = np.exp(-z * z, out=np.zeros_like(w), where=lower)
+                w = np.where(lower, 2.0 * reflection - w, w)
+        else:
+            w = 2.0 * cmath.exp(-z * z) - _weideman(-z) if z.imag < 0.0 else _weideman(z)
         i = first_false(abs(w) < math.inf)
         if i is None:
             return w
@@ -110,35 +120,14 @@ def faddeeva(z):
     raise FaddeevaDomainError(bad, reason, i if array else None)
 
 
-def _faddeeva_scalar(z: complex) -> complex:
-    lower = z.imag < 0.0
-    zu = -z if lower else z
-    d = _W_L - 1j * zu
-    big_z = (_W_L + 1j * zu) / d
-    acc = 0.0j
+def _weideman(z):
+    """The series for Im z >= 0, in operators only: a complex scalar or an array."""
+    d = _W_L - 1j * z
+    big_z = (_W_L + 1j * z) / d
+    acc = 0.0
     for c in _W_COEF:
         acc = acc * big_z + c
-    w = (2.0 * acc / d + 1.0 / SQRT_PI) / d
-    return 2.0 * cmath.exp(-z * z) - w if lower else w
-
-
-def _faddeeva_array(z):
-    import numpy as np
-
-    lower = z.imag < 0.0
-    zu = np.where(lower, -z, z)
-    d = _W_L - 1j * zu
-    big_z = (_W_L + 1j * zu) / d
-    acc = np.zeros_like(big_z)
-    for c in _W_COEF:
-        acc *= big_z
-        acc += c
-    w = (2.0 * acc / d + 1.0 / SQRT_PI) / d
-    if lower.any():
-        # exp(-z^2) only where it is bounded by the overflow guard
-        reflection = np.exp(-z * z, out=np.zeros_like(w), where=lower)
-        w = np.where(lower, 2.0 * reflection - w, w)
-    return w
+    return (2.0 * acc / d + 1.0 / SQRT_PI) / d
 
 
 def faddeeva_asymptotic(z: complex, m_max: int) -> complex:

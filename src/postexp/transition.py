@@ -266,9 +266,8 @@ def critical_distance(p: SourceParams) -> Tuple[float, float]:
 
 
 def jittoh_criterion(p: SourceParams) -> Tuple[float, bool]:
-    """Decay-rate to level-spacing quotient 4|k0I| and the >= 2 threshold."""
-    q = 4.0 * abs(p.k0I)
-    return q, q >= 2.0
+    """Decay-rate to level-spacing quotient 4|k0I| (gamma_rate) and the >= 2 threshold."""
+    return p.gamma_rate, p.gamma_rate >= 2.0
 
 
 class CriticalDensityPoint(NamedTuple):
@@ -280,13 +279,11 @@ class CriticalDensityPoint(NamedTuple):
     valid: bool
 
 
-def critical_density_curve(
-    params: Sequence[SourceParams], normalized: bool = True
-) -> List[CriticalDensityPoint]:
+def critical_density_curve(params: Sequence[SourceParams]) -> List[CriticalDensityPoint]:
     """Density at (x_max, t_p) for each parameter set.
 
     Exact and saddle-plus-pole densities are both reported, divided by the
-    emitted norm when normalized is set. x_max is closed-form and exists at
+    emitted norm. x_max is closed-form and exists at
     every -1 < k0I < 0, so every point is valid.
     """
     out: List[CriticalDensityPoint] = []
@@ -295,7 +292,7 @@ def critical_density_curve(
         w = kernel(p, x_max, t_p)
         # t_p > t_c, so the pole is present
         approx = w.saddle + w.pole
-        n = _n_total_cached(p.k0I) if normalized else 1.0
+        n = _n_total_cached(p.k0I)
         out.append(CriticalDensityPoint(
             p.k0I, x_max, t_p, abs(w.psi) ** 2 / n, abs(approx) ** 2 / n, True))
     return out

@@ -130,9 +130,6 @@ class ScenarioReport(NamedTuple):
     valid: bool
     method: str
 
-    def to_dict(self) -> Dict[str, object]:
-        return self._asdict()
-
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
@@ -174,9 +171,7 @@ def _pixel_density_integral(p: SourceParams, x_center: float, width: float, t: f
     return half * total / _n_total_cached(p.k0I)
 
 
-def scenario_transition_report(
-    s: PhysicalScenario, X_detector: float, method: str = "exact_ratio"
-) -> ScenarioReport:
+def scenario_transition_report(s: PhysicalScenario, X_detector: float) -> ScenarioReport:
     """Transition time and per-pixel atom count at a physical detector distance.
 
     The pixel count is reported both as point-density times pixel width and
@@ -189,7 +184,7 @@ def scenario_transition_report(
     p = source_params(s)
     L = s.length_unit
     x = X_detector / L
-    tp = transition_time(p, x, method=method)
+    tp = transition_time(p, x)
     width = s.pixel_size / L
 
     if tp.valid:
@@ -215,7 +210,7 @@ def scenario_transition_report(
         pixel_over_L=width,
         largest_detector_distance_m=max_distance(p) * L,
         valid=tp.valid,
-        method=method,
+        method=tp.method,
     )
 
 

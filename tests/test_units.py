@@ -88,7 +88,7 @@ def test_scenario_count_under_closed_form_ceiling(rb87):
 
 def test_report_round_trips_to_dict(rb87):
     rep = units.scenario_transition_report(rb87, 100e-6)
-    d = rep.to_dict()
+    d = rep._asdict()
     assert d["t_p"] == rep.t_p
     assert d["valid"] is True
     assert set(d) == set(units.ScenarioReport._fields)
