@@ -41,6 +41,7 @@ solved in closed form by specfun.lambertw_m1.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -53,6 +54,12 @@ ENVELOPE_STEP = 0.05
 REFLECTION_MARGIN = 20   # sites beyond 2*t_max (group velocity 2)
 BLOCK_BYTES = 4 << 20    # complex phase rows held at once by site_density
 T_FLOOR = 1e-2           # earliest admissible formula transition time
+# the spectrum's t = 0 amplitudes c_1(0) - 1 and c_2(0) must stay below this.
+# Against conftest.chain_density_oracle on chains of 120-4041 sites and delta
+# from 0.1 down to 1e-16, the density error reached the test tolerance
+# (1e-6 relative + 1e-12) from an amplitude error of 1.09e-6 on, and stayed
+# below 0.12 of it up to this bound; it is passed below delta ~ 1e-8
+WEAK_COUPLING_LIMIT = 1e-7
 # the CLI summary's tail fit holds two phase matrices of about 90 t_max^1.5
 # bytes each; at this chain, the default for t_max = 9980, `lattice` peaks
 # near 0.3 GB RSS
@@ -121,7 +128,11 @@ class LatticeParams(_LatticeFields):
         """Resonance decay rate 2 delta^2 / alpha; undefined at delta = 1."""
         if self.delta == 1.0:
             raise ValueError("decay rate is undefined at delta = 1 (no resonance)")
-        return 2.0 * self.delta * self.delta / self.alpha
+        gamma = 2.0 * self.delta * self.delta / self.alpha
+        if gamma < sys.float_info.min:
+            raise ComputationError(f"decay rate 2 delta^2/alpha leaves double precision "
+                                   f"at delta={self.delta!r}")
+        return gamma
 
 
 def required_sites(t_max: float) -> int:
@@ -136,6 +147,9 @@ def _spectral_data(delta: float, n_sites: int):
     """Energies, bracket offsets theta, normalized site-1 row and 1/norm per level.
 
     Level j (0-based) has k = j pi/N + theta_j, sorted ascending like E.
+    psi_1 = sin(N k)/delta loses digits as delta falls, since sin(N k) is of
+    order delta^2 for most levels: past WEAK_COUPLING_LIMIT on the t = 0
+    amplitudes, which must be c_1 = 1 and c_2 = 0, it raises ComputationError.
     """
     n, d2 = n_sites, delta * delta
     base = np.arange(n) * (math.pi / n)
@@ -149,14 +163,21 @@ def _spectral_data(delta: float, n_sites: int):
         up = g > 0.0
         lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
     theta = 0.5 * (lo + hi)
-    # psi_1 = sin(N k)/delta with sin(N k) = (-1)^j sin(N theta)
-    first = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * np.sin(n * theta) / delta
     # sum_{m=1}^{N-1} sin^2(m k) = (N - 1)/2 - sin((N-1)k) cos(Nk) / (2 sin k),
     # whose signs (-1)^j cancel in theta
     bulk = 0.5 * (n - 1) - (np.sin((n - 1) * theta - base) * np.cos(n * theta)
                             / (2.0 * np.sin(base + theta)))
-    scale = 1.0 / np.sqrt(bulk + first * first)
-    return -2.0 * np.cos(base + theta), theta, first * scale, scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        # psi_1 = sin(N k)/delta with sin(N k) = (-1)^j sin(N theta)
+        first = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * np.sin(n * theta) / delta
+        scale = 1.0 / np.sqrt(bulk + first * first)
+        first = first * scale
+        error = max(abs(first @ first - 1.0), abs(_mode_rows(n, theta, scale, 2) @ first))
+    if not error <= WEAK_COUPLING_LIMIT:
+        raise ComputationError(
+            f"the chain's modes lose precision at delta={delta!r}: t = 0 amplitude "
+            f"error {error:.2g} > {WEAK_COUPLING_LIMIT:g}")
+    return -2.0 * np.cos(base + theta), theta, first, scale
 
 
 def _mode_rows(n_sites: int, theta: np.ndarray, scale: np.ndarray, sites) -> np.ndarray:

@@ -178,11 +178,17 @@ def transition_times(
             t_p = max(t_c + t_c * k * s_p, math.nextafter(t_c, math.inf))
         else:
             # the log residual 1.5 ln t - ln(x e^{k0I x + gamma t/2}/(2 sqrt(pi) |k0|^2))
-            # stays finite where its exponential overflows
-            log_c = math.log(x / (2.0 * math.sqrt(math.pi) * abs(p.k0) ** 2)) + p.k0I * x
+            # stays finite where its exponential overflows; below the least
+            # normal double the quotient loses digits, so its logs are taken apart
+            scale = 2.0 * math.sqrt(math.pi) * abs(p.k0) ** 2
+            quotient = x / scale
+            log_c = (math.log(quotient) if quotient >= sys.float_info.min
+                     else math.log(x) - math.log(scale)) + p.k0I * x
             a = max(t_c, 3.0 / p.gamma_rate)
             t_p, val = _falling_root(
                 lambda t: 1.5 * math.log(t) - (log_c + 0.5 * p.gamma_rate * t), a, 2.0 * a)
+            if math.isnan(val):   # the bracket reached t = inf
+                raise EvaluationDomainError(x, a, "the late_time root passes double range")
         if abs(val) < ROOT_TOL:
             rho = abs(kernel(p, x, t_p).psi) ** 2
             rows.append(TransitionPoint(x, t_p, rho, rho / n_total, method, True,
