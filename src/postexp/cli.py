@@ -360,15 +360,14 @@ def cmd_lattice(args) -> int:
         ts = parse_grid(args.t_grid, "--t-grid")
         if ts[0] < 0.0 or ts[-1] > p.t_max:
             raise UsageError("--t-grid: times must lie within [0, t_max]")
-
-        def density(n, lo, hi):
-            return lat.site_density(p, n, ts[lo:hi])
     else:
         ts = _linspace(0.0, p.t_max, 801)
 
-        def density(n, lo, hi):
-            # the two-level split depends on the count: always all 801 times
-            return lat.uniform_site_density(p, n, 0.0, p.t_max / 800, 801)[lo:hi]
+    def density(n, lo, hi):
+        if args.t_grid or p.t_max / 800 == 0.0:   # a user grid, or a step that underflows
+            return lat.site_density(p, n, ts[lo:hi])
+        # the two-level split depends on the count: always all 801 times
+        return lat.uniform_site_density(p, n, 0.0, p.t_max / 800, 801)[lo:hi]
 
     def block(lo, hi):
         # rows run site-major: row r is site r // len(ts) at time r % len(ts)

@@ -1048,3 +1048,32 @@ def test_parse_grid_matches_numpy_spacing():
         want = np.geomspace(a, b, n)
         assert got[0] == a and got[-1] == b
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+# the records, not the command line, refuse these values: exit 2, one line
+RECORD_DOMAIN = [
+    *(["density", f"--k0i={k}", "--x", "1", "--t-grid", "1"] for k in ("-1.5", "nan")),
+    *(["transition", f"--k0i={k}", "--x-grid", "1"] for k in ("-1.5", "nan")),
+    # nan is refused by the grid parser before any record is built
+    *(["critical", f"--k0i-grid={k}"] for k in ("-1.5", "nan", "-0.5,0.5")),
+    *(["lattice", f"--delta={d}", "--sites", "1", "--t-max", "10"] for d in ("1.5", "nan")),
+    *(["lattice", "--delta", "0.3", "--sites", "1", f"--t-max={t}", *n]
+      for t in ("inf", "nan", "-3") for n in ([], ["--n-sites", "50"])),
+]
+
+
+@pytest.mark.parametrize("argv", RECORD_DOMAIN, ids=" ".join)
+def test_values_outside_the_records_exit_2(capsys, argv):
+    rc, out, err = _run(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_late_time_row_at_subnormal_x(capsys):
+    rc, out, err = _run(capsys, ["transition", "--k0i", "-0.3", "--x-grid", "5e-324,0.5,13",
+                                 "--method", "late_time", "--parallelism", "1"])
+    assert (rc, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [r[0] for r in rows] == ["5e-324", "0.5", "13.0"]
+    assert all(r[4] == "1" for r in rows)
+    assert 1200.0 < float(rows[0][1]) < 1300.0

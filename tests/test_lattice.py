@@ -382,3 +382,45 @@ def test_transition_formula_derivation(delta):
         t = lat.lattice_transition_time(p, n)
         pole_t, edge_t = _pole_and_edge(delta, n, t)
         assert abs(abs(pole_t) / (2.0 * edge_t) - 1.0) <= 1e-12, (delta, n, t)
+
+
+@pytest.mark.parametrize("t_max", [math.inf, math.nan, -3.0, 0.0])
+def test_horizon_is_checked_before_the_chain_is_sized(t_max):
+    # required_sites checks t_max before it rounds 2 t_max up to an integer
+    with pytest.raises(ValueError, match="t_max must be positive and finite"):
+        lat.LatticeParams.for_horizon(0.3, t_max)
+    with pytest.raises(ValueError, match="t_max must be positive and finite"):
+        lat.LatticeParams(0.3, 100, t_max)
+
+
+WEAK_T_MAX = 50.0
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-10, 1e-20, 1e-200, 5e-324])
+def test_weak_coupling_matches_the_oracle_or_fails_typed(capsys, delta):
+    # psi_1 = sin(N k)/delta loses digits as delta falls; past the bound the
+    # command fails with one line instead of printing wrong densities
+    from postexp import cli
+
+    ts = np.linspace(0.0, WEAK_T_MAX, 6)
+    rc = cli.main(["lattice", f"--delta={delta!r}", "--sites", "1,3", "--t-max", "50",
+                   "--t-grid", ",".join(map(repr, ts.tolist())), "--parallelism", "1"])
+    out, err = capsys.readouterr()
+    if delta >= 1e-6:
+        assert rc == 0
+    if rc == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        return
+    assert (rc, err) == (0, "")
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in out.splitlines()[1:] if not line.startswith("#")])
+    want = chain_density_oracle(delta, 0.0, WEAK_T_MAX / 5, 6, (1, 3))
+    for col, n in enumerate((1, 3)):
+        assert _close(rows[rows[:, 1] == n, 2], want[:, col]).all()
+
+
+@pytest.mark.parametrize("delta", [1e-10, 1e-20, 1e-200, 5e-324])
+def test_weak_coupling_modes_raise_a_computation_error(delta):
+    p = lat.LatticeParams(delta, 141, WEAK_T_MAX)
+    with pytest.raises(lat.ComputationError, match="lose precision"):
+        lat.site_density(p, 1, [0.0])

@@ -492,3 +492,35 @@ def test_transition_solve_cost_per_distance(monkeypatch):
             assert 0 < len(calls) <= 20, (k0I, x / tr.max_distance(p), len(calls))
             rows += 1
     assert rows == 650
+
+
+def _late_time_mpmath_root(k0I, x):
+    """The falling root t > 3/gamma of 1.5 ln t = ln x - ln(2 sqrt(pi) |k0|^2)
+    + k0I x + gamma t/2, in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        k0I, x = mpmath.mpf(k0I), mpmath.mpf(x)
+        gamma = 4 * abs(k0I)
+        log_c = mpmath.log(x) - mpmath.log(2 * mpmath.sqrt(mpmath.pi) * (1 + k0I ** 2)) + k0I * x
+
+        def f(t):
+            return 1.5 * mpmath.log(t) - log_c - gamma * t / 2
+
+        lo = hi = 3 / gamma
+        while f(hi) > 0:
+            lo, hi = hi, 2 * hi
+        return float(mpmath.findroot(f, (lo, hi), solver="anderson"))
+
+
+@pytest.mark.parametrize("k0I", [-0.3, -0.9, -1e-3])
+@pytest.mark.parametrize("x", [5e-324, 1.5e-323, 1e-320, 1e-310, 2.5e-308, 1e-300])
+def test_late_time_root_at_subnormal_x(k0I, x):
+    # below the least normal double x/(2 sqrt(pi) |k0|^2) underflows; the
+    # logarithms of its two parts give the root all the same
+    row = tr.transition_time(sm.SourceParams(k0I), x, "late_time")
+    assert row.valid
+    assert row.t_p == pytest.approx(_late_time_mpmath_root(k0I, x), rel=1e-9)
+
+
+def test_late_time_root_past_double_range_is_a_computation_failure():
+    with pytest.raises(sm.EvaluationDomainError, match="passes double range"):
+        tr.transition_time(sm.SourceParams(-5e-324), 1.0, "late_time")
