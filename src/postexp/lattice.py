@@ -58,7 +58,7 @@ T_FLOOR = 1e-2           # earliest admissible formula transition time
 # Against conftest.chain_density_oracle on chains of 120-4041 sites and delta
 # from 0.1 down to 1e-16, the density error reached the test tolerance
 # (1e-6 relative + 1e-12) from an amplitude error of 1.09e-6 on, and stayed
-# below 0.12 of it up to this bound; it is passed below delta ~ 1e-8
+# below 0.12 of it up to this bound. Chains pass it from delta ~ 1e-8 to 1e-10 down
 WEAK_COUPLING_LIMIT = 1e-7
 # the CLI summary's tail fit holds two phase matrices of about 90 t_max^1.5
 # bytes each; at this chain, the default for t_max = 9980, `lattice` peaks

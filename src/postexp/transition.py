@@ -289,8 +289,8 @@ def critical_density_curve(params: Sequence[SourceParams]) -> List[CriticalDensi
     """Density at (x_max, t_p) for each parameter set.
 
     Exact and saddle-plus-pole densities are both reported, divided by the
-    emitted norm. x_max is closed-form and exists at
-    every -1 < k0I < 0, so every point is valid.
+    emitted norm. x_max is closed-form and exists at every -1 < k0I < 0, so
+    every point is valid.
     """
     out: List[CriticalDensityPoint] = []
     for p in params:
