@@ -36,6 +36,7 @@ import functools
 import gc
 import math
 import os
+import re
 import sys
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
@@ -351,8 +352,7 @@ def cmd_lattice(args) -> int:
         raise UsageError(f"--sites: bad integer list {args.sites!r}") from None
     if not sites or any(n < 1 for n in sites):
         raise UsageError("--sites: need site indices >= 1")
-    p = (lat.LatticeParams.for_horizon(args.delta, args.t_max) if args.n_sites is None
-         else lat.LatticeParams(delta=args.delta, n_sites=args.n_sites, t_max=args.t_max))
+    p = lat.LatticeParams(args.delta, args.t_max)
     if max(sites) > p.n_sites:
         raise UsageError(f"--sites: site {max(sites)} exceeds n_sites={p.n_sites}")
 
@@ -400,12 +400,16 @@ def _lattice_summary(delta: float, sites: List[int], t_max: float) -> Dict[str, 
     from . import lattice as lat
 
     t_res = max(t_max, LATTICE_SUMMARY_HORIZON)
-    p_res = lat.LatticeParams.for_horizon(delta, t_res)
+    p_res = lat.LatticeParams(delta, t_res)
+    # the formula's prefactor is derived (lattice.formula_prefactor), with
+    # 2 alpha^{n+1} in its numerator; there is no resonance at delta = 1
+    times = {n: lat.lattice_transition_time(p_res, n) if delta < 1.0 and n >= 2 else None
+             for n in sites}
     summary: Dict[str, object] = {"delta": delta}
     if delta < 1.0:
         summary["gamma_formula"] = p_res.gamma
         try:
-            summary["fitted_gamma"] = lat.fitted_decay_rate(p_res, n=1)
+            summary["fitted_gamma"] = lat.fitted_decay_rate(p_res)
         except lat.InsufficientWindowError:
             summary["fitted_gamma"] = math.nan   # from delta ~0.81: no window before 12/gamma
     else:
@@ -414,19 +418,19 @@ def _lattice_summary(delta: float, sites: List[int], t_max: float) -> Dict[str, 
     # Largest requested site: its exponential segment ends earliest, so the
     # late-window power fit is least contaminated by the crossover.
     tail_site = max(sites)
-    try:
-        summary["tail_exponent"] = lat.tail_exponent(
-            p_res, tail_site, window=(0.55 * t_res, 0.95 * t_res)
-        )
-    except lat.InsufficientWindowError:
-        summary["tail_exponent"] = math.nan
+    window = (0.55 * t_res, 0.95 * t_res)
+    t_tail = times[tail_site]
+    if delta < 1.0 and tail_site >= 2 and (t_tail is None or t_tail > window[0]):
+        summary["tail_exponent"] = math.nan      # the window is still in the exponential era
+    else:
+        try:
+            summary["tail_exponent"] = lat.tail_exponent(p_res, tail_site, window)
+        except lat.InsufficientWindowError:
+            summary["tail_exponent"] = math.nan
     summary["tail_exponent_site"] = tail_site
 
-    # the formula's prefactor is derived (lattice.formula_prefactor), with
-    # 2 alpha^{n+1} in its numerator; there is no resonance at delta = 1
     summary["resolved_reading"] = "alpha_in_numerator" if delta < 1.0 else "n/a"
-    for n in sites:
-        t_n = lat.lattice_transition_time(p_res, n) if delta < 1.0 and n >= 2 else None
+    for n, t_n in times.items():
         summary[f"transition_time_site_{n}"] = math.nan if t_n is None else t_n
     return summary
 
@@ -527,7 +531,7 @@ def _check_lattice_norm() -> float:
 
     from . import lattice as lat
 
-    amps = lat.evolve(lat.LatticeParams.for_horizon(0.3, 30.0), [0.0, 10.0, 30.0])
+    amps = lat.evolve(lat.LatticeParams(0.3, 30.0), [0.0, 10.0, 30.0])
     worst = float(np.max(np.abs(np.sum(np.abs(amps) ** 2, axis=1) - 1.0)))
     if worst >= 1e-10:
         raise AssertionError(f"lattice norm deviation {worst:.3e} >= 1e-10")
@@ -569,8 +573,18 @@ def _add_common(sp) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every argument starting with -<digit> or
+    -.<digit> as a value, not an option: argparse's own pattern takes -0.3
+    but not -1e-3 or the list -0.3,-0.2. Its subparsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="postexp",
         description="Exponential-to-algebraic decay of an exponentially decaying source.",
     )
@@ -597,7 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
     la.add_argument("--delta", type=float, required=True)
     la.add_argument("--sites", required=True, help="comma list of site indices")
     la.add_argument("--t-max", dest="t_max", type=float, required=True)
-    la.add_argument("--n-sites", dest="n_sites", type=int, default=None)
     la.add_argument("--t-grid", dest="t_grid", default=None)
     _add_common(la)
 

@@ -3,9 +3,10 @@
 A semi-infinite chain with a weakened first hop delta traps most of the
 initial site-1 amplitude in a long-lived resonance; site index plays the
 role of detector distance. The chain is truncated to N = n_sites sites
-(first hop -delta, all others -1, zero on-site energy), which is exact up
-to truncation: a reflection guard keeps the horizon causally disconnected
-from the cut.
+(first hop -delta, all others -1, zero on-site energy), and N follows from
+the horizon: N = ceil(2 t_max) + 2 REFLECTION_MARGIN puts the cut so far out
+that nothing reflected from it (group velocity 2) reaches any site by
+t_max, so every longer chain gives the same densities.
 
 The truncated chain's eigensystem is closed-form. Away from site 1 an
 eigenvector is a standing wave that vanishes past the cut,
@@ -47,7 +48,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import ComputationError, UsageError
+from . import ComputationError
 from .specfun import INV_E, lambertw_m1
 
 ENVELOPE_STEP = 0.05
@@ -61,20 +62,9 @@ T_FLOOR = 1e-2           # earliest admissible formula transition time
 # below 0.12 of it up to this bound. Chains pass it from delta ~ 1e-8 to 1e-10 down
 WEAK_COUPLING_LIMIT = 1e-7
 # the CLI summary's tail fit holds two phase matrices of about 90 t_max^1.5
-# bytes each; at this chain, the default for t_max = 9980, `lattice` peaks
+# bytes each; at this chain, that of t_max = 9980, `lattice` peaks
 # near 0.3 GB RSS
 MAX_SITES = 20_000
-
-
-class TruncationUnsoundError(UsageError):
-    """The chain is too short for the requested horizon; reflections would arrive."""
-
-    def __init__(self, required_n_sites: int, n_sites: int, t_max: float):
-        self.required_n_sites = required_n_sites
-        super().__init__(
-            f"n_sites={n_sites} cannot hold t_max={t_max}: "
-            f"need n_sites >= {required_n_sites}"
-        )
 
 
 class InsufficientWindowError(ComputationError):
@@ -83,37 +73,34 @@ class InsufficientWindowError(ComputationError):
 
 class _LatticeFields(NamedTuple):
     delta: float
-    n_sites: int
     t_max: float
 
 
 class LatticeParams(_LatticeFields):
-    """The truncated chain. An immutable tuple; the constructor, _make and
-    _replace all check it."""
+    """The chain to the horizon t_max. An immutable tuple; the constructor,
+    _make and _replace all check it."""
 
     __slots__ = ()
 
-    def __new__(cls, delta: float, n_sites: int, t_max: float):
+    def __new__(cls, delta: float, t_max: float):
         if not (0.0 < delta <= 1.0):
             raise ValueError(f"delta must be in (0, 1]; got {delta!r}")
-        if not (isinstance(n_sites, int) and n_sites >= 10):
-            raise ValueError(f"n_sites must be an integer >= 10; got {n_sites!r}")
-        if n_sites > MAX_SITES:
-            raise ValueError(f"n_sites={n_sites} exceeds MAX_SITES={MAX_SITES} "
-                             f"(the default chain for t_max = {MAX_SITES / 2 - REFLECTION_MARGIN:g})")
-        required = required_sites(t_max)
-        if n_sites < required:
-            raise TruncationUnsoundError(required, n_sites, t_max)
-        return super().__new__(cls, delta, n_sites, t_max)
+        if not (t_max > 0.0 and math.isfinite(t_max)):
+            raise ValueError(f"t_max must be positive and finite; got {t_max!r}")
+        # n_sites <= MAX_SITES, checked on 2 t_max: its ceil overflows past 1e308
+        if 2.0 * t_max > MAX_SITES - 2 * REFLECTION_MARGIN:
+            raise ValueError(f"t_max must be at most {MAX_SITES / 2 - REFLECTION_MARGIN:g} "
+                             f"(a chain of MAX_SITES={MAX_SITES} sites); got {t_max!r}")
+        return super().__new__(cls, delta, t_max)
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
 
-    @classmethod
-    def for_horizon(cls, delta: float, t_max: float) -> "LatticeParams":
-        """The chain for this horizon, twice the reflection margin past 2 t_max."""
-        return cls(delta=delta, n_sites=required_sites(t_max) + REFLECTION_MARGIN, t_max=t_max)
+    @property
+    def n_sites(self) -> int:
+        """The chain length: twice the reflection margin past 2 t_max."""
+        return math.ceil(2.0 * self.t_max) + 2 * REFLECTION_MARGIN
 
     @property
     def alpha_sq(self) -> float:
@@ -133,13 +120,6 @@ class LatticeParams(_LatticeFields):
             raise ComputationError(f"decay rate 2 delta^2/alpha leaves double precision "
                                    f"at delta={self.delta!r}")
         return gamma
-
-
-def required_sites(t_max: float) -> int:
-    """The fewest sites that hold the horizon t_max, which must be positive and finite."""
-    if not (t_max > 0.0 and math.isfinite(t_max)):
-        raise ValueError(f"t_max must be positive and finite; got {t_max!r}")
-    return int(math.ceil(2.0 * t_max)) + REFLECTION_MARGIN
 
 
 @lru_cache(maxsize=16)
@@ -290,25 +270,19 @@ def _envelope_grid(
     return ts, uniform_site_density(p, n, lo, ENVELOPE_STEP, ts.size)
 
 
-def fitted_decay_rate(
-    p: LatticeParams, n: int = 1, window: Optional[Tuple[float, float]] = None
-) -> float:
-    """Exponential rate of |c_n|^2 from a linear fit of its log over the window.
+def fitted_decay_rate(p: LatticeParams) -> float:
+    """Exponential rate of |c_1|^2 from a linear fit of its log from t = 5 to 12/gamma.
 
-    The default window ends at 12/gamma, before the power-law tail starts
-    contaminating the fit. From delta ~0.81 on, 12/gamma comes less than ten
-    envelope steps after the start at t = 5, or before it; a window that
-    short raises InsufficientWindowError.
+    The window ends there, before the power-law tail starts contaminating
+    the fit. From delta ~0.81 on, 12/gamma comes less than ten envelope
+    steps after the start, or before it; a window that short raises
+    InsufficientWindowError.
     """
-    if window is None:
-        lo = 5.0
-        window = (lo, max(lo, min(12.0 / p.gamma, 0.9 * p.t_max)))
-    lo, hi = window
-    if not (0.0 <= lo <= hi <= p.t_max):
-        raise ValueError(f"window {window!r} outside [0, t_max]")
+    lo = 5.0
+    hi = max(lo, min(12.0 / p.gamma, 0.9 * p.t_max))
     if hi - lo < 10.0 * ENVELOPE_STEP:
-        raise InsufficientWindowError(f"window {window!r} too short for a rate fit")
-    ts, dens = _envelope_grid(p, n, lo, hi)
+        raise InsufficientWindowError(f"window {(lo, hi)!r} too short for a rate fit")
+    ts, dens = _envelope_grid(p, 1, lo, hi)
     slope = np.polyfit(ts, np.log(dens), 1)[0]
     return float(-slope)
 

@@ -192,20 +192,20 @@ def test_a09_finite_difference_residuals():
 
 def test_a10_lattice_oracles():
     t0 = time.perf_counter()
-    p = lat.LatticeParams.for_horizon(0.3, 30.0)
+    p = lat.LatticeParams(0.3, 30.0)
     amps = lat.evolve(p, [0.0, 10.0, 30.0])
     norm_dev = float(np.max(np.abs(np.sum(np.abs(amps) ** 2, axis=1) - 1.0)))
 
     gamma_errs = {}
     for delta, horizon in ((0.2, 80.0), (0.3, 70.0), (0.4, 50.0)):
-        pp = lat.LatticeParams.for_horizon(delta, horizon)
+        pp = lat.LatticeParams(delta, horizon)
         gamma_errs[delta] = abs(lat.fitted_decay_rate(pp) - pp.gamma) / pp.gamma
 
-    p_tail = lat.LatticeParams.for_horizon(0.4, 400.0)
+    p_tail = lat.LatticeParams(0.4, 400.0)
     tail = lat.tail_exponent(p_tail, 1, window=(80.0, 380.0))
 
     from scipy.special import j1
-    pb = lat.LatticeParams(1.0, 160, 60.0)
+    pb = lat.LatticeParams(1.0, 60.0)
     ts = np.linspace(0.5, 60.0, 120)
     bessel_dev = float(np.max(np.abs(lat.site_density(pb, 1, ts) - (j1(2 * ts) / ts) ** 2)))
 
@@ -219,7 +219,7 @@ def test_a10_lattice_oracles():
 
 def test_a11_lattice_transition_formula(crossing_densities):
     t0 = time.perf_counter()
-    p = lat.LatticeParams.for_horizon(CROSSING_DELTA, CROSSING_HORIZON)
+    p = lat.LatticeParams(CROSSING_DELTA, CROSSING_HORIZON)
     ts, by_site = crossing_densities
     crossings = [envelope_crossing_oracle(ts, by_site[n], n, p.gamma) for n in CROSSING_SITES]
     errs = [abs(t / lat.lattice_transition_time(p, n) - 1.0)

@@ -226,25 +226,25 @@ def test_lattice_band_edge_summary(capsys):
 
 
 def test_lattice_truncation_guard(capsys):
-    rc, _, err = _run(capsys, ["lattice", "--delta", "0.3", "--sites", "5",
-                               "--t-max", "100", "--n-sites", "50"])
-    assert rc == 2
-    assert "need n_sites >= 220" in err
-    # chains past MAX_SITES, and horizons that need one, are refused unbuilt
-    for extra in (["--t-max", "1e6"], ["--t-max", "10", "--n-sites", "20001"],
-                  ["--t-max", "inf"], ["--t-max", "nan"]):
+    # horizons past that of a MAX_SITES chain are refused unbuilt
+    for extra in (["--t-max", "1e6"], ["--t-max", "inf"], ["--t-max", "nan"]):
         rc, out, err = _run(capsys, ["lattice", "--delta", "0.3", "--sites", "1,5", *extra])
         assert (rc, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("n_sites", ["0", "5"])
-def test_lattice_rejects_small_n_sites(capsys, n_sites):
-    rc, out, err = _run(capsys, ["lattice", "--delta", "0.3", "--sites", "1",
-                                 "--t-max", "10", "--n-sites", n_sites])
-    assert rc == 2
-    assert out == ""
-    assert "n_sites must be an integer >= 10" in err
+@pytest.mark.parametrize("delta, sites", [("0.2", "1,3"), ("0.2", "1,20"), ("1e-6", "1,3")])
+def test_lattice_tail_exponent_only_on_a_tail(capsys, delta, sites):
+    # the tail window of the 220 horizon starts at t = 121, before the tail
+    # site's formula transition time (211 and 153 at delta 0.2), or there is
+    # no transition within the horizon (delta 1e-6): no tail to fit
+    rc, out, _ = _run(capsys, ["lattice", "--delta", delta, "--sites", sites,
+                               "--t-max", "50", "--format", "json"])
+    assert rc == 0
+    s = json.loads(out)["summary"]
+    assert s["tail_exponent"] is None
+    t_n = s[f"transition_time_site_{sites.split(',')[-1]}"]
+    assert t_n is None or t_n > 0.55 * 220.0
 
 
 # ---------------------------------------------------------------- scenario
@@ -349,6 +349,22 @@ def test_bad_k0i_is_usage_error(capsys):
                                "--t-grid", "lin:1:2:2"])
     assert rc == 2
     assert "k0I" in err
+
+
+@pytest.mark.parametrize("argv", [["transition", "--k0i", "-1e-3", "--x-grid", "1"],
+                                  ["critical", "--k0i-grid", "-0.3,-0.2"]])
+def test_negative_values_need_no_equals_sign(capsys, argv):
+    # exponent notation and lists start with -<digit> like -0.3: values, not options
+    rc, out, err = _run(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert _run(capsys, [argv[0], f"{argv[1]}={argv[2]}", *argv[3:]]) == (0, out, "")
+    # options are read as before
+    rc, _, err = _run(capsys, [*argv, "--bad"])
+    assert rc == 2 and "unrecognized arguments: --bad" in err
+    rc, out, _ = _run(capsys, [argv[0], "-h"])
+    assert rc == 0 and out.startswith(f"usage: postexp {argv[0]}")
+    rc, _, err = _run(capsys, [argv[0], argv[1], "--format", "csv"])
+    assert rc == 2 and "expected one argument" in err
 
 
 # ---------------------------------------------------------------- streaming
@@ -946,7 +962,6 @@ def test_exit_code_of_each_error_class(capsys, monkeypatch):
     table = [
         (cli.UsageError("bad flag"), 2),
         (ValueError("bad value"), 2),
-        (lattice.TruncationUnsoundError(100, 10, 50.0), 2),
         (units.ScenarioUnrepresentableError("k0I <= -1"), 2),
         (NewUsageError("a new usage error"), 2),
         (source_model.EvaluationDomainError(1.0, 2.0, "overflow"), 1),
@@ -1057,8 +1072,11 @@ RECORD_DOMAIN = [
     # nan is refused by the grid parser before any record is built
     *(["critical", f"--k0i-grid={k}"] for k in ("-1.5", "nan", "-0.5,0.5")),
     *(["lattice", f"--delta={d}", "--sites", "1", "--t-max", "10"] for d in ("1.5", "nan")),
-    *(["lattice", "--delta", "0.3", "--sites", "1", f"--t-max={t}", *n]
-      for t in ("inf", "nan", "-3") for n in ([], ["--n-sites", "50"])),
+    *(["lattice", "--delta", "0.3", "--sites", "1", f"--t-max={t}"] for t in ("inf", "nan", "-3")),
+    # negative values in exponent notation, and lists, need no "="
+    ["transition", "--k0i", "-1.5e0", "--x-grid", "1"],
+    ["critical", "--k0i-grid", "-0.5,0.5"],
+    *(["lattice", "--delta", "0.3", "--sites", "1", "--t-max", t] for t in ("inf", "nan", "-3e0")),
 ]
 
 

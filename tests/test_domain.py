@@ -109,6 +109,9 @@ def _main(argv):
 @example((["lattice", "--delta=1e-10", "--sites", "1", "--t-max=50", "--t-grid", "0"], True))
 # a horizon whose default time step underflows
 @example((["lattice", "--delta=1.0", "--sites", "1", "--t-max=5e-324"], True))
+# negative values in exponent notation, and a list of them, without "="
+@example((["transition", "--k0i", "-1e-3", "--x-grid", "1"], True))
+@example((["critical", "--k0i-grid", "-0.3,-0.2"], True))
 def test_every_argv_exits_by_the_domain(case):
     argv, in_domain = case
     rc, err = _main(argv)

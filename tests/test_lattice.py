@@ -14,48 +14,40 @@ from conftest import (CROSSING_DELTA, CROSSING_HORIZON, CROSSING_SITES, chain_de
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        lat.LatticeParams(0.0, 100, 10.0)
+        lat.LatticeParams(0.0, 10.0)
     with pytest.raises(ValueError):
-        lat.LatticeParams(1.2, 100, 10.0)
+        lat.LatticeParams(1.2, 10.0)
     with pytest.raises(ValueError):
-        lat.LatticeParams(0.3, 5, 1.0)
-    with pytest.raises(ValueError):
-        lat.LatticeParams(0.3, 100, -1.0)
-    # the size bound comes before the horizon's own checks
+        lat.LatticeParams(0.3, -1.0)
+    # the size bound: 9980 is the horizon of a MAX_SITES chain
     with pytest.raises(ValueError, match="MAX_SITES"):
-        lat.LatticeParams(0.3, lat.MAX_SITES + 1, 1e6)
+        lat.LatticeParams(0.3, 1e6)
     with pytest.raises(ValueError, match="MAX_SITES"):
-        lat.LatticeParams.for_horizon(0.3, 1e6)
-    assert lat.LatticeParams.for_horizon(0.3, 9980.0).n_sites == lat.MAX_SITES
+        lat.LatticeParams(0.3, 9980.000000000002)
+    assert lat.LatticeParams(0.3, 9980.0).n_sites == lat.MAX_SITES
     # delta = 1 is allowed (band-edge configuration)
-    lat.LatticeParams(1.0, 100, 10.0)
+    lat.LatticeParams(1.0, 10.0)
 
 
-def test_truncation_guard_names_required_size():
-    with pytest.raises(lat.TruncationUnsoundError) as err:
-        lat.LatticeParams(0.3, 50, 100.0)
-    assert "need n_sites >= 220" in str(err.value)
-
-
-def test_for_horizon_adds_margin():
-    p = lat.LatticeParams.for_horizon(0.3, 30.0)
-    assert p.n_sites == math.ceil(2 * 30.0) + 40
-    assert p.n_sites >= lat.required_sites(30.0)
-    assert p.t_max == 30.0
+def test_n_sites_follows_from_the_horizon():
+    for t_max in (5e-324, 0.25, 0.5, 30.0, 50.5, 100.7, 9979.5):
+        p = lat.LatticeParams(0.3, t_max)
+        assert p.n_sites == math.ceil(2 * t_max) + 40
+        assert p._fields == ("delta", "t_max") and p == (0.3, t_max)
 
 
 def test_rate_formulas():
-    p = lat.LatticeParams(0.3, 100, 10.0)
+    p = lat.LatticeParams(0.3, 10.0)
     assert p.alpha_sq == pytest.approx(0.91, rel=1e-15)
     assert p.gamma == pytest.approx(2.0 * 0.09 / math.sqrt(0.91), rel=1e-15)
-    gammas = [lat.LatticeParams(d, 100, 10.0).gamma for d in (0.2, 0.3, 0.4)]
+    gammas = [lat.LatticeParams(d, 10.0).gamma for d in (0.2, 0.3, 0.4)]
     assert gammas[0] < gammas[1] < gammas[2]
     with pytest.raises(ValueError):
-        lat.LatticeParams(1.0, 100, 10.0).gamma
+        lat.LatticeParams(1.0, 10.0).gamma
 
 
 def test_initial_state_and_norm_conservation():
-    p = lat.LatticeParams.for_horizon(0.3, 30.0)
+    p = lat.LatticeParams(0.3, 30.0)
     amps = lat.evolve(p, [0.0, 10.0, 30.0])
     assert amps.shape == (3, p.n_sites)
     assert amps[0, 0] == pytest.approx(1.0 + 0j, abs=1e-12)
@@ -65,7 +57,7 @@ def test_initial_state_and_norm_conservation():
 
 
 def test_evolve_preconditions():
-    p = lat.LatticeParams.for_horizon(0.3, 30.0)
+    p = lat.LatticeParams(0.3, 30.0)
     with pytest.raises(ValueError):
         lat.evolve(p, [-1.0, 2.0])
     with pytest.raises(ValueError):
@@ -76,7 +68,7 @@ def test_evolve_preconditions():
 
 def test_forward_backward_roundtrip():
     # the mode matrix is orthogonal, so evolving forward then back is exact
-    p = lat.LatticeParams.for_horizon(0.3, 30.0)
+    p = lat.LatticeParams(0.3, 30.0)
     _, modes = lat._modes(p.delta, p.n_sites)
     eye = np.eye(p.n_sites)
     assert np.max(np.abs(modes.T @ modes - eye)) < 1e-10
@@ -85,36 +77,34 @@ def test_forward_backward_roundtrip():
 
 def test_fitted_decay_rate_matches_formula():
     for delta, horizon in ((0.2, 80.0), (0.3, 70.0), (0.4, 50.0)):
-        p = lat.LatticeParams.for_horizon(delta, horizon)
-        fitted = lat.fitted_decay_rate(p, n=1)
+        p = lat.LatticeParams(delta, horizon)
+        fitted = lat.fitted_decay_rate(p)
         assert abs(fitted - p.gamma) / p.gamma < 0.05
 
 
 @pytest.mark.parametrize("delta", [0.81, 0.9])
 def test_fitted_decay_rate_default_window_too_short(delta):
     # 12/gamma is within ten steps of t = 5 (0.81) or before it (0.9)
-    p = lat.LatticeParams.for_horizon(delta, 60.0)
+    p = lat.LatticeParams(delta, 60.0)
     with pytest.raises(lat.InsufficientWindowError):
-        lat.fitted_decay_rate(p, n=1)
-    with pytest.raises(ValueError):
-        lat.fitted_decay_rate(p, n=1, window=(5.0, 3.0))
+        lat.fitted_decay_rate(p)
 
 
 def test_tail_exponent_band():
-    p = lat.LatticeParams.for_horizon(0.4, 400.0)
+    p = lat.LatticeParams(0.4, 400.0)
     slope = lat.tail_exponent(p, 1, window=(80.0, 380.0))
     assert abs(slope + 3.0) < 0.3
 
 
 def test_tail_exponent_requires_enough_samples():
-    p = lat.LatticeParams.for_horizon(0.4, 100.0)
+    p = lat.LatticeParams(0.4, 100.0)
     with pytest.raises(lat.InsufficientWindowError):
         lat.tail_exponent(p, 1, window=(99.0, 99.5))
 
 
 def test_band_edge_matches_bessel_solution():
     # at delta = 1 the first-site amplitude is J1(2t)/t exactly
-    p = lat.LatticeParams(1.0, 160, 60.0)
+    p = lat.LatticeParams(1.0, 60.0)
     ts = np.linspace(0.5, 60.0, 120)
     dens = lat.site_density(p, 1, ts)
     ref = (j1(2.0 * ts) / ts) ** 2
@@ -122,7 +112,7 @@ def test_band_edge_matches_bessel_solution():
 
 
 def test_band_edge_tail_slope():
-    p = lat.LatticeParams.for_horizon(1.0, 320.0)
+    p = lat.LatticeParams(1.0, 320.0)
     slope = lat.tail_exponent(p, 1, window=(20.0, 300.0))
     assert abs(slope + 3.0) < 0.1
 
@@ -135,7 +125,7 @@ def test_power_law_fitter_exact_on_pure_input():
 
 def test_envelope_crossings_frozen(crossing_densities):
     # measured on the expm_multiply density, not on the library's
-    gamma = lat.LatticeParams.for_horizon(CROSSING_DELTA, CROSSING_HORIZON).gamma
+    gamma = lat.LatticeParams(CROSSING_DELTA, CROSSING_HORIZON).gamma
     frozen = {5: 72.36, 10: 65.16, 15: 62.92}
     ts, by_site = crossing_densities
     dens = []
@@ -148,7 +138,7 @@ def test_envelope_crossings_frozen(crossing_densities):
 
 def test_reading_resolution(crossing_densities):
     # the derived formula times beside the measured envelope crossings
-    p = lat.LatticeParams.for_horizon(CROSSING_DELTA, CROSSING_HORIZON)
+    p = lat.LatticeParams(CROSSING_DELTA, CROSSING_HORIZON)
     ts, by_site = crossing_densities
     for n in CROSSING_SITES:
         t, _ = envelope_crossing_oracle(ts, by_site[n], n, p.gamma)
@@ -156,7 +146,7 @@ def test_reading_resolution(crossing_densities):
 
 
 def test_formula_transition_times_frozen():
-    p = lat.LatticeParams.for_horizon(0.3, 220.0)
+    p = lat.LatticeParams(0.3, 220.0)
     assert lat.lattice_transition_time(p, 5) == pytest.approx(67.6138, abs=1e-3)
     assert lat.lattice_transition_time(p, 10) == pytest.approx(59.5735, abs=1e-3)
     with pytest.raises(ValueError):
@@ -181,7 +171,7 @@ def test_uniform_site_density_matches_expm_oracle(delta, t0, count):
     sites = (1, 5, 20)
     dt = (ORACLE_T_MAX - t0) / max(count - 1, 1)
     want = chain_density_oracle(delta, t0, dt, count, sites)
-    p = lat.LatticeParams.for_horizon(delta, ORACLE_T_MAX)
+    p = lat.LatticeParams(delta, ORACLE_T_MAX)
     for col, n in enumerate(sites):
         got = lat.uniform_site_density(p, n, t0, dt, count)
         assert got.shape == (count,)
@@ -190,7 +180,7 @@ def test_uniform_site_density_matches_expm_oracle(delta, t0, count):
 
 def test_site_density_blocks_match_expm_oracle(monkeypatch):
     # a block budget of 7 rows leaves a short last block on 801 times
-    p = lat.LatticeParams.for_horizon(0.3, ORACLE_T_MAX)
+    p = lat.LatticeParams(0.3, ORACLE_T_MAX)
     monkeypatch.setattr(lat, "BLOCK_BYTES", 7 * 16 * p.n_sites)
     dt = ORACLE_T_MAX / 800
     want = chain_density_oracle(0.3, 0.0, dt, 801, (1, 5, 20))
@@ -201,14 +191,14 @@ def test_site_density_blocks_match_expm_oracle(monkeypatch):
 
 def test_uniform_site_density_band_edge_bessel():
     # at delta = 1 the first-site amplitude is J1(2t)/t exactly
-    p = lat.LatticeParams.for_horizon(1.0, 60.0)
+    p = lat.LatticeParams(1.0, 60.0)
     t0, dt, count = 0.5, 0.05, 1191
     ts = t0 + np.arange(count) * dt
     assert _close(lat.uniform_site_density(p, 1, t0, dt, count), (j1(2.0 * ts) / ts) ** 2).all()
 
 
 def test_uniform_site_density_preconditions():
-    p = lat.LatticeParams.for_horizon(0.3, 30.0)
+    p = lat.LatticeParams(0.3, 30.0)
     for t0, dt, count in ((0.0, 0.1, 0), (0.0, 0.0, 5), (-1.0, 0.1, 5),
                           (0.0, 0.1, 302), (0.0, math.nan, 5), (0.0, 0.1, 2.0)):
         with pytest.raises(ValueError):
@@ -222,7 +212,7 @@ def test_uniform_site_density_preconditions():
 def test_site_density_memory_is_bounded():
     import tracemalloc
 
-    p = lat.LatticeParams.for_horizon(0.3, 50.0)
+    p = lat.LatticeParams(0.3, 50.0)
     ts = np.linspace(0.0, 50.0, 100_000)
     lat.site_density(p, 5, ts[:10])         # eigensolve outside the measurement
     tracemalloc.start()
@@ -241,7 +231,7 @@ def test_tail_exponent_checks_window_before_evaluating(monkeypatch):
 
     monkeypatch.setattr(lat, "uniform_site_density", fail)
     monkeypatch.setattr(lat, "site_density", fail)
-    p = lat.LatticeParams.for_horizon(0.4, 100.0)
+    p = lat.LatticeParams(0.4, 100.0)
     with pytest.raises(lat.InsufficientWindowError):
         lat.tail_exponent(p, 1, window=(99.0, 99.5))
 
@@ -260,9 +250,6 @@ def _chain(delta, n):
     off = -np.ones(n - 1)
     off[0] = -delta
     return off
-
-
-T_SHORT = 1.0
 
 
 def _weights_close(got, want, delta, n):
@@ -288,8 +275,9 @@ def test_spectrum_matches_eigensolvers(delta, n):
     eye = np.eye(n)
     assert _weights_close(modes.T @ modes, eye, delta, n)
     # the cached O(N) data gives the same per-site weights as the matrix
-    if n > 2 * T_SHORT + lat.REFLECTION_MARGIN:
-        p = lat.LatticeParams(delta, n, T_SHORT)
+    if n > 2 * lat.REFLECTION_MARGIN:
+        p = lat.LatticeParams(delta, (n - 2 * lat.REFLECTION_MARGIN) / 2)
+        assert p.n_sites == n
         for site in (1, 2, n // 2, n):
             e, w = lat._mode_weights(p, site)
             assert np.array_equal(e, energies)
@@ -330,7 +318,7 @@ def test_transition_time_matches_scan_and_brentq():
     found = missing = 0
     for delta in np.linspace(0.2, 0.8, 13):
         for t_max in (30.0, 220.0):
-            p = lat.LatticeParams.for_horizon(float(delta), t_max)
+            p = lat.LatticeParams(float(delta), t_max)
             for n in range(2, 40):
                 want = _scan_transition_time(p, n)
                 got = lat.lattice_transition_time(p, n)
@@ -345,7 +333,7 @@ def test_transition_time_matches_scan_and_brentq():
 
 def test_transition_time_without_a_root():
     # a far site: C underflows, the root is at t = inf
-    p = lat.LatticeParams.for_horizon(0.8, 800.0)
+    p = lat.LatticeParams(0.8, 800.0)
     assert lat.formula_prefactor(p, 1500) == 0.0
     assert lat.lattice_transition_time(p, 1500) is None
 
@@ -367,7 +355,7 @@ def test_transition_formula_derivation(delta):
     from scipy.linalg import eigh_tridiagonal
 
     # c_n - pole_n is the two band-edge terms, whose envelope is 2 edge_n
-    p = lat.LatticeParams.for_horizon(delta, 200.0)
+    p = lat.LatticeParams(delta, 200.0)
     hops = -np.ones(p.n_sites - 1)
     hops[0] = -delta
     energies, modes = eigh_tridiagonal(np.zeros(p.n_sites), hops)
@@ -386,11 +374,9 @@ def test_transition_formula_derivation(delta):
 
 @pytest.mark.parametrize("t_max", [math.inf, math.nan, -3.0, 0.0])
 def test_horizon_is_checked_before_the_chain_is_sized(t_max):
-    # required_sites checks t_max before it rounds 2 t_max up to an integer
+    # LatticeParams checks t_max before it rounds 2 t_max up to an integer
     with pytest.raises(ValueError, match="t_max must be positive and finite"):
-        lat.LatticeParams.for_horizon(0.3, t_max)
-    with pytest.raises(ValueError, match="t_max must be positive and finite"):
-        lat.LatticeParams(0.3, 100, t_max)
+        lat.LatticeParams(0.3, t_max)
 
 
 WEAK_T_MAX = 50.0
@@ -421,6 +407,6 @@ def test_weak_coupling_matches_the_oracle_or_fails_typed(capsys, delta):
 
 @pytest.mark.parametrize("delta", [1e-10, 1e-20, 1e-200, 5e-324])
 def test_weak_coupling_modes_raise_a_computation_error(delta):
-    p = lat.LatticeParams(delta, 141, WEAK_T_MAX)
+    p = lat.LatticeParams(delta, 50.5)   # 141 sites
     with pytest.raises(lat.ComputationError, match="lose precision"):
         lat.site_density(p, 1, [0.0])

@@ -15,16 +15,16 @@ INVALID = [
      "k0I must lie in (-1, 0), got 0.3"),
     (source_model.SourceParams, (-0.3,), "k0I", math.nan, ValueError,
      "k0I must lie in (-1, 0), got nan"),
-    (lattice.LatticeParams, (0.3, 100, 10.0), "delta", 1.2, ValueError,
+    (lattice.LatticeParams, (0.3, 10.0), "delta", 1.2, ValueError,
      "delta must be in (0, 1]; got 1.2"),
-    (lattice.LatticeParams, (0.3, 100, 10.0), "n_sites", 100.0, ValueError,
-     "n_sites must be an integer >= 10; got 100.0"),
-    (lattice.LatticeParams, (0.3, 100, 10.0), "n_sites", lattice.MAX_SITES + 1, ValueError,
-     "n_sites=20001 exceeds MAX_SITES=20000 (the default chain for t_max = 9980)"),
-    (lattice.LatticeParams, (0.3, 100, 10.0), "t_max", math.inf, ValueError,
+    (lattice.LatticeParams, (0.3, 10.0), "t_max", 0.0, ValueError,
+     "t_max must be positive and finite; got 0.0"),
+    (lattice.LatticeParams, (0.3, 10.0), "t_max", 9980.5, ValueError,
+     "t_max must be at most 9980 (a chain of MAX_SITES=20000 sites); got 9980.5"),
+    (lattice.LatticeParams, (0.3, 10.0), "t_max", math.inf, ValueError,
      "t_max must be positive and finite; got inf"),
-    (lattice.LatticeParams, (0.3, 100, 10.0), "t_max", 100.0, lattice.TruncationUnsoundError,
-     "n_sites=100 cannot hold t_max=100.0: need n_sites >= 220"),
+    (lattice.LatticeParams, (0.3, 10.0), "t_max", -3.0, ValueError,
+     "t_max must be positive and finite; got -3.0"),
     (units.PhysicalScenario, RB87, "mass", -1.0, ValueError,
      "mass must be a positive finite number; got -1.0"),
     (units.PhysicalScenario, RB87, "lifetime", "1", ValueError,
@@ -55,7 +55,7 @@ def test_every_path_to_a_record_validates(cls, good, field, value, error, messag
 def test_validated_records_keep_their_constructors():
     p = source_model.SourceParams(k0I=-0.3)
     assert p == source_model.SourceParams(-0.3) == (-0.3,)
-    assert lattice.LatticeParams(delta=0.3, n_sites=100, t_max=10.0) == (0.3, 100, 10.0)
+    assert lattice.LatticeParams(delta=0.3, t_max=10.0) == (0.3, 10.0)
     # hbar defaults to HBAR, by position or keyword
     s = units.PhysicalScenario(*RB87[:5])
     assert s.hbar == units.HBAR and s == RB87
@@ -69,7 +69,7 @@ def _records():
     s = units.PhysicalScenario(*RB87)
     return [
         p,
-        lattice.LatticeParams(0.3, 100, 10.0),
+        lattice.LatticeParams(0.3, 10.0),
         s,
         transition.transition_time(p, 2.5),
         transition.critical_density_curve([p])[0],
