@@ -6,9 +6,10 @@ written in blocks of BLOCK_ROWS rows, and a lin:/log: count above
 MAX_GRID_POINTS is refused, so memory stays bounded for any grid.
 A table of two or more blocks is rendered by up to --parallelism
 processes (never more than the usable CPUs or the blocks): forked
-workers render their share of the blocks and this process writes every
-block in order. Output is deterministic: identical invocations produce
-byte-identical files, whatever --parallelism is.
+workers render their share of the blocks, this process renders any block
+a worker did not send, and it writes every block in order. Output is
+deterministic: identical invocations produce byte-identical files,
+whatever --parallelism is.
 
 Each subcommand imports only the modules it uses, and `json` only when it
 writes JSON. `scenario`, `transition` and `critical` compute one point at a
@@ -443,8 +444,8 @@ def cmd_scenario(args) -> int:
     distance = args.distance if args.distance is not None else config_distance
     if distance is None:
         raise UsageError("config has no detector_distance_m; pass --distance")
-    if distance <= 0.0:
-        raise UsageError("--distance must be positive")
+    if not 0.0 < distance < math.inf:
+        raise UsageError(f"--distance must be positive and finite; got {distance!r}")
     report = units.scenario_transition_report(scenario, distance)
     import json
 
@@ -618,16 +619,11 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--config", required=True, help="scenario config path or bundled name")
     sc.add_argument("--distance", type=float, default=None, help="detector distance in meters")
     sc.add_argument("--out", default=None)
-    _add_common_noop(sc)
+    # ignored: perfbench/inproc.py appends --parallelism 1 to every argv but selftest's
+    sc.add_argument("--parallelism", type=int, default=1)
 
     sub.add_parser("selftest", help="fast invariant checks, exit 0 iff all pass")
     return ap
-
-
-def _add_common_noop(sp) -> None:
-    # scenario emits a single JSON report; these exist for interface symmetry
-    sp.add_argument("--format", choices=("json",), default="json")
-    sp.add_argument("--parallelism", type=int, default=1)
 
 
 TABLES = ("density", "transition", "critical", "lattice")   # the emit_table commands

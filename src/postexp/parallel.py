@@ -3,22 +3,21 @@
 `cli.emit_table` imports this module only for a table of two or more
 blocks at --parallelism above 1, so a single-block command never loads it.
 
-Worker i of p processes renders blocks i, i + p, ... and sends each one
-down its own pipe as a status byte (0 text, 1 error), the payload length
-in HEADER - 1 big-endian bytes, and the payload: the block's UTF-8 text,
-or the pickled class and message of the exception its block raised,
-after which it sends nothing more. The first process renders blocks 0,
-p, 2p, ... itself and reads the others' in turn, decoding each to text,
-so the caller sees only text, and the text does not depend on p.
+Worker i of p processes renders blocks i, i + p, ... and sends each down
+its own pipe as a HEADER-byte big-endian length and the UTF-8 text,
+stopping at the first block it cannot render. The first process renders
+blocks 0, p, 2p, ... and every block that does not arrive whole: each is
+a pure function of the command line, so the text does not depend on p,
+and a block that raises, raises here in its turn.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-from typing import Callable, Dict, Iterator, NoReturn, Sequence, Tuple
+from typing import Callable, Dict, Iterator, NoReturn, Optional, Sequence, Tuple
 
-HEADER = 9
+HEADER = 8
 
 
 def usable_cpus() -> int:
@@ -40,12 +39,11 @@ def rendered(blocks: Sequence[Callable], render: Callable,
              parallelism: int) -> Iterator[str]:
     """Each block's text, in order, rendered here or by a worker.
 
-    process_count() - 1 workers are forked on the first next(); where fork
-    fails, this process renders the blocks of the workers it could not
-    start. An exception a worker's block raised is raised here with its
-    class and message, in that block's turn. When the generator is closed
-    early (an error, a closed stdout, an interrupt) every worker is killed;
-    on every path every worker is reaped before the generator finishes.
+    process_count() - 1 workers are forked on the first next(). A block
+    that does not arrive whole from its worker (fork failed, the block
+    raised there, or the worker ended) is rendered here. When the generator
+    is closed early (an error, a closed stdout, an interrupt) every worker
+    is killed; on every path every worker is reaped before it finishes.
     """
     procs = process_count(parallelism, len(blocks), usable_cpus())
     workers: Dict[int, Tuple[int, object]] = {}   # i -> (pid, pipe reader)
@@ -68,7 +66,8 @@ def rendered(blocks: Sequence[Callable], render: Callable,
             workers[i] = (pid, open(r, "rb"))
         for k, block in enumerate(blocks):
             worker = workers.get(k % procs)
-            yield render(block()) if worker is None else _receive(worker[1], k)
+            text = None if worker is None else _receive(worker[1])
+            yield render(block()) if text is None else text
         finished = True
     finally:
         for pid, reader in workers.values():
@@ -83,40 +82,23 @@ def rendered(blocks: Sequence[Callable], render: Callable,
 
 def _work(blocks: Sequence[Callable], render: Callable, fd: int) -> NoReturn:
     """A forked worker: send each block down fd, as the module docstring says.
-    It leaves by os._exit, so it never returns into the caller nor flushes
-    the buffers it inherited."""
-    code = 1
+    It leaves by os._exit, so it never returns into the caller, prints no
+    traceback, nor flushes the buffers it inherited."""
     try:
         with open(fd, "wb") as pipe:
             for block in blocks:
-                try:
-                    status, data = 0, render(block()).encode()
-                except Exception as err:
-                    import pickle
-
-                    status, data = 1, pickle.dumps((type(err), str(err)))
-                pipe.write(bytes([status]) + len(data).to_bytes(HEADER - 1, "big"))
-                pipe.write(data)
-                if status:
-                    break
-        code = 0
+                data = render(block()).encode()
+                pipe.write(len(data).to_bytes(HEADER, "big") + data)
     finally:
-        os._exit(code)
+        os._exit(0)
 
 
-def _receive(reader, k: int) -> str:
-    """Block k's text from a worker's pipe, or the exception it raised."""
+def _receive(reader) -> Optional[str]:
+    """The next block's text from a worker's pipe, or None where the worker
+    ended before sending all of it."""
     head = reader.read(HEADER)
-    size = int.from_bytes(head[1:], "big")
-    data = reader.read(size)   # b"" at once after a short head, which is the pipe's end
-    if len(head) < HEADER or len(data) < size:
-        raise ChildProcessError(f"table block {k} was not received: its worker process ended")
-    if head[0] == 0:
-        return data.decode()
-    import pickle
-
-    cls, message = pickle.loads(data)   # written by this program's worker
-    err = cls.__new__(cls)   # an __init__ may take other arguments than the message
-    err.args = (message,)
-    raise err
-
+    if len(head) < HEADER:
+        return None
+    size = int.from_bytes(head, "big")
+    data = reader.read(size)
+    return data.decode() if len(data) == size else None

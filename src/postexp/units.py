@@ -179,8 +179,8 @@ def scenario_transition_report(s: PhysicalScenario, X_detector: float) -> Scenar
     the coarse-pixel regime (pixel wider than 100 length units), where point
     sampling is meaningless.
     """
-    if X_detector <= 0.0:
-        raise ValueError("X_detector must be positive")
+    if not 0.0 < X_detector < math.inf:
+        raise ValueError(f"X_detector must be positive and finite; got {X_detector!r}")
     p = source_params(s)
     L = s.length_unit
     x = X_detector / L

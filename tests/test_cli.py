@@ -271,6 +271,21 @@ def test_scenario_distance_override(capsys):
     assert obj["report"]["x_detector"] == pytest.approx(2e-4 / 7.307376718848893e-08, rel=1e-9)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-6"])
+def test_scenario_refuses_a_distance_outside_the_positive_reals(capsys, value):
+    # the error line names the option the user typed, not an internal x
+    rc, out, err = _run(capsys, ["scenario", "--config", "rb87.cfg", f"--distance={value}"])
+    assert (rc, out) == (2, "")
+    assert err == f"error: --distance must be positive and finite; got {float(value)!r}\n"
+
+
+def test_scenario_has_no_format_option(capsys):
+    # scenario writes one JSON report and takes no --format
+    rc, out, err = _run(capsys, ["scenario", "--config", "rb87.cfg", "--format", "json"])
+    assert (rc, out) == (2, "")
+    assert "unrecognized arguments: --format json" in err
+
+
 def test_scenario_missing_config(capsys):
     rc, _, err = _run(capsys, ["scenario", "--config", "does-not-exist.cfg"])
     assert rc == 2
@@ -631,13 +646,18 @@ def test_bytes_do_not_depend_on_parallelism(capsys, monkeypatch, argv):
             assert _bytes(capsys, argv + ["--format", fmt, "--parallelism", "2"]) == whole
 
 
-def test_worker_that_ends_without_its_block_is_an_error(capsys, monkeypatch):
-    # a worker that exits before it sends block 1: the blocks before it are
-    # written, and the run exits 1 with one error line, not a short table
+def _two_processes():
     from postexp import parallel
 
     if parallel.process_count(2, 2, parallel.usable_cpus()) < 2:
         pytest.skip("needs two usable CPUs and os.fork")
+    return parallel
+
+
+def test_worker_that_ends_without_its_block_is_rendered_here(capsys, monkeypatch):
+    # a worker that exits before it sends block 1: the first process renders
+    # blocks 1 and 2 itself, so the table is whole, the bytes of one process
+    _two_processes()
     parent = os.getpid()
 
     def block(value):
@@ -645,11 +665,36 @@ def test_worker_that_ends_without_its_block_is_an_error(capsys, monkeypatch):
             os._exit(3)
         return ([value],)
 
-    monkeypatch.setitem(cli.DISPATCH, "critical", lambda args: cli.emit_table(
-        args, "critical", {}, ["v"], [functools.partial(block, v) for v in (0.5, 1.5, 2.5)]))
-    rc, out, err = _run(capsys, ["critical", "--k0i-grid", "-0.5", "--parallelism", "2"])
-    assert (rc, out) == (1, "v\n0.5\n")
-    assert err == "error: table block 1 was not received: its worker process ended\n"
+    def command(args):
+        cli.emit_table(args, "critical", {}, ["v"],
+                       [functools.partial(block, v) for v in (0.5, 1.5, 2.5)])
+        return 0
+
+    monkeypatch.setitem(cli.DISPATCH, "critical", command)
+    whole = (0, "v\n0.5\n1.5\n2.5\n", "")
+    assert _run(capsys, ["critical", "--k0i-grid", "-0.5", "--parallelism", "2"]) == whole
+    assert _run(capsys, ["critical", "--k0i-grid", "-0.5", "--parallelism", "1"]) == whole
+
+
+def test_error_in_a_workers_block_keeps_its_class_and_fields():
+    # block 1 is the worker's and raises there and here: the first process
+    # raises it in block 1's turn, as constructed, with its x and t
+    from postexp.source_model import EvaluationDomainError
+
+    parallel = _two_processes()
+
+    def block(k):
+        if k == 1:
+            raise EvaluationDomainError(1.0, 2.0, "reason")
+        return k
+
+    texts = parallel.rendered([functools.partial(block, k) for k in range(3)], str, 2)
+    assert next(texts) == "0"
+    with pytest.raises(EvaluationDomainError) as info:
+        next(texts)
+    assert type(info.value) is EvaluationDomainError
+    assert (info.value.x, info.value.t) == (1.0, 2.0)
+    assert str(info.value) == str(EvaluationDomainError(1.0, 2.0, "reason"))
 
 
 def test_process_count_is_capped():
@@ -671,7 +716,7 @@ def test_parallelism_below_one_is_usage_error(capsys, value):
         rc, out, err = _run(capsys, argv + ["--parallelism", value])
         assert (rc, out) == (2, "")
         assert err == f"error: --parallelism must be >= 1; got {value}\n"
-    # scenario's flag is kept for symmetry and ignored
+    # scenario's flag is ignored: the benchmark's traced pass appends it to scenario's argvs
     assert _run(capsys, ["scenario", "--config", "rb87.cfg", "--parallelism", value])[0] == 0
 
 

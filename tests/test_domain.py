@@ -38,7 +38,7 @@ OUTSIDE = {
     "k0i": [0.0, -1.0, -1.5, 0.5, math.nan, math.inf, -math.inf],
     "delta": [0.0, -0.1, 1.5, math.nan, math.inf],
     "t_max": [0.0, -3.0, math.nan, math.inf],
-    "distance": [0.0, -1e-6],
+    "distance": [0.0, -1e-6, math.nan, math.inf],
 }
 
 

@@ -57,6 +57,12 @@ def test_round_trip(rb87):
             units.to_dimensionless(rb87, X, T)
 
 
+def test_scenario_report_refuses_a_distance_outside_the_positive_reals(rb87):
+    for X in (0.0, -1e-6, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^X_detector must be positive and finite; got {X!r}$"):
+            units.scenario_transition_report(rb87, X)
+
+
 def test_scenario_report_frozen(rb87):
     rep = units.scenario_transition_report(rb87, 100e-6)
     assert rep.valid
