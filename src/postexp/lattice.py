@@ -35,8 +35,8 @@ O(sqrt(count) n_sites) exponentials and memory instead of count n_sites.
 Arbitrary time lists go through site_density, which evaluates the same sum
 directly in row blocks of at most BLOCK_BYTES of phases.
 
-The transition equation t^{3/2} = C e^{gamma t/2} is a Lambert-W equation,
-solved in closed form by specfun.lambertw_m1.
+The transition equation t^{3/2} = C e^{gamma t/2} is a Lambert-W equation, solved
+from ln C by specfun.lambertw_m1 in the closed form of the continuum's late_time.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import ComputationError
-from .specfun import INV_E, lambertw_m1
+from .specfun import lambertw_m1
 
 ENVELOPE_STEP = 0.05
 REFLECTION_MARGIN = 20   # sites beyond 2*t_max (group velocity 2)
@@ -179,7 +179,8 @@ def _modes(delta: float, n_sites: int) -> Tuple[np.ndarray, np.ndarray]:
 def _check_times(p: LatticeParams, ts: np.ndarray) -> None:
     if ts.size == 0:
         raise ValueError("empty time list")
-    if np.any(ts < 0.0) or np.any(ts > p.t_max):
+    # the interval test, not its complement, so that nan fails it
+    if not np.all((0.0 <= ts) & (ts <= p.t_max)):
         raise ValueError("times must lie within [0, t_max]")
     if np.any(np.diff(ts) < 0.0):
         raise ValueError("times must be sorted ascending")
@@ -298,8 +299,8 @@ def tail_exponent(p: LatticeParams, n: int, window: Tuple[float, float]) -> floa
     return envelope_loglog_slope(*_envelope_grid(p, n, lo, hi))
 
 
-def formula_prefactor(p: LatticeParams, n: int) -> float:
-    """Prefactor C_n of the site-n transition equation t^{3/2} = C_n e^{gamma t/2}.
+def log_formula_prefactor(p: LatticeParams, n: int) -> float:
+    """ln C_n of the site-n transition equation t^{3/2} = C_n e^{gamma t/2}; C_n may underflow.
 
     C_n = 2 alpha^{n+1} (n + alpha^2 (n - 2)) / (sqrt(pi) (1 + alpha^2)^3),
     from the site-n Green's function of the semi-infinite chain, n >= 2.
@@ -314,7 +315,8 @@ def formula_prefactor(p: LatticeParams, n: int) -> float:
     if n < 2:
         raise ValueError("transition formula needs site index n >= 2")
     a2 = p.alpha_sq
-    return 2.0 * (n + a2 * (n - 2)) / (math.sqrt(math.pi) * (1.0 + a2) ** 3) * p.alpha ** (n + 1)
+    return (math.log(2.0 * (n + a2 * (n - 2)) / (math.sqrt(math.pi) * (1.0 + a2) ** 3))
+            + (n + 1) * math.log(p.alpha))
 
 
 def lattice_transition_time(p: LatticeParams, n: int) -> Optional[float]:
@@ -322,17 +324,13 @@ def lattice_transition_time(p: LatticeParams, n: int) -> Optional[float]:
 
     g(t) = t^{3/2} - C e^{gamma t/2} is negative at both ends when a root
     pair exists; the admissible (exponential giving way to power) root is
-    the downward crossing, i.e. the larger of the pair:
-    t = -(3/gamma) W_{-1}(-(gamma/3) C^{2/3}). There is none when the
-    argument lies below -1/e, and None is also returned for a root outside
-    [T_FLOOR, t_max].
+    the downward crossing, i.e. the larger of the pair: t = -(3/gamma) W_{-1}(l)
+    at l = ln(gamma/3) + (2/3) ln C. There is none when l > -1, and None is
+    also returned for a root outside [T_FLOOR, t_max].
     """
-    c = formula_prefactor(p, n)
     gamma = p.gamma
-    # t^{3/2} = c e^{gamma t/2} is u e^u = z with u = -gamma t/3; z = -0.0
-    # (c underflowed) puts the root at t = inf
-    z = -(gamma / 3.0) * c ** (2.0 / 3.0)
-    if not -INV_E <= z < 0.0:
+    l = math.log(gamma / 3.0) + (2.0 / 3.0) * log_formula_prefactor(p, n)
+    if l > -1.0:
         return None
-    t = -3.0 / gamma * lambertw_m1(z)
+    t = -3.0 / gamma * lambertw_m1(l)
     return t if T_FLOOR <= t <= p.t_max else None

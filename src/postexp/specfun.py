@@ -9,9 +9,10 @@ w(z) is Weideman's rational series (J.A.C. Weideman, SIAM J. Numer. Anal.
 reflection w(z) = 2 exp(-z^2) - w(-z) below it. Scalars need no numpy; array
 arguments use it, and only they import it.
 
-lambertw_m1 gives the lower real branch W_{-1} of w e^w = z, which closes
-the lattice transition equation t^{3/2} = C e^{gamma t/2} and the critical
-distance x_max.
+lambertw_m1 gives the lower real branch W_{-1} of w e^w = z, taken in
+l = ln(-z). It closes the critical distance x_max and, in one closed form,
+every crossing t^{3/2} = C e^{gamma t/2}: the continuum's late_time
+transition and the lattice's, with l = ln(gamma/3) + (2/3) ln C.
 """
 
 from __future__ import annotations
@@ -161,8 +162,6 @@ def faddeeva_derivative(z):
     return -2.0 * z * faddeeva(z) + 2j / SQRT_PI
 
 
-# 1/e rounded up: -INV_E is the smallest argument accepted, read as the branch point
-INV_E = math.exp(-1.0)
 # within this distance p of the branch point the series is exact to
 # rounding, while a Halley step there would amplify the residual's rounding
 # by 1/|1 + W|
@@ -173,36 +172,36 @@ _HALLEY_STEPS = 6
 
 
 class LambertWDomainError(ValueError):
-    """z lies outside the domain -1/e <= z < 0 of the real branch W_{-1}."""
+    """l = ln(-z) lies outside the domain l <= -1 (-1/e <= z < 0) of the real branch W_{-1}."""
 
-    def __init__(self, z: float):
-        self.z = z
-        super().__init__(f"W_{{-1}}(z) is real only for -1/e <= z < 0; got z={z!r}")
+    def __init__(self, l: float):
+        self.l = l
+        super().__init__(f"W_{{-1}} is real only for ln(-z) <= -1; got ln(-z)={l!r}")
 
 
-def lambertw_m1(z: float) -> float:
-    """Real Lambert W on its lower branch: the root w <= -1 of w e^w = z.
+def lambertw_m1(l: float) -> float:
+    """Real Lambert W on its lower branch, taken in l = ln(-z): the root
+    w <= -1 of w e^w = z = -e^l, that is of w + ln(-w) = l.
 
-    z must satisfy -1/e <= z < 0; anything else, nan included, raises
+    l must satisfy -inf < l <= -1 (z below double range included, the branch
+    point exactly at l = -1); anything else, nan included, raises
     LambertWDomainError. The starting guess is the branch-point series in
-    p = -sqrt(2(e z + 1)) for z < -1/4 and the asymptotic L1 - L2 + L2/L1
-    (L1 = ln(-z), L2 = ln(-L1)) beyond. Halley steps then solve
-    w + ln(-w) = ln(-z), which is free of under- and overflow as z -> 0-.
-    Within |p| < 1e-3 of the branch point the series alone is kept. The
-    error is a few ulps times the condition number 1/|1 + W|.
+    p = -sqrt(2(e z + 1)) = -sqrt(-2 expm1(l + 1)) for z < -1/4 and the
+    asymptotic l - L2 + L2/l (L2 = ln(-l)) beyond; Halley steps then solve
+    w + ln(-w) = l, except within |p| < 1e-3 of the branch point, where the
+    series is kept. The error is a few ulps of l times |W/(1 + W)|.
     """
-    if not -INV_E <= z < 0.0:
-        raise LambertWDomainError(z)
-    p = -math.sqrt(max(2.0 * math.e * (z + INV_E), 0.0))
+    if not -math.inf < l <= -1.0:
+        raise LambertWDomainError(l)
+    p = -math.sqrt(-2.0 * math.expm1(l + 1.0))
     w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (-43.0 / 540.0))))
     if -p < _BRANCH_SERIES_P:
         return w
-    l1 = math.log(-z)
-    if z >= -0.25:
-        l2 = math.log(-l1)
-        w = l1 - l2 + l2 / l1
+    if l <= math.log(0.25):
+        l2 = math.log(-l)
+        w = l - l2 + l2 / l
     for _ in range(_HALLEY_STEPS):
-        f = w + math.log(-w) - l1
+        f = w + math.log(-w) - l
         d1 = 1.0 + 1.0 / w
         step = f / (d1 + 0.5 * f / (w * w * d1))
         w -= step

@@ -26,7 +26,8 @@ before t_M lies before t_c (in t = x u the roots solve x = h(u) for an h of
 k0I alone, and t_c/x lies past h's peak), so the transition is the one root
 of ln R past sigma_M = max(0, sigma(t_M)) and exists iff ln R(sigma_M) >= 0.
 Re c, Re rho > 0 give d(ln R)/d sigma < 2/sigma - beta x, so sigma_M < 2/(beta x).
-The late-time reduction's concave log-residual peaks at 3/gamma, standing in for t_M.
+The late-time reduction t^{3/2} = C e^{gamma t/2}, C = x e^{k0I x}/(2 sqrt(pi) |k0|^2), falls
+through at t = -(3/gamma) W_{-1}(l), l = ln(gamma/3) + (2/3) ln C, real iff l <= -1.
 
 At sigma = 0, g(x) = ln R(x, t_c) = C + (ln x)/2 - beta x with
 C = ln(2 sqrt(pi) |k0|^2) - 1.5 ln(2(1 + k0I)) + ln|1 - rho^2|. R already
@@ -75,15 +76,17 @@ def _sigma_terms(k0I: float):
     return k, c.real, c.imag, rho.real, rho.imag, const
 
 
-def _log_ratio_sigma(p: SourceParams, x, s):
+def _log_ratio_sigma(p: SourceParams, x, s, log_q=None):
     """ln R and d(ln R)/d sigma at t = t_c(1 + kappa sigma), the module docstring's form."""
     k, c_re, c_im, rho_re, rho_im, const = _sigma_terms(p.k0I)
     bx, ks = k * k * x / (1.0 - k), k * s
     # real parts and moduli of sigma + c and 1 + kappa sigma + rho
     w, v = s + c_re, 1.0 + ks + rho_re
     mw, mv = math.hypot(w, c_im), math.hypot(v, rho_im)
-    log_r = (const + 0.5 * (math.log(x) - math.log1p(ks)) + math.log(mw) + math.log(mv)
-             - bx * (s + 1.0))
+    log_r = (const + 0.5 * (math.log(x) - (math.log1p(ks) if log_q is None else log_q))
+             + math.log(mw) + math.log(mv) - bx * (s + 1.0))
+    if log_q is not None:   # ln(t/t_c) in place of log1p(kappa sigma): ratio_R needs no slope
+        return log_r, math.nan
     return log_r, -0.5 * k / (1.0 + ks) + w / mw / mw + k * v / mv / mv - bx
 
 
@@ -92,14 +95,21 @@ def ratio_R(p: SourceParams, x: float, t: float) -> float:
 
     This is |pole|/|saddle| at every t > 0 (t^2 = tau^2 has no real root),
     evaluated in sigma so that it stays accurate near t_c. x <= 0, t <= 0
-    and non-finite input raise ValueError.
+    and non-finite input raise ValueError; an R past double range raises
+    EvaluationDomainError.
     """
     if not (0.0 < x < math.inf and 0.0 < t < math.inf):
         raise ValueError(f"ratio needs finite x > 0 and t > 0, got (x, t) = ({x!r}, {t!r})")
-    s = (t / pole_crossing_time(p, x) - 1.0) / abs(p.k0I)
+    t_c = pole_crossing_time(p, x)
+    s = (t / t_c - 1.0) / abs(p.k0I)
     if not math.isfinite(s):
         raise EvaluationDomainError(x, t, "sigma = (t/t_c - 1)/|k0I| overflows")
-    return math.exp(_log_ratio_sigma(p, x, s)[0])
+    # before t_c/2, 1 + kappa sigma = t/t_c, which through sigma rounds to 0 below eps t_c
+    log_q = math.log(t) - math.log(t_c) if abs(p.k0I) * s < -0.5 else None
+    try:
+        return math.exp(_log_ratio_sigma(p, x, s, log_q)[0])
+    except OverflowError:
+        raise EvaluationDomainError(x, t, "R passes double range") from None
 
 
 def _falling_root(f, a, b):
@@ -144,16 +154,15 @@ def transition_times(
     """Transition point per x of a grid; t_p is nan and invalid where none exists.
 
     t_p is where R falls through 1 after t_c = x/(2(1 + k0I)); the upward
-    crossing as the pole appears is not one. Each x is solved on its own by
-    _falling_root. exact_ratio solves in sigma for
-    sigma_M, then for the root of ln R past it, which exists iff
-    ln R(sigma_M) >= -ROOT_TOL (at x_max it is sigma = 0, where ln R rounds
-    to about 1e-14); t_p is at least the double after t_c. residual is
-    |R - 1| at that sigma; at the double t_p add eps |t d(ln R)/dt|, of order
-    eps/|k0I| and past 1e-6 below |k0I| = 1e-10. late_time solves the
-    t >> |tau| reduction t^{3/2} = x e^{k0I x + gamma t/2} / (2 sqrt(pi) |k0|^2)
-    in t past max(t_c, 3/gamma), on the log of both sides; its residual is
-    relative, |expm1| of the log residual at the root.
+    crossing as the pole appears is not one. exact_ratio solves each x on its
+    own by _falling_root in sigma for sigma_M, then for the root of ln R past
+    it, which exists iff ln R(sigma_M) >= -ROOT_TOL (at x_max it is sigma = 0,
+    where ln R rounds to about 1e-14); t_p is at least the double after t_c.
+    residual is |R - 1| at that sigma; at the double t_p add eps |t d(ln R)/dt|,
+    of order eps/|k0I| and past 1e-6 below |k0I| = 1e-10. late_time takes the
+    t >> |tau| reduction's closed form (module docstring), valid iff that root
+    exists and lies at or after t_c; its residual is |expm1| of the log
+    residual there, which rounds to about eps gamma t.
     """
     if method not in ("exact_ratio", "late_time"):
         raise ValueError(f"unknown method {method!r}")
@@ -167,6 +176,7 @@ def transition_times(
         if math.log(2.0 - 2.0 * k) - 2.0 * math.log(k) - math.log(x0) > OVERFLOW_LIMIT:
             raise EvaluationDomainError(x0, x0 / (2.0 - 2.0 * k), "sigma overflows")
     n_total = _n_total_cached(p.k0I)
+    log_scale = math.log(2.0 * math.sqrt(math.pi) * abs(p.k0) ** 2)
     rows = []
     for x in xs:
         t_c = pole_crossing_time(p, x)
@@ -176,20 +186,16 @@ def transition_times(
             s_m = _falling_root(lambda s: (1.0 + s) * _log_ratio_sigma(p, x, s)[1], 0.0, b)[0]
             s_p, val = _falling_root(lambda s: _log_ratio_sigma(p, x, s)[0], s_m, b)
             t_p = max(t_c + t_c * k * s_p, math.nextafter(t_c, math.inf))
+            valid = abs(val) < ROOT_TOL
         else:
-            # the log residual 1.5 ln t - ln(x e^{k0I x + gamma t/2}/(2 sqrt(pi) |k0|^2))
-            # stays finite where its exponential overflows; below the least
-            # normal double the quotient loses digits, so its logs are taken apart
-            scale = 2.0 * math.sqrt(math.pi) * abs(p.k0) ** 2
-            quotient = x / scale
-            log_c = (math.log(quotient) if quotient >= sys.float_info.min
-                     else math.log(x) - math.log(scale)) + p.k0I * x
-            a = max(t_c, 3.0 / p.gamma_rate)
-            t_p, val = _falling_root(
-                lambda t: 1.5 * math.log(t) - (log_c + 0.5 * p.gamma_rate * t), a, 2.0 * a)
-            if math.isnan(val):   # the bracket reached t = inf
-                raise EvaluationDomainError(x, a, "the late_time root passes double range")
-        if abs(val) < ROOT_TOL:
+            log_c = math.log(x) - log_scale + p.k0I * x
+            l = math.log(p.gamma_rate / 3.0) + (2.0 / 3.0) * log_c
+            t_p = -3.0 / p.gamma_rate * lambertw_m1(l) if l <= -1.0 else math.nan
+            if t_p == math.inf:
+                raise EvaluationDomainError(x, t_c, "the late_time root passes double range")
+            val = 1.5 * math.log(t_p) - (log_c + 0.5 * p.gamma_rate * t_p)
+            valid = t_p >= t_c
+        if valid:
             rho = abs(kernel(p, x, t_p).psi) ** 2
             rows.append(TransitionPoint(x, t_p, rho, rho / n_total, method, True,
                                         abs(math.expm1(val))))
@@ -251,7 +257,7 @@ def max_distance(p: SourceParams) -> float:
     """
     k = p.k0I
     z = -2.0 * (1.0 + k) ** 2 / (math.pi * ((2.0 + k) ** 2 + k * k))
-    w = lambertw_m1(z)
+    w = lambertw_m1(math.log(-z))
     if k * k < sys.float_info.min:
         log_x = math.log(-w) + math.log1p(k) - math.log(2.0) - 2.0 * math.log(-k)
         raise EvaluationDomainError(

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import j1
@@ -152,7 +153,7 @@ def test_formula_transition_times_frozen():
     with pytest.raises(ValueError):
         lat.lattice_transition_time(p, 1)
     with pytest.raises(ValueError):
-        lat.formula_prefactor(p, 1)
+        lat.log_formula_prefactor(p, 1)
 
 
 # ------------------------------------------- site densities against oracles
@@ -207,6 +208,17 @@ def test_uniform_site_density_preconditions():
         lat.uniform_site_density(p, p.n_sites + 1, 0.0, 0.1, 5)
     # t_max / 800 * 800 may round past t_max; the grid still ends at t_max
     assert lat.uniform_site_density(p, 1, 0.0, 30.0 / 800, 801).shape == (801,)
+
+
+@pytest.mark.parametrize("times", [[0.0, math.nan], [math.nan], [-1.0, 5.0], [5.0, 10.5],
+                                   [5.0, 1.0], []])
+def test_time_lists_outside_the_horizon_are_refused(times):
+    # nan compares false both ways, so it must fail the interval test itself
+    p = lat.LatticeParams(0.3, 10.0)
+    with pytest.raises(ValueError):
+        lat.site_density(p, 2, times)
+    with pytest.raises(ValueError):
+        lat.evolve(p, times)
 
 
 def test_site_density_memory_is_bounded():
@@ -299,7 +311,7 @@ def test_spectrum_roots_interlace_with_the_uniform_chain():
 def _scan_transition_time(p, n):
     from scipy.optimize import brentq
 
-    c = lat.formula_prefactor(p, n)
+    c = math.exp(lat.log_formula_prefactor(p, n))
     gamma = p.gamma
 
     def g(t):
@@ -331,11 +343,44 @@ def test_transition_time_matches_scan_and_brentq():
     assert found > 100 and missing > 100       # both outcomes exercised
 
 
+def _log_equation_root(delta, n):
+    """The falling root t > 3/gamma of 1.5 ln t = ln C_n + gamma t/2, in
+    40-digit arithmetic."""
+    with mpmath.workdps(40):
+        d = mpmath.mpf(delta)
+        a2 = 1 - d * d
+        gamma = 2 * d * d / mpmath.sqrt(a2)
+        log_c = (mpmath.log(2 * (n + a2 * (n - 2)) / (mpmath.sqrt(mpmath.pi) * (1 + a2) ** 3))
+                 + (n + 1) * mpmath.log(mpmath.sqrt(a2)))
+
+        def f(t):
+            return 1.5 * mpmath.log(t) - log_c - gamma * t / 2
+
+        lo = hi = 3 / gamma
+        while f(hi) > 0:
+            lo, hi = hi, 2 * hi
+        return mpmath.findroot(f, (lo, hi), solver="anderson")
+
+
+@pytest.mark.parametrize("delta, t_max, n, want", [
+    (0.3, 9980.0, 16000, "8050.3558624674575"),
+    (0.8, 800.0, 1500, "721.69028922924466"),
+])
+def test_far_site_root_where_c_n_underflows(delta, t_max, n, want):
+    # C_n = e^{ln C_n} is below double range, its logarithm is not
+    p = lat.LatticeParams(delta, t_max)
+    assert math.exp(lat.log_formula_prefactor(p, n)) == 0.0
+    ref = _log_equation_root(delta, n)
+    assert abs(ref / mpmath.mpf(want) - 1) < 1e-16
+    assert lat.lattice_transition_time(p, n) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
+
 def test_transition_time_without_a_root():
-    # a far site: C underflows, the root is at t = inf
-    p = lat.LatticeParams(0.8, 800.0)
-    assert lat.formula_prefactor(p, 1500) == 0.0
+    # the far site's root, 721.69, lies past a horizon of 700: no time to report
+    p = lat.LatticeParams(0.8, 700.0)
     assert lat.lattice_transition_time(p, 1500) is None
+    assert lat.lattice_transition_time(p._replace(t_max=800.0), 1500) == pytest.approx(
+        721.69028922924466, rel=1e-12)
 
 
 # ------------------------------ the formula's derivation against the spectrum

@@ -119,35 +119,36 @@ def test_overflow_guard():
 # ------------------------------------------------------------- Lambert W
 
 def _lambertw_points():
-    """Arguments of W_{-1}: within 6e-17 .. 0.1 of the branch point -1/e,
-    across (-1/e, 0), and within 1e-320 .. 1e-3 of 0-."""
-    zs = [-specfun.INV_E + d for d in np.geomspace(6e-17, 0.1, 60)]
-    zs += list(np.linspace(-0.36, -1e-3, 60))
-    zs += list(-np.geomspace(1e-320, 1e-3, 60))
-    return [float(z) for z in zs]
+    """Arguments l = ln(-z) of W_{-1}: within 2.3e-16 .. 0.1 of the branch point
+    l = -1, across z in (-1/e, 0), and from z = -1e-3 down to l = -1e5, where
+    z = -e^l is far below double range."""
+    ls = [-1.0 - d for d in np.geomspace(2.3e-16, 0.1, 60)]
+    ls += list(np.log(-np.linspace(-0.36, -1e-3, 60)))
+    ls += list(-np.geomspace(-math.log(1e-3), 1e5, 80))
+    return [float(l) for l in ls]
 
 
 def test_lambertw_m1_matches_mpmath():
     eps = np.finfo(float).eps
-    for z in _lambertw_points():
+    for l in _lambertw_points():
         with mpmath.workdps(40):
-            ref = float(mpmath.lambertw(mpmath.mpf(z), -1).real)
-        got = specfun.lambertw_m1(z)
+            ref = float(mpmath.lambertw(-mpmath.exp(mpmath.mpf(l)), -1).real)
+        got = specfun.lambertw_m1(l)
         assert isinstance(got, float) and got <= -1.0
-        # a few ulps times the condition number |z W'(z) / W| = 1/|1 + W|
-        tol = 2.0 * eps * (1.0 + 1.0 / abs(1.0 + ref)) * abs(ref)
-        assert abs(got - ref) <= tol, z
-        # residual of w e^w = z where it is well scaled
-        if abs(z) > 1e-300:
-            assert got * math.exp(got) == pytest.approx(z, rel=1e-12)
+        # a few ulps of l times the condition number |dW/dl| = |W/(1 + W)|,
+        # plus a few ulps of W
+        tol = 2.0 * eps * (1.0 + abs(l) / abs(1.0 + ref)) * abs(ref)
+        assert abs(got - ref) <= tol, l
+        # residual of w + ln(-w) = l, the equation in logs
+        assert abs(got + math.log(-got) - l) <= 4.0 * eps * abs(l), l
 
 
 def test_lambertw_m1_branch_point_and_domain():
-    assert specfun.lambertw_m1(-specfun.INV_E) == -1.0
-    below = math.nextafter(-specfun.INV_E, -1.0)
-    for z in (below, 0.0, -0.0, 1.0, math.nan, math.inf, -math.inf):
+    assert specfun.lambertw_m1(-1.0) == -1.0
+    above = math.nextafter(-1.0, 0.0)
+    for l in (above, 0.0, -0.0, 1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(specfun.LambertWDomainError) as err:
-            specfun.lambertw_m1(z)
+            specfun.lambertw_m1(l)
         assert isinstance(err.value, ValueError)
 
 

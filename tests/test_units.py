@@ -57,6 +57,14 @@ def test_round_trip(rb87):
             units.to_dimensionless(rb87, X, T)
 
 
+def test_to_physical_refuses_what_to_dimensionless_refuses(rb87):
+    for x, t in ((-1.0, 1.0), (1.0, 0.0), (1.0, -2.0), (math.nan, math.nan), (math.nan, 1.0),
+                 (1.0, math.inf), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="need finite x >= 0 and t > 0"):
+            units.to_physical(rb87, x, t)
+    assert units.to_physical(rb87, 0.0, 1.0) == (0.0, rb87.time_unit)
+
+
 def test_scenario_report_refuses_a_distance_outside_the_positive_reals(rb87):
     for X in (0.0, -1e-6, math.nan, math.inf):
         with pytest.raises(ValueError, match=f"^X_detector must be positive and finite; got {X!r}$"):
