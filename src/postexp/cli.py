@@ -402,24 +402,32 @@ def _lattice_summary(delta: float, sites: List[int], t_max: float) -> Dict[str, 
 
     t_res = max(t_max, LATTICE_SUMMARY_HORIZON)
     p_res = lat.LatticeParams(delta, t_res)
-    # C_n (lattice.log_formula_prefactor) has alpha^{n+1} in its numerator; delta = 1 has no pole
+    # the formula's prefactor is derived (lattice.log_formula_prefactor), with
+    # 2 alpha^{n+1} in its numerator; there is no resonance at delta = 1
     times = {n: lat.lattice_transition_time(p_res, n) if delta < 1.0 and n >= 2 else None
              for n in sites}
-    summary: Dict[str, object] = dict(delta=delta, gamma_formula=math.nan, fitted_gamma=math.nan)
+    summary: Dict[str, object] = {"delta": delta}
     if delta < 1.0:
         summary["gamma_formula"] = p_res.gamma
-        # from delta ~0.81 there is no fit window before 12/gamma: fitted_gamma stays nan
-        with contextlib.suppress(lat.InsufficientWindowError):
+        try:
             summary["fitted_gamma"] = lat.fitted_decay_rate(p_res)
+        except lat.InsufficientWindowError:
+            summary["fitted_gamma"] = math.nan   # from delta ~0.81: no window before 12/gamma
+    else:
+        summary["gamma_formula"] = math.nan
+        summary["fitted_gamma"] = math.nan
     # Largest requested site: its exponential segment ends earliest, so the
     # late-window power fit is least contaminated by the crossover.
     tail_site = max(sites)
     window = (0.55 * t_res, 0.95 * t_res)
     t_tail = times[tail_site]
-    summary["tail_exponent"] = math.nan     # no fit while the window is in the exponential era
-    if not (delta < 1.0 and tail_site >= 2 and (t_tail is None or t_tail > window[0])):
-        with contextlib.suppress(lat.InsufficientWindowError):
+    if delta < 1.0 and tail_site >= 2 and (t_tail is None or t_tail > window[0]):
+        summary["tail_exponent"] = math.nan      # the window is still in the exponential era
+    else:
+        try:
             summary["tail_exponent"] = lat.tail_exponent(p_res, tail_site, window)
+        except lat.InsufficientWindowError:
+            summary["tail_exponent"] = math.nan
     summary["tail_exponent_site"] = tail_site
 
     summary["resolved_reading"] = "alpha_in_numerator" if delta < 1.0 else "n/a"

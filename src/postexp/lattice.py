@@ -328,9 +328,6 @@ def lattice_transition_time(p: LatticeParams, n: int) -> Optional[float]:
     at l = ln(gamma/3) + (2/3) ln C. There is none when l > -1, and None is
     also returned for a root outside [T_FLOOR, t_max].
     """
-    gamma = p.gamma
-    l = math.log(gamma / 3.0) + (2.0 / 3.0) * log_formula_prefactor(p, n)
-    if l > -1.0:
-        return None
-    t = -3.0 / gamma * lambertw_m1(l)
+    l = math.log(p.gamma / 3.0) + (2.0 / 3.0) * log_formula_prefactor(p, n)
+    t = -3.0 / p.gamma * lambertw_m1(l) if l <= -1.0 else math.nan
     return t if T_FLOOR <= t <= p.t_max else None

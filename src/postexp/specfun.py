@@ -171,28 +171,20 @@ _BRANCH_SERIES_P = 1e-3
 _HALLEY_STEPS = 6
 
 
-class LambertWDomainError(ValueError):
-    """l = ln(-z) lies outside the domain l <= -1 (-1/e <= z < 0) of the real branch W_{-1}."""
-
-    def __init__(self, l: float):
-        self.l = l
-        super().__init__(f"W_{{-1}} is real only for ln(-z) <= -1; got ln(-z)={l!r}")
-
-
 def lambertw_m1(l: float) -> float:
     """Real Lambert W on its lower branch, taken in l = ln(-z): the root
     w <= -1 of w e^w = z = -e^l, that is of w + ln(-w) = l.
 
     l must satisfy -inf < l <= -1 (z below double range included, the branch
     point exactly at l = -1); anything else, nan included, raises
-    LambertWDomainError. The starting guess is the branch-point series in
+    ValueError. The starting guess is the branch-point series in
     p = -sqrt(2(e z + 1)) = -sqrt(-2 expm1(l + 1)) for z < -1/4 and the
     asymptotic l - L2 + L2/l (L2 = ln(-l)) beyond; Halley steps then solve
     w + ln(-w) = l, except within |p| < 1e-3 of the branch point, where the
     series is kept. The error is a few ulps of l times |W/(1 + W)|.
     """
     if not -math.inf < l <= -1.0:
-        raise LambertWDomainError(l)
+        raise ValueError(f"W_{{-1}} is real only for ln(-z) <= -1; got ln(-z)={l!r}")
     p = -math.sqrt(-2.0 * math.expm1(l + 1.0))
     w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (-43.0 / 540.0))))
     if -p < _BRANCH_SERIES_P:

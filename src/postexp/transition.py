@@ -8,7 +8,7 @@ all, and the purely-non-exponential threshold, all from the closed form
     ln R = ln(2 sqrt(pi) |k0|^2) - ln x - (ln t)/2 + 2 k0I t - k0I x + ln|t^2 - tau^2|
 
 with tau = x/(2 k0). Near the pole crossing t_c = x/(2(1 + k0I)), t^2 - tau^2
-cancels to order |k0I| t^2, so R is coded once, in sigma = (t/t_c - 1)/kappa
+cancels to order |k0I| t^2, so from t_c/2 on R is coded in sigma = (t/t_c - 1)/kappa
 with kappa = |k0I|: rho = tau/t_c = (1 + k0I)/(1 + i k0I) is fixed, and
 1 + kappa sigma - rho = kappa (sigma + c) exactly with c = (1 - i)/(1 - i kappa).
 With beta = kappa^2/(1 - kappa) and k0I (2t - x) = -beta x (sigma + 1), for t > 0
@@ -76,17 +76,15 @@ def _sigma_terms(k0I: float):
     return k, c.real, c.imag, rho.real, rho.imag, const
 
 
-def _log_ratio_sigma(p: SourceParams, x, s, log_q=None):
+def _log_ratio_sigma(p: SourceParams, x, s):
     """ln R and d(ln R)/d sigma at t = t_c(1 + kappa sigma), the module docstring's form."""
     k, c_re, c_im, rho_re, rho_im, const = _sigma_terms(p.k0I)
     bx, ks = k * k * x / (1.0 - k), k * s
     # real parts and moduli of sigma + c and 1 + kappa sigma + rho
     w, v = s + c_re, 1.0 + ks + rho_re
     mw, mv = math.hypot(w, c_im), math.hypot(v, rho_im)
-    log_r = (const + 0.5 * (math.log(x) - (math.log1p(ks) if log_q is None else log_q))
-             + math.log(mw) + math.log(mv) - bx * (s + 1.0))
-    if log_q is not None:   # ln(t/t_c) in place of log1p(kappa sigma): ratio_R needs no slope
-        return log_r, math.nan
+    log_r = (const + 0.5 * (math.log(x) - math.log1p(ks)) + math.log(mw) + math.log(mv)
+             - bx * (s + 1.0))
     return log_r, -0.5 * k / (1.0 + ks) + w / mw / mw + k * v / mv / mv - bx
 
 
@@ -94,20 +92,25 @@ def ratio_R(p: SourceParams, x: float, t: float) -> float:
     """R = 2 sqrt(pi) |k0|^2 |t^2 - tau^2| / (x sqrt(t)) * e^{2 k0I t - k0I x}.
 
     This is |pole|/|saddle| at every t > 0 (t^2 = tau^2 has no real root),
-    evaluated in sigma so that it stays accurate near t_c. x <= 0, t <= 0
-    and non-finite input raise ValueError; an R past double range raises
-    EvaluationDomainError.
+    in the t-form before t_c/2, where none of its terms cancels, and in sigma
+    from there on. x <= 0, t <= 0 and non-finite input raise ValueError; an R
+    past double range raises EvaluationDomainError.
     """
     if not (0.0 < x < math.inf and 0.0 < t < math.inf):
         raise ValueError(f"ratio needs finite x > 0 and t > 0, got (x, t) = ({x!r}, {t!r})")
     t_c = pole_crossing_time(p, x)
-    s = (t / t_c - 1.0) / abs(p.k0I)
-    if not math.isfinite(s):
-        raise EvaluationDomainError(x, t, "sigma = (t/t_c - 1)/|k0I| overflows")
-    # before t_c/2, 1 + kappa sigma = t/t_c, which through sigma rounds to 0 below eps t_c
-    log_q = math.log(t) - math.log(t_c) if abs(p.k0I) * s < -0.5 else None
+    if t < 0.5 * t_c:
+        tau = x / (2.0 * p.k0)
+        log_r = (math.log(2.0 * math.sqrt(math.pi) * abs(p.k0) ** 2) - math.log(x)
+                 - 0.5 * math.log(t) + p.k0I * (2.0 * t - x) + math.log(abs(t - tau))
+                 + math.log(abs(t + tau)))
+    else:
+        s = (t / t_c - 1.0) / abs(p.k0I)
+        if not math.isfinite(s):
+            raise EvaluationDomainError(x, t, "sigma = (t/t_c - 1)/|k0I| overflows")
+        log_r = _log_ratio_sigma(p, x, s)[0]
     try:
-        return math.exp(_log_ratio_sigma(p, x, s, log_q)[0])
+        return math.exp(log_r)
     except OverflowError:
         raise EvaluationDomainError(x, t, "R passes double range") from None
 
@@ -161,8 +164,8 @@ def transition_times(
     residual is |R - 1| at that sigma; at the double t_p add eps |t d(ln R)/dt|,
     of order eps/|k0I| and past 1e-6 below |k0I| = 1e-10. late_time takes the
     t >> |tau| reduction's closed form (module docstring), valid iff that root
-    exists and lies at or after t_c; its residual is |expm1| of the log
-    residual there, which rounds to about eps gamma t.
+    exists at or after t_c with a log residual below ROOT_TOL (which rounds to
+    about eps gamma t); residual is its |expm1|.
     """
     if method not in ("exact_ratio", "late_time"):
         raise ValueError(f"unknown method {method!r}")
@@ -186,7 +189,6 @@ def transition_times(
             s_m = _falling_root(lambda s: (1.0 + s) * _log_ratio_sigma(p, x, s)[1], 0.0, b)[0]
             s_p, val = _falling_root(lambda s: _log_ratio_sigma(p, x, s)[0], s_m, b)
             t_p = max(t_c + t_c * k * s_p, math.nextafter(t_c, math.inf))
-            valid = abs(val) < ROOT_TOL
         else:
             log_c = math.log(x) - log_scale + p.k0I * x
             l = math.log(p.gamma_rate / 3.0) + (2.0 / 3.0) * log_c
@@ -194,8 +196,7 @@ def transition_times(
             if t_p == math.inf:
                 raise EvaluationDomainError(x, t_c, "the late_time root passes double range")
             val = 1.5 * math.log(t_p) - (log_c + 0.5 * p.gamma_rate * t_p)
-            valid = t_p >= t_c
-        if valid:
+        if t_p >= t_c and abs(val) < ROOT_TOL:
             rho = abs(kernel(p, x, t_p).psi) ** 2
             rows.append(TransitionPoint(x, t_p, rho, rho / n_total, method, True,
                                         abs(math.expm1(val))))

@@ -110,12 +110,10 @@ def to_dimensionless(
 
 
 def to_physical(s: PhysicalScenario, x: float, t: float) -> Tuple[float, float]:
-    """Dimensionless (x, t) -> (X meters, T seconds); x < 0, t <= 0 and non-finite input
-    raise ValueError."""
-    X, T = x * s.length_unit, t * s.time_unit
-    if not (0.0 <= X < math.inf and 0.0 < T < math.inf):
+    """Dimensionless (x, t) -> (X meters, T seconds); x < 0, t <= 0, non-finite: ValueError."""
+    if not (0.0 <= x < math.inf and 0.0 < t < math.inf):
         raise ValueError(f"need finite x >= 0 and t > 0, got (x, t) = ({x!r}, {t!r})")
-    return X, T
+    return x * s.length_unit, t * s.time_unit
 
 
 class ScenarioReport(NamedTuple):

@@ -147,9 +147,8 @@ def test_lambertw_m1_branch_point_and_domain():
     assert specfun.lambertw_m1(-1.0) == -1.0
     above = math.nextafter(-1.0, 0.0)
     for l in (above, 0.0, -0.0, 1.0, math.nan, math.inf, -math.inf):
-        with pytest.raises(specfun.LambertWDomainError) as err:
+        with pytest.raises(ValueError, match="real only for ln"):
             specfun.lambertw_m1(l)
-        assert isinstance(err.value, ValueError)
 
 
 def test_weideman_table_is_its_fft_construction():

@@ -40,9 +40,8 @@ def test_ratio_at_tiny_distance_and_time(p03):
     (-0.3, 1.0, 1e-17), (-0.3, 10.0, 5e-324), (-1e-8, 1e8, 1e-6), (-0.9999, 3.0, 1e-20),
     (-0.3, 1e3, 1.0), (-0.3, 2.5, 0.8), (-1e-3, 40.0, 5.0)])
 def test_ratio_long_before_the_pole_crossing(k0I, x, t):
-    # below t ~ eps t_c, t/t_c - 1 rounds to -1 and 1 + kappa sigma to 0;
-    # before t_c/2 ln(t/t_c) stands in for log1p(kappa sigma). The sigma form
-    # rounds ln R by about eps beta x, beta = k0I^2/(1 + k0I), in -beta x (sigma + 1)
+    # below t ~ eps t_c, 1 + kappa sigma rounds to 0, so before t_c/2 R comes
+    # from the t-form; its ln R is good to a few ulps of |ln R|, which exp keeps
     with mpmath.workdps(40):
         k0 = mpmath.mpc(1, k0I)
         xm, tm = mpmath.mpf(x), mpmath.mpf(t)
@@ -50,7 +49,7 @@ def test_ratio_long_before_the_pole_crossing(k0I, x, t):
         saddle = (mpmath.sqrt(2 * tm / mpmath.pi) * (xm / (2 * k0))
                   / ((mpmath.mpc(-1, 1)) * k0 * (tm * tm - (xm / (2 * k0)) ** 2)))
         want = float(abs(pole) / abs(saddle))
-    rel = 1e-13 + 2.0 * EPS * k0I * k0I * x / (1.0 + k0I)
+    rel = 4.0 * EPS * (1.0 + abs(math.log(want)))
     assert tr.ratio_R(sm.SourceParams(k0I), x, t) == pytest.approx(want, rel=rel)
 
 
@@ -491,9 +490,7 @@ def test_every_distance_gives_rows_or_a_typed_error(case, method):
     if row.valid:
         assert x / (2.0 * (1.0 + k0I)) <= row.t_p < math.inf
         assert 0.0 <= row.density_raw < math.inf
-        # late_time's log residual at a double t rounds to about eps gamma t
-        slack = 4.0 * EPS * p.gamma_rate * row.t_p if method == "late_time" else 0.0
-        assert row.residual <= 1.001 * tr.ROOT_TOL + slack
+        assert row.residual <= 1.001 * tr.ROOT_TOL
     else:
         assert math.isnan(row.t_p) and math.isnan(row.density_raw)
 
