@@ -15,8 +15,8 @@ Each subcommand imports only the modules it uses, and `json` only when it
 writes JSON. `scenario`, `transition` and `critical` compute one point at a
 time in pure Python and load no numpy; so does `density` on grids of at
 most SCALAR_POINTS points, below which numpy's import costs more than the
-grid. Larger `density` grids, `lattice` and `selftest` work on arrays and
-import it.
+grid, and so does `selftest` (postexp.selftest). Larger `density` grids and
+`lattice` work on arrays and import it.
 The process runs numpy's BLAS on one thread unless OPENBLAS_NUM_THREADS is
 already set: the computations are single-threaded, and an idle BLAS
 worker only spins.
@@ -26,7 +26,8 @@ input (postexp.UsageError, such as bad flags, grids, config values or
 unrepresentable scenarios, and ValueError); 1 computation failure
 (postexp.ComputationError, such as the evaluation domain or the envelope
 window, and OSError). Each writes one `error:` line to stderr. A reader that
-closes stdout early (`| head`) also exits 1, with no error line.
+closes stdout early (`| head`) also exits 1, with no error line. The
+process entry run() ends by os._exit, without interpreter teardown.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import gc
 import math
 import os
 import re
@@ -404,8 +404,7 @@ def _lattice_summary(delta: float, sites: List[int], t_max: float) -> Dict[str, 
     p_res = lat.LatticeParams(delta, t_res)
     # the formula's prefactor is derived (lattice.log_formula_prefactor), with
     # 2 alpha^{n+1} in its numerator; there is no resonance at delta = 1
-    times = {n: lat.lattice_transition_time(p_res, n) if delta < 1.0 and n >= 2 else None
-             for n in sites}
+    times = {n: lat.lattice_transition_time(p_res, n) if delta < 1.0 else None for n in sites}
     summary: Dict[str, object] = {"delta": delta}
     if delta < 1.0:
         summary["gamma_formula"] = p_res.gamma
@@ -421,7 +420,7 @@ def _lattice_summary(delta: float, sites: List[int], t_max: float) -> Dict[str, 
     tail_site = max(sites)
     window = (0.55 * t_res, 0.95 * t_res)
     t_tail = times[tail_site]
-    if delta < 1.0 and tail_site >= 2 and (t_tail is None or t_tail > window[0]):
+    if delta < 1.0 and (t_tail is None or t_tail > window[0]):
         summary["tail_exponent"] = math.nan      # the window is still in the exponential era
     else:
         try:
@@ -432,7 +431,8 @@ def _lattice_summary(delta: float, sites: List[int], t_max: float) -> Dict[str, 
 
     summary["resolved_reading"] = "alpha_in_numerator" if delta < 1.0 else "n/a"
     for n, t_n in times.items():
-        summary[f"transition_time_site_{n}"] = math.nan if t_n is None else t_n
+        # site 1's time only gates the tail fit; its line stays nan
+        summary[f"transition_time_site_{n}"] = math.nan if t_n is None or n == 1 else t_n
     return summary
 
 
@@ -471,93 +471,10 @@ def _resolve_config(name: str) -> str:
     raise UsageError(f"config file {name!r} not found (not a path, not bundled)")
 
 
-# --------------------------------------------------------------- selftest
-
-def _check_boundary() -> float:
-    import numpy as np
-
-    from . import source_model
-
-    ts = np.geomspace(0.01, 100.0, 50)
-    devs = (source_model.kernel(p, 0.0, ts).psi - np.exp(-1j * p.omega0 * ts)
-            for p in map(source_model.SourceParams, (-0.3, -0.5)))
-    worst = max(float(np.abs(d).max()) for d in devs)
-    if worst >= 1e-10:
-        raise AssertionError(f"boundary deviation {worst:.3e} >= 1e-10")
-    return worst
-
-
-def _check_faddeeva() -> float:
-    from . import specfun
-
-    dev = abs(specfun.faddeeva(0.0 + 0.0j) - 1.0)
-    worst = dev
-    for z in (8.0 + 1.0j, -6.0 + 5.0j, 5.0 - 0.5j):
-        a = specfun.faddeeva(z)
-        b = specfun.faddeeva_asymptotic(z, 6)
-        worst = max(worst, abs(a - b) / abs(a))
-    z = 0.4 + 0.3j
-    h = 1e-6
-    fd = (specfun.faddeeva(z + h) - specfun.faddeeva(z - h)) / (2.0 * h)
-    worst = max(worst, abs(specfun.faddeeva_derivative(z) - fd) / abs(fd))
-    if worst >= 1e-4:
-        raise AssertionError(f"worst faddeeva identity deviation {worst:.3e} >= 1e-4")
-    return worst
-
-
-def _check_continuity() -> float:
-    from . import source_model
-
-    p = source_model.SourceParams(-0.3)
-    h = 1e-4
-    worst = 0.0
-
-    def rho_j(x, t):
-        """rho = |psi|^2 and J = 2 Im(psi* d psi/dx)."""
-        w = source_model.kernel(p, x, t, derivative=True)
-        return abs(w.psi) ** 2, 2.0 * (w.psi.conjugate() * w.dpsi_dx).imag
-
-    for x, t in ((0.7, 3.0), (2.0, 8.0), (4.0, 15.0)):
-        drho_dt = (rho_j(x, t + h)[0] - rho_j(x, t - h)[0]) / (2.0 * h)
-        dj_dx = (rho_j(x + h, t)[1] - rho_j(x - h, t)[1]) / (2.0 * h)
-        scale = max(abs(drho_dt), abs(dj_dx), 1e-30)
-        worst = max(worst, abs(drho_dt + dj_dx) / scale)
-    if worst >= 1e-3:
-        raise AssertionError(f"continuity residual {worst:.3e} >= 1e-3")
-    return worst
-
-
-def _check_lattice_norm() -> float:
-    import numpy as np
-
-    from . import lattice as lat
-
-    amps = lat.evolve(lat.LatticeParams(0.3, 30.0), [0.0, 10.0, 30.0])
-    worst = float(np.max(np.abs(np.sum(np.abs(amps) ** 2, axis=1) - 1.0)))
-    if worst >= 1e-10:
-        raise AssertionError(f"lattice norm deviation {worst:.3e} >= 1e-10")
-    return worst
-
-
-SELFTEST_CHECKS = (
-    ("boundary-identity", _check_boundary),
-    ("faddeeva-identities", _check_faddeeva),
-    ("continuity-residual", _check_continuity),
-    ("lattice-norm", _check_lattice_norm),
-)
-
-
 def cmd_selftest(args) -> int:
-    failed = False
-    for name, fn in SELFTEST_CHECKS:
-        try:
-            fn()
-        except Exception as err:
-            print(f"SELFTEST {name}: FAIL ({err})")
-            failed = True
-            continue
-        print(f"SELFTEST {name}: PASS")
-    return 1 if failed else 0
+    from . import selftest
+
+    return selftest.run()
 
 
 # ------------------------------------------------------------------ main
@@ -654,8 +571,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except BrokenPipeError:
         # the reader closed stdout early, which is normal for a filter: as
-        # Python's SIGPIPE note says, stdout goes to devnull, so the flush at
-        # exit does not fail again, and the exit code is 1
+        # Python's SIGPIPE note says, stdout goes to devnull, so a later flush
+        # (run()'s, or the interpreter's at exit) does not fail again, and the
+        # exit code is 1
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (ComputationError, OSError) as err:
@@ -664,13 +582,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def run() -> None:
-    """The process entry (`postexp`, `python -m postexp.cli`): exit with
-    main()'s code. gc.freeze() moves every live object to the permanent
-    generation first, so the interpreter's final collections skip all that
-    the imports made."""
+    """The process entry (`postexp`, `python -m postexp.cli`): flush stdout
+    and stderr, then leave by os._exit with main()'s code, so the process
+    skips interpreter teardown (module cleanup, final collections). No
+    command registers an atexit callback, and any file it opens is closed
+    before main() returns. A reader gone by that flush gives exit 1 and no
+    error line, as in main()."""
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            code = 1
+    os._exit(code)
 
 
 if __name__ == "__main__":

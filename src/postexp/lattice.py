@@ -303,19 +303,24 @@ def log_formula_prefactor(p: LatticeParams, n: int) -> float:
     """ln C_n of the site-n transition equation t^{3/2} = C_n e^{gamma t/2}; C_n may underflow.
 
     C_n = 2 alpha^{n+1} (n + alpha^2 (n - 2)) / (sqrt(pi) (1 + alpha^2)^3),
-    from the site-n Green's function of the semi-infinite chain, n >= 2.
-    With E = -(lam + 1/lam), G_{n1} = -delta lam^n / (alpha^2 lam^2 + 1). Its
-    resonance pole lam_r = i/alpha, E_r = -i delta^2/alpha, gives
+    from the site-n Green's function of the semi-infinite chain, n >= 1.
+    With E = -(lam + 1/lam), G_{n1} = -delta lam^n / (alpha^2 lam^2 + 1) for
+    n >= 2. Its resonance pole lam_r = i/alpha, E_r = -i delta^2/alpha, gives
     |c_n^pole| = delta alpha^{-(n-1)} (1 + alpha^2)/(2 alpha^2) e^{-gamma t/2};
     each band edge E = +-2 gives a term of size
     delta (n + alpha^2 (n - 2)) / (2 sqrt(pi) (1 + alpha^2)^2) t^{-3/2},
     so the band envelope peaks at twice that. Setting |c_n^pole| equal to
-    that peak gives the equation and C_n.
+    that peak gives the equation and C_n. At site 1, G_11 = -lam/(alpha^2 lam^2 + 1)
+    gives both terms without the factor delta: (1 + alpha^2)/(2 alpha^2) e^{-gamma t/2}
+    and delta^2/(2 sqrt(pi) (1 + alpha^2)^2) t^{-3/2}. So C_1 is C_n at n = 1,
+    2 alpha^2 delta^2/(sqrt(pi) (1 + alpha^2)^3), taken with delta^2 itself in
+    place of 1 - alpha^2, which rounds to 0 below delta ~ 1e-8.
     """
-    if n < 2:
-        raise ValueError("transition formula needs site index n >= 2")
+    if n < 1:
+        raise ValueError("transition formula needs site index n >= 1")
     a2 = p.alpha_sq
-    return (math.log(2.0 * (n + a2 * (n - 2)) / (math.sqrt(math.pi) * (1.0 + a2) ** 3))
+    edge = n + a2 * (n - 2) if n >= 2 else p.delta * p.delta
+    return (math.log(2.0 * edge / (math.sqrt(math.pi) * (1.0 + a2) ** 3))
             + (n + 1) * math.log(p.alpha))
 
 

@@ -337,11 +337,13 @@ CROSSING_DELTA, CROSSING_HORIZON, CROSSING_SITES = 0.3, 220.0, (5, 10, 15)
 
 @pytest.fixture(scope="session")
 def crossing_densities():
-    """ts = arange(2, 220, 0.05) and, by site, the delta = 0.3 chain density
-    there from chain_density_oracle, computed once for the session."""
+    """ts = arange(2, 220, 0.05) and, by site (1 and CROSSING_SITES), the
+    delta = 0.3 chain density there from chain_density_oracle, computed once
+    for the session."""
     ts = np.arange(2.0, CROSSING_HORIZON, 0.05)
-    dens = chain_density_oracle(CROSSING_DELTA, 2.0, 0.05, ts.size, CROSSING_SITES)
-    return ts, dict(zip(CROSSING_SITES, dens.T))
+    sites = (1,) + CROSSING_SITES
+    dens = chain_density_oracle(CROSSING_DELTA, 2.0, 0.05, ts.size, sites)
+    return ts, dict(zip(sites, dens.T))
 
 
 # ------------------------------------------------- acceptance verdict lines

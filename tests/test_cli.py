@@ -233,11 +233,14 @@ def test_lattice_truncation_guard(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("delta, sites", [("0.2", "1,3"), ("0.2", "1,20"), ("1e-6", "1,3")])
+@pytest.mark.parametrize("delta, sites", [("0.2", "1,3"), ("0.2", "1,20"), ("1e-6", "1,3"),
+                                          ("0.2", "1"), ("1e-6", "1"), ("0.3", "1")])
 def test_lattice_tail_exponent_only_on_a_tail(capsys, delta, sites):
     # the tail window of the 220 horizon starts at t = 121, before the tail
-    # site's formula transition time (211 and 153 at delta 0.2), or there is
-    # no transition within the horizon (delta 1e-6): no tail to fit
+    # site's formula transition time (211 and 153 at delta 0.2, 341 and
+    # 122.2 at site 1 for delta 0.2 and 0.3), or there is no transition
+    # within the horizon (delta 1e-6): no tail to fit. Site 1's time is not
+    # printed
     rc, out, _ = _run(capsys, ["lattice", "--delta", delta, "--sites", sites,
                                "--t-max", "50", "--format", "json"])
     assert rc == 0
@@ -357,6 +360,34 @@ def test_selftest_detects_injected_fault(capsys, monkeypatch):
     rc, out, _ = _run(capsys, ["selftest"])
     assert rc == 1
     assert "SELFTEST boundary-identity: FAIL" in out
+
+
+def test_selftest_detects_a_fault_in_the_chain_check(capsys, monkeypatch):
+    # a delta^2 off by 1e-6 in the secular function gives the levels of
+    # another chain: the site-1 sum rules must notice
+    from postexp import selftest
+
+    real = selftest._secular
+    monkeypatch.setattr(selftest, "_secular",
+                        lambda n, d2, base, theta: real(n, d2 * (1.0 + 1e-6), base, theta))
+    rc, out, _ = _run(capsys, ["selftest"])
+    assert rc == 1
+    assert out.splitlines()[:3] == [f"SELFTEST {name}: PASS" for name, _ in selftest.CHECKS[:3]]
+    assert out.splitlines()[3].startswith("SELFTEST lattice-norm: FAIL (lattice sum-rule deviation")
+
+
+def test_selftest_chain_is_the_lattice_modules():
+    # the pure-Python chain of the lattice-norm check is lattice._spectral_data's
+    # spectrum, on the chain of LatticeParams(0.3, 30.0)
+    from postexp import lattice, selftest
+
+    assert lattice.LatticeParams(selftest.CHAIN_DELTA, 30.0).n_sites == selftest.CHAIN_SITES
+    for delta, n in ((selftest.CHAIN_DELTA, selftest.CHAIN_SITES), (0.7, 241), (1.0, 64)):
+        energies, weights = selftest.chain_spectrum(delta, n)
+        want_e, _, first, _ = lattice._spectral_data(delta, n)
+        assert max(abs(a - b) for a, b in zip(energies, want_e.tolist())) <= 1e-15
+        assert max(abs(a - b) for a, b in zip(weights, (first * first).tolist())) <= 1e-15
+    assert selftest._check_lattice_norm() < 1e-14
 
 
 def test_bad_k0i_is_usage_error(capsys):
@@ -855,7 +886,7 @@ FOOTPRINTS = [
     (["critical", "--k0i-grid", "lin:-0.5:-0.5:1"], ["source_model", "specfun", "transition"]),
     (["lattice", "--delta", "0.3", "--sites", "1,5", "--t-max", "40"], ["lattice", "specfun"]),
     (["scenario", "--config", "rb87.cfg"], ["source_model", "specfun", "transition", "units"]),
-    (["selftest"], ["lattice", "source_model", "specfun"]),
+    (["selftest"], ["selftest", "source_model", "specfun"]),
 ]
 
 
@@ -874,9 +905,9 @@ def test_subcommands_load_no_dataclasses_and_csv_no_json():
 
 
 def test_process_exit_loses_no_output(tmp_path, capsys):
-    # the process entry freezes the garbage collector before it exits: a piped
-    # table on the numpy path, and each exit code with its error line, come
-    # out as from main() in the test process
+    # the process entry flushes stdout and stderr and leaves by os._exit: a
+    # piped table on the numpy path, and each exit code with its error line,
+    # come out as from main() in the test process
     big = ["density", "--k0i", "-0.3", "--x", "0.5,3",
            "--t-grid", f"log:0.3:150:{cli.SCALAR_POINTS}"]
     path = tmp_path / "big.csv"
@@ -895,6 +926,51 @@ def test_process_exit_loses_no_output(tmp_path, capsys):
         assert (fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode()) == (rc, out, err)
         assert (rc, out) == (code, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+EXIT_ARGVS = [a for a, _ in FOOTPRINTS] + [
+    ["--version"], ["--help"], ["density", "--k0i", "-1.5", "--x", "1", "--t-grid", "1"],
+    ["lattice", "--delta", "0.3", "--sites", "1,500", "--t-max", "40"], ["no-such-command"],
+]
+
+
+@pytest.mark.parametrize("argv", EXIT_ARGVS, ids=lambda argv: " ".join(argv[:2]))
+def test_fresh_process_exits_as_main(tmp_path, capsys, monkeypatch, argv):
+    # the process entry leaves by os._exit after its flush: every subcommand,
+    # --version, --help and three errors give, as a fresh process, the stdout,
+    # stderr and exit code of main() here, to a pipe and, where the command
+    # has --out, to a file
+    monkeypatch.setenv("COLUMNS", "80")   # argparse's help width, here and in the child
+    fresh = _spawn(["-m", "postexp.cli", *argv])
+    want = _run(capsys, argv)
+    assert (fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode()) == want
+    if argv[0] in cli.DISPATCH and argv[0] != "selftest":
+        here, there = tmp_path / "here", tmp_path / "there"
+        fresh = _spawn(["-m", "postexp.cli", *argv, "--out", str(there)])
+        rc, out, err = _run(capsys, argv + ["--out", str(here)])
+        assert (fresh.returncode, fresh.stdout, fresh.stderr.decode()) == (rc, b"", err)
+        assert (rc, out) == (want[0], "")
+        if rc == 0:
+            assert there.read_bytes() == here.read_bytes() == want[1].encode()
+
+
+ATEXIT = """
+import atexit, contextlib, io
+from postexp import cli
+before = atexit._ncallbacks()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in {argvs!r}]
+print(codes, atexit._ncallbacks() - before)
+"""
+
+
+def test_no_subcommand_leaves_an_atexit_callback():
+    # os._exit skips atexit callbacks: no command, numpy's import and forked
+    # block workers included, may register one
+    big = ["density", "--k0i", "-0.3", "--x", "1,2", "--t-grid", f"lin:1:100:{cli.BLOCK_ROWS}",
+           "--out", os.devnull]
+    argvs = [a for a, _ in FOOTPRINTS] + [big, big + ["--format", "json"]]
+    assert _fresh(["-c", ATEXIT.format(argvs=argvs)]).strip() == f"{[0] * len(argvs)} 0"
 
 
 def _cli_alone(argv, tmp_path, read=None, **env):
@@ -941,12 +1017,14 @@ def test_cli_exit_leaves_no_worker(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["critical", "--k0i-grid", "-0.5"],
-                                  ["scenario", "--config", "rb87.cfg"], ["selftest"]],
+                                  ["scenario", "--config", "rb87.cfg"], ["selftest"],
+                                  ["--version"], ["--help"]],
                          ids=lambda argv: argv[0])
 def test_reader_closed_before_any_output(tmp_path, argv):
     # the reader is gone before the process writes: with stdout buffered
     # (PYTHONUNBUFFERED empty), all of its output is still in the buffer when
-    # main returns, and it exits 1 with nothing on stderr
+    # main returns, or when argparse has printed --version or --help, and it
+    # exits 1 with nothing on stderr
     assert _cli_alone(argv, tmp_path, read=0, PYTHONUNBUFFERED="") == (1, b"", b"")
 
 
@@ -1078,12 +1156,20 @@ def test_array_commands_still_load_numpy():
     argvs = [
         ["density", "--k0i", "-0.3", "--x", "0.5,2", "--t-grid", "log:1:5:3"],
         ["lattice", "--delta", "0.3", "--sites", "1,5", "--t-max", "40"],
-        ["selftest"],
     ]
     runs, loaded = _numpy_run(argvs, blocked=False)
     assert loaded
-    assert [code for code, _ in runs] == [0, 0, 0]
-    assert runs[2][1].count("PASS") == len(cli.SELFTEST_CHECKS)
+    assert [code for code, _ in runs] == [0, 0]
+
+
+def test_selftest_runs_with_numpy_blocked():
+    # the four checks run on the standard library: with numpy's import made
+    # to fail they pass, and unblocked they leave numpy unloaded
+    from postexp import selftest
+
+    want = "".join(f"SELFTEST {name}: PASS\n" for name, _ in selftest.CHECKS)
+    assert _numpy_run([["selftest"]], blocked=True) == [[[0, want]], False]
+    assert _numpy_run([["selftest"]], blocked=False) == [[[0, want]], False]
 
 
 def test_parse_grid_matches_numpy_spacing():

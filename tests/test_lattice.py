@@ -148,12 +148,38 @@ def test_reading_resolution(crossing_densities):
 
 def test_formula_transition_times_frozen():
     p = lat.LatticeParams(0.3, 220.0)
+    assert lat.lattice_transition_time(p, 1) == pytest.approx(122.2272, abs=1e-3)
     assert lat.lattice_transition_time(p, 5) == pytest.approx(67.6138, abs=1e-3)
     assert lat.lattice_transition_time(p, 10) == pytest.approx(59.5735, abs=1e-3)
     with pytest.raises(ValueError):
-        lat.lattice_transition_time(p, 1)
+        lat.lattice_transition_time(p, 0)
     with pytest.raises(ValueError):
-        lat.log_formula_prefactor(p, 1)
+        lat.log_formula_prefactor(p, 0)
+
+
+def test_site_one_formula_time_against_the_envelope_crossing(crossing_densities):
+    # G_11 = -lam/(alpha^2 lam^2 + 1): the pole term (1 + alpha^2)/(2 alpha^2)
+    # e^{-gamma t/2} meets twice an edge term delta^2/(2 sqrt(pi) (1 + alpha^2)^2)
+    # t^{-3/2} at t_1, which lies within A11's 25 % of the measured crossing
+    p = lat.LatticeParams(CROSSING_DELTA, CROSSING_HORIZON)
+    t_1 = lat.lattice_transition_time(p, 1)
+    a2, d2 = p.alpha_sq, p.delta ** 2
+    pole = (1.0 + a2) / (2.0 * a2) * math.exp(-0.5 * p.gamma * t_1)
+    band = d2 / (math.sqrt(math.pi) * (1.0 + a2) ** 2) * t_1 ** -1.5
+    assert pole / band == pytest.approx(1.0, abs=1e-12)
+    ts, by_site = crossing_densities
+    t, _ = envelope_crossing_oracle(ts, by_site[1], 1, p.gamma)
+    assert abs(t / t_1 - 1.0) < 0.25
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-9, 1e-150])
+def test_site_one_prefactor_at_weak_coupling(delta):
+    # C_1 = 2 alpha^2 delta^2 / (sqrt(pi) (1 + alpha^2)^3) with delta^2 as given,
+    # not 1 - alpha^2, which rounds to 0 below delta ~ 1e-8
+    p = lat.LatticeParams(delta, 50.0)
+    want = math.log(2.0 * p.alpha_sq / (math.sqrt(math.pi) * (1.0 + p.alpha_sq) ** 3)) \
+        + 2.0 * math.log(delta)
+    assert lat.log_formula_prefactor(p, 1) == pytest.approx(want, rel=1e-14)
 
 
 # ------------------------------------------- site densities against oracles
