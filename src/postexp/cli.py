@@ -27,12 +27,14 @@ unrepresentable scenarios, and ValueError); 1 computation failure
 (postexp.ComputationError, such as the evaluation domain or the envelope
 window, and OSError). Each writes one `error:` line to stderr. A reader that
 closes stdout early (`| head`) also exits 1, with no error line. The
-process entry run() ends by os._exit, without interpreter teardown.
+process entry run() runs the atexit callbacks, then ends by os._exit,
+without the rest of interpreter teardown.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import functools
 import math
@@ -582,13 +584,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def run() -> None:
-    """The process entry (`postexp`, `python -m postexp.cli`): flush stdout
-    and stderr, then leave by os._exit with main()'s code, so the process
-    skips interpreter teardown (module cleanup, final collections). No
-    command registers an atexit callback, and any file it opens is closed
-    before main() returns. A reader gone by that flush gives exit 1 and no
-    error line, as in main()."""
+    """The process entry (`postexp`, `python -m postexp.cli`): run the
+    atexit callbacks that the environment registered (site, a coverage
+    tool), flush stdout and stderr, then leave by os._exit with main()'s
+    code, so the process skips the rest of interpreter teardown (module
+    cleanup, final collections). No command registers an atexit callback,
+    and any file it opens is closed before main() returns. A reader gone by
+    that flush gives exit 1 and no error line, as in main()."""
     code = main()
+    atexit._run_exitfuncs()
     for stream in (sys.stdout, sys.stderr):
         try:
             stream.flush()

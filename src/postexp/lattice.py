@@ -20,9 +20,10 @@ Deleting site 1 leaves the uniform (N - 1)-site chain, whose levels are
 k = j pi/N, j = 1..N-1. By Cauchy interlacing, and since the secular
 function is delta^2 (-1)^j sin(j pi/N) != 0 at k = j pi/N, each interval
 ((j - 1) pi/N, j pi/N), j = 1..N, holds exactly one root; k = 0 and
-k = pi are trivial zeros. _spectral_data bisects all N brackets at once in
-the offset theta = k - (j - 1) pi/N until they stop shrinking. Written in
-theta the phases stay below 2 pi, since sin(m k) reduces the integer part
+k = pi are trivial zeros. specfun.chain_levels bisects them, all N at once
+for _spectral_data and one at a time for `postexp selftest`, in the offset
+theta = k - (j - 1) pi/N until they stop shrinking. Written in theta the
+phases stay below 2 pi, since sin(m k) reduces the integer part
 (j - 1) m mod 2N exactly, so they keep full precision at any N.
 The norm is sum_{m<N} sin^2(m k) + psi_1^2 with the first sum in closed
 form, so the cached spectrum is O(N); a mode row costs one sine per level.
@@ -48,8 +49,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import ComputationError
-from .specfun import lambertw_m1
+from . import ComputationError, specfun
 
 ENVELOPE_STEP = 0.05
 REFLECTION_MARGIN = 20   # sites beyond 2*t_max (group velocity 2)
@@ -131,33 +131,17 @@ def _spectral_data(delta: float, n_sites: int):
     order delta^2 for most levels: past WEAK_COUPLING_LIMIT on the t = 0
     amplitudes, which must be c_1 = 1 and c_2 = 0, it raises ComputationError.
     """
-    n, d2 = n_sites, delta * delta
-    base = np.arange(n) * (math.pi / n)
-    lo, hi = np.zeros(n), np.full(n, math.pi / n)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not np.any((lo < mid) & (mid < hi)):
-            break
-        # (-1)^j times the secular function; positive just above each bracket's start
-        g = 2.0 * np.cos(base + mid) * np.sin(n * mid) - d2 * np.sin((n - 1) * mid - base)
-        up = g > 0.0
-        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-    theta = 0.5 * (lo + hi)
-    # sum_{m=1}^{N-1} sin^2(m k) = (N - 1)/2 - sin((N-1)k) cos(Nk) / (2 sin k),
-    # whose signs (-1)^j cancel in theta
-    bulk = 0.5 * (n - 1) - (np.sin((n - 1) * theta - base) * np.cos(n * theta)
-                            / (2.0 * np.sin(base + theta)))
+    n = n_sites
     with np.errstate(over="ignore", invalid="ignore"):
-        # psi_1 = sin(N k)/delta with sin(N k) = (-1)^j sin(N theta)
-        first = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * np.sin(n * theta) / delta
-        scale = 1.0 / np.sqrt(bulk + first * first)
-        first = first * scale
+        energies, theta, first, scale = specfun.chain_levels(delta, n, np.arange(n) * (math.pi / n))
+        # <1|k> = (-1)^j |<1|k>|, since sin(N k) = (-1)^j sin(N theta)
+        first = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * first
         error = max(abs(first @ first - 1.0), abs(_mode_rows(n, theta, scale, 2) @ first))
     if not error <= WEAK_COUPLING_LIMIT:
         raise ComputationError(
             f"the chain's modes lose precision at delta={delta!r}: t = 0 amplitude "
             f"error {error:.2g} > {WEAK_COUPLING_LIMIT:g}")
-    return -2.0 * np.cos(base + theta), theta, first, scale
+    return energies, theta, first, scale
 
 
 def _mode_rows(n_sites: int, theta: np.ndarray, scale: np.ndarray, sites) -> np.ndarray:
@@ -334,5 +318,5 @@ def lattice_transition_time(p: LatticeParams, n: int) -> Optional[float]:
     also returned for a root outside [T_FLOOR, t_max].
     """
     l = math.log(p.gamma / 3.0) + (2.0 / 3.0) * log_formula_prefactor(p, n)
-    t = -3.0 / p.gamma * lambertw_m1(l) if l <= -1.0 else math.nan
+    t = -3.0 / p.gamma * specfun.lambertw_m1(l) if l <= -1.0 else math.nan
     return t if T_FLOOR <= t <= p.t_max else None

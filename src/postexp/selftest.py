@@ -13,17 +13,17 @@ reaches its bound:
   30, that of LatticeParams(0.3, 30.0), sum to 1, and with the energies
   they give the moments <1|H^m|1> for m = 1..4 (1e-10).
 
-The chain check builds the closed-form spectrum of postexp.lattice in pure
-Python: the same per-bracket bisection of the secular function in the
-offset theta and the same normalization, without arrays. On the 100-site
-chain that takes about 2 ms, where importing numpy takes tens.
+The chain check solves the closed-form spectrum with the solver that
+postexp.lattice runs, specfun.chain_levels, called with one float bracket
+per level, so it needs no arrays. On the 100-site chain that takes about
+2 ms, where importing numpy takes tens.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, List, Tuple
+from typing import Callable, Tuple
 
 from . import source_model, specfun
 
@@ -76,43 +76,14 @@ def _check_continuity() -> float:
     return worst
 
 
-def _secular(n: int, d2: float, base: float, theta: float) -> float:
-    """(-1)^j times the secular function 2 cos k sin(N k) - delta^2 sin((N-1) k)
-    at k = base + theta, base = j pi/N; positive just above the bracket's start."""
-    return 2.0 * math.cos(base + theta) * math.sin(n * theta) - d2 * math.sin((n - 1) * theta - base)
-
-
-def chain_spectrum(delta: float, n: int) -> Tuple[List[float], List[float]]:
-    """Energies E_k and site-1 weights |<1|k>|^2 of the n-site chain, as
-    lattice._spectral_data gives them (see the lattice module docstring),
-    in pure Python."""
-    d2, step = delta * delta, math.pi / n
-    energies, weights = [], []
-    for j in range(n):
-        base, lo, hi = j * step, 0.0, step
-        mid = 0.5 * (lo + hi)
-        while lo < mid < hi:
-            if _secular(n, d2, base, mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            mid = 0.5 * (lo + hi)
-        # sum_{m<N} sin^2(m k) in closed form, plus psi_1^2 = sin^2(N k)/delta^2
-        bulk = 0.5 * (n - 1) - (math.sin((n - 1) * mid - base) * math.cos(n * mid)
-                                / (2.0 * math.sin(base + mid)))
-        psi_1 = math.sin(n * mid) / delta
-        energies.append(-2.0 * math.cos(base + mid))
-        weights.append(psi_1 * psi_1 / (bulk + psi_1 * psi_1))
-    return energies, weights
-
-
 def _check_lattice_norm() -> float:
     """sum_k w_k = 1 and the site-1 sum rules sum_k w_k E_k^m = <1|H^m|1>:
     0, delta^2, 0, delta^2 (1 + delta^2) for m = 1..4."""
-    energies, weights = chain_spectrum(CHAIN_DELTA, CHAIN_SITES)
+    levels = [specfun.chain_levels(CHAIN_DELTA, CHAIN_SITES, j * (math.pi / CHAIN_SITES))
+              for j in range(CHAIN_SITES)]
     d2 = CHAIN_DELTA * CHAIN_DELTA
     want = (1.0, 0.0, d2, 0.0, d2 * (1.0 + d2))
-    worst = max(abs(math.fsum(w * e ** m for w, e in zip(weights, energies)) - moment)
+    worst = max(abs(math.fsum(a * a * e ** m for e, _, a, _ in levels) - moment)
                 for m, moment in enumerate(want))
     if worst >= 1e-10:
         raise AssertionError(f"lattice sum-rule deviation {worst:.3e} >= 1e-10")

@@ -13,6 +13,9 @@ lambertw_m1 gives the lower real branch W_{-1} of w e^w = z, taken in
 l = ln(-z). It closes the critical distance x_max and, in one closed form,
 every crossing t^{3/2} = C e^{gamma t/2}: the continuum's late_time
 transition and the lattice's, with l = ln(gamma/3) + (2/3) ln C.
+
+chain_levels solves the tight-binding chain (postexp.lattice) by bisection:
+like faddeeva, one value on floats and many at once on arrays.
 """
 
 from __future__ import annotations
@@ -200,3 +203,32 @@ def lambertw_m1(l: float) -> float:
         if abs(step) <= 4.0 * sys.float_info.epsilon * abs(w):
             break
     return w
+
+
+def chain_levels(delta: float, n: int, base):
+    """(E, theta, |<1|k>|, 1/norm) of the n-site chain's level k = base + theta
+    in the bracket base = j pi/n, 0 < theta < pi/n (postexp.lattice): a float
+    base runs on math, an array solves its brackets at once on numpy. Bisects
+    (-1)^j times the secular function until the bracket stops shrinking; the
+    norm is closed-form. Where psi_1 = sin(n k)/delta overflows, |<1|k>| is nan.
+    """
+    array = _is_array(base)
+    xp = sys.modules["numpy"] if array else math   # cos, sin and sqrt of either
+    cos, sin = xp.cos, xp.sin
+    lo, hi, d2 = 0.0 * base, 0.0 * base + math.pi / n, delta * delta   # shaped like base
+    while True:
+        theta = 0.5 * (lo + hi)
+        shrinking = (lo < theta) & (theta < hi)
+        if not (shrinking.any() if array else shrinking):
+            break
+        # 2 cos k sin(n k) - delta^2 sin((n - 1) k), the sines' (-1)^j taken out
+        up = 2.0 * cos(base + theta) * sin(n * theta) - d2 * sin((n - 1) * theta - base) > 0.0
+        if array:
+            lo, hi = xp.where(up, theta, lo), xp.where(up, hi, theta)
+        else:
+            lo, hi = (theta, hi) if up else (lo, theta)
+    # sum_{m=1}^{n-1} sin^2(m k) = (n - 1)/2 - sin((n-1)k) cos(nk) / (2 sin k)
+    bulk = 0.5 * (n - 1) - sin((n - 1) * theta - base) * cos(n * theta) / (2.0 * sin(base + theta))
+    psi_1 = sin(n * theta) / delta
+    scale = 1.0 / xp.sqrt(bulk + psi_1 * psi_1)
+    return -2.0 * cos(base + theta), theta, psi_1 * scale, scale

@@ -221,7 +221,8 @@ def load_scenario_config(path: str) -> Tuple[PhysicalScenario, Optional[float]]:
 
     Required keys: mass_kg, lifetime_s, release_velocity_m_per_s,
     atom_number, pixel_size_m. Optional: detector_distance_m (returned
-    separately; the CLI lets a flag override it).
+    separately; the CLI lets a flag override it), which must be positive and
+    finite.
     """
     raw: Dict[str, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -246,5 +247,9 @@ def load_scenario_config(path: str) -> Tuple[PhysicalScenario, Optional[float]]:
     missing = sorted(set(CONFIG_KEYS) - set(raw))
     if missing:
         raise ValueError(f"{path}: missing required keys {missing}")
+    distance = raw.get(CONFIG_DETECTOR_KEY)
+    if distance is not None and not 0.0 < distance < math.inf:
+        raise ValueError(f"{path}: {CONFIG_DETECTOR_KEY} must be positive and finite; "
+                         f"got {distance!r}")
     kwargs = {attr: raw[key] for key, attr in CONFIG_KEYS.items()}
-    return PhysicalScenario(**kwargs), raw.get(CONFIG_DETECTOR_KEY)
+    return PhysicalScenario(**kwargs), distance

@@ -305,6 +305,19 @@ def test_scenario_invalid_config_value(capsys, tmp_path):
     assert "mass" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_scenario_refuses_a_config_distance_by_its_key(capsys, tmp_path, value):
+    # no --distance was typed, so the error line names the config key
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("mass_kg = 1.44e-25\nlifetime_s = 4e-4\n"
+                   "release_velocity_m_per_s = 0.01\natom_number = 1e6\n"
+                   f"pixel_size_m = 3e-6\ndetector_distance_m = {value}\n")
+    rc, out, err = _run(capsys, ["scenario", "--config", str(cfg)])
+    assert (rc, out) == (2, "")
+    assert err == (f"error: {cfg}: detector_distance_m must be positive and finite; "
+                   f"got {float(value)!r}\n")
+
+
 # ------------------------------------------------------------- determinism
 
 def test_output_file_matches_stdout(capsys, tmp_path):
@@ -363,30 +376,43 @@ def test_selftest_detects_injected_fault(capsys, monkeypatch):
 
 
 def test_selftest_detects_a_fault_in_the_chain_check(capsys, monkeypatch):
-    # a delta^2 off by 1e-6 in the secular function gives the levels of
-    # another chain: the site-1 sum rules must notice
-    from postexp import selftest
+    # a delta off by 5e-7 in the shared chain solver gives the levels of
+    # another chain: the site-1 sum rules must notice, and lattice, which
+    # runs the same solver, must move with it
+    from postexp import lattice, selftest, specfun
 
-    real = selftest._secular
-    monkeypatch.setattr(selftest, "_secular",
-                        lambda n, d2, base, theta: real(n, d2 * (1.0 + 1e-6), base, theta))
+    real = specfun.chain_levels
+    want = lattice._spectral_data(0.3, 100)[0]
+    monkeypatch.setattr(specfun, "chain_levels",
+                        lambda delta, n, base: real(delta * (1.0 + 5e-7), n, base))
     rc, out, _ = _run(capsys, ["selftest"])
     assert rc == 1
     assert out.splitlines()[:3] == [f"SELFTEST {name}: PASS" for name, _ in selftest.CHECKS[:3]]
     assert out.splitlines()[3].startswith("SELFTEST lattice-norm: FAIL (lattice sum-rule deviation")
+    lattice._spectral_data.cache_clear()
+    try:
+        moved = lattice._spectral_data(0.3, 100)[0]
+    finally:
+        lattice._spectral_data.cache_clear()
+    assert 0.0 < max(abs(moved - want)) < 1e-6
 
 
-def test_selftest_chain_is_the_lattice_modules():
-    # the pure-Python chain of the lattice-norm check is lattice._spectral_data's
-    # spectrum, on the chain of LatticeParams(0.3, 30.0)
-    from postexp import lattice, selftest
+def test_chain_levels_agree_on_floats_and_arrays():
+    # selftest solves the chain of LatticeParams(0.3, 30.0) one float bracket
+    # at a time, lattice all brackets at once on an array: the same levels
+    # and site-1 weights
+    import numpy as np
+
+    from postexp import lattice, selftest, specfun
 
     assert lattice.LatticeParams(selftest.CHAIN_DELTA, 30.0).n_sites == selftest.CHAIN_SITES
     for delta, n in ((selftest.CHAIN_DELTA, selftest.CHAIN_SITES), (0.7, 241), (1.0, 64)):
-        energies, weights = selftest.chain_spectrum(delta, n)
-        want_e, _, first, _ = lattice._spectral_data(delta, n)
-        assert max(abs(a - b) for a, b in zip(energies, want_e.tolist())) <= 1e-15
-        assert max(abs(a - b) for a, b in zip(weights, (first * first).tolist())) <= 1e-15
+        energies, _, first, _ = specfun.chain_levels(delta, n, np.arange(n) * (math.pi / n))
+        for j in range(n):
+            e, _, a, _ = specfun.chain_levels(delta, n, j * (math.pi / n))
+            assert type(e) is type(a) is float
+            assert abs(e - energies[j]) <= 1e-15
+            assert abs(a * a - first[j] ** 2) <= 1e-15
     assert selftest._check_lattice_norm() < 1e-14
 
 
@@ -971,6 +997,36 @@ def test_no_subcommand_leaves_an_atexit_callback():
            "--out", os.devnull]
     argvs = [a for a, _ in FOOTPRINTS] + [big, big + ["--format", "json"]]
     assert _fresh(["-c", ATEXIT.format(argvs=argvs)]).strip() == f"{[0] * len(argvs)} 0"
+
+
+RUN_ATEXIT = """
+import atexit, sys
+marker = sys.argv.pop(1)
+atexit.register(lambda: open(marker, "a").write("ran\\n"))
+from postexp import cli
+cli.run()
+"""
+
+
+def test_process_entry_runs_the_atexit_callbacks(tmp_path):
+    # run() leaves by os._exit, but only after the callbacks that the
+    # environment registered (site, coverage tools): once each, in this
+    # process and in no forked worker, on success, a usage error and a
+    # reader that closed the pipe, with the exit codes unchanged
+    big = ["density", "--k0i", "-0.3", "--x", "1,2", "--t-grid", f"lin:1:100:{cli.BLOCK_ROWS}"]
+    for i, (argv, read, code) in enumerate((
+        (["selftest"], None, 0),
+        (["density", "--k0i", "-1.5", "--x", "1", "--t-grid", "1"], None, 2),
+        (big, 1024, 1),
+    )):
+        marker = tmp_path / f"marker{i}"
+        with open(tmp_path / "err", "wb") as fe:
+            proc = subprocess.Popen([sys.executable, "-c", RUN_ATEXIT, str(marker), *argv],
+                                    env=_child_env({}), stdout=subprocess.PIPE, stderr=fe)
+            proc.stdout.read(read)
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == code, argv
+        assert marker.read_text() == "ran\n", argv
 
 
 def _cli_alone(argv, tmp_path, read=None, **env):

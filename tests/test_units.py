@@ -1,6 +1,7 @@
 """Physical-unit bridge: scales, scenario report, config parsing."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -163,6 +164,12 @@ def test_config_error_reporting(tmp_path):
         units.load_scenario_config(write("miss.cfg", "mass_kg = 1.44e-25\n"))
     with pytest.raises(ValueError, match=r":1: non-numeric"):
         units.load_scenario_config(write("bad.cfg", "mass_kg = heavy\n"))
+    # a distance the report cannot use is refused by its key, not by --distance
+    for bad in ("nan", "-1"):
+        path = write(f"dist{bad}.cfg", good + f"detector_distance_m = {bad}\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(path)}: detector_distance_m must be "
+                                             rf"positive and finite; got {bad}"):
+            units.load_scenario_config(path)
     # comments and blank lines are fine
     scenario, distance = units.load_scenario_config(
         write("ok.cfg", "# header\n\n" + good))
