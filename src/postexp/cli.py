@@ -24,11 +24,11 @@ worker only spins.
 Exit codes, by the class of the error: 0 success; 2 usage error or invalid
 input (postexp.UsageError, such as bad flags, grids, config values or
 unrepresentable scenarios, and ValueError); 1 computation failure
-(postexp.ComputationError, such as the evaluation domain or the envelope
-window, and OSError). Each writes one `error:` line to stderr. A reader that
-closes stdout early (`| head`) also exits 1, with no error line. The
-process entry run() runs the atexit callbacks, then ends by os._exit,
-without the rest of interpreter teardown.
+(postexp.ComputationError, such as the evaluation domain or a chain whose
+modes lose precision, and OSError). Each writes one `error:` line to
+stderr. A reader that closes stdout early (`| head`) also exits 1, with no
+error line. The process entry run() runs the atexit callbacks, then ends
+by os._exit, without the rest of interpreter teardown.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from . import ComputationError, UsageError, __version__
 
 SCHEMA_VERSION = "1"
-LATTICE_SUMMARY_HORIZON = 220.0   # envelope fits need this much time to converge
 BLOCK_ROWS = 8192                 # table rows computed and written at a time
 SCALAR_POINTS = 4096              # density grids up to this size skip numpy
 MAX_GRID_POINTS = 1_000_000       # lin:/log: counts above this are refused
@@ -382,7 +381,7 @@ def cmd_lattice(args) -> int:
             rho += density(sites[i], a, b).tolist()
         return t_col, n_col, rho
 
-    summary = _lattice_summary(args.delta, sites, args.t_max)
+    summary = lat.summary(args.delta, sites, args.t_max)
     emit_table(
         args,
         "lattice",
@@ -392,50 +391,6 @@ def cmd_lattice(args) -> int:
         summary=summary,
     )
     return 0
-
-
-def _lattice_summary(delta: float, sites: List[int], t_max: float) -> Dict[str, object]:
-    """Rate/tail/transition metadata, computed on a long-enough horizon.
-
-    The user's t_max may be too short for stable envelope fits, so the
-    summary evolves its own chain out to at least LATTICE_SUMMARY_HORIZON.
-    """
-    from . import lattice as lat
-
-    t_res = max(t_max, LATTICE_SUMMARY_HORIZON)
-    p_res = lat.LatticeParams(delta, t_res)
-    # the formula's prefactor is derived (lattice.log_formula_prefactor), with
-    # 2 alpha^{n+1} in its numerator; there is no resonance at delta = 1
-    times = {n: lat.lattice_transition_time(p_res, n) if delta < 1.0 else None for n in sites}
-    summary: Dict[str, object] = {"delta": delta}
-    if delta < 1.0:
-        summary["gamma_formula"] = p_res.gamma
-        try:
-            summary["fitted_gamma"] = lat.fitted_decay_rate(p_res)
-        except lat.InsufficientWindowError:
-            summary["fitted_gamma"] = math.nan   # from delta ~0.81: no window before 12/gamma
-    else:
-        summary["gamma_formula"] = math.nan
-        summary["fitted_gamma"] = math.nan
-    # Largest requested site: its exponential segment ends earliest, so the
-    # late-window power fit is least contaminated by the crossover.
-    tail_site = max(sites)
-    window = (0.55 * t_res, 0.95 * t_res)
-    t_tail = times[tail_site]
-    if delta < 1.0 and (t_tail is None or t_tail > window[0]):
-        summary["tail_exponent"] = math.nan      # the window is still in the exponential era
-    else:
-        try:
-            summary["tail_exponent"] = lat.tail_exponent(p_res, tail_site, window)
-        except lat.InsufficientWindowError:
-            summary["tail_exponent"] = math.nan
-    summary["tail_exponent_site"] = tail_site
-
-    summary["resolved_reading"] = "alpha_in_numerator" if delta < 1.0 else "n/a"
-    for n, t_n in times.items():
-        # site 1's time only gates the tail fit; its line stays nan
-        summary[f"transition_time_site_{n}"] = math.nan if t_n is None or n == 1 else t_n
-    return summary
 
 
 def cmd_scenario(args) -> int:

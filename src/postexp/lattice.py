@@ -28,8 +28,11 @@ phases stay below 2 pi, since sin(m k) reduces the integer part
 The norm is sum_{m<N} sin^2(m k) + psi_1^2 with the first sum in closed
 form, so the cached spectrum is O(N); a mode row costs one sine per level.
 
-A site amplitude is the mode sum c_n(t) = sum_k V[0,k] V[n-1,k] e^{-i E_k t}.
-On a uniform grid t0 + m dt (the envelope fits and the CLI's default grid)
+A site amplitude is the mode sum c_n(t) = sum_k <n|k><k|1> e^{-i E_k t}.
+evolve, which returns every site, takes the phases e^{-i E_k t}<k|1> once
+and multiplies them by the mode rows <n|k>, at most BLOCK_BYTES of rows at
+a time, so it never holds the N x N mode matrix. On a uniform grid
+t0 + m dt (the envelope fits and the CLI's default grid)
 uniform_site_density splits m = b B + j with B = ceil(sqrt(count)) and sums
 the modes as one (blocks x modes) @ (modes x B) product, so it takes
 O(sqrt(count) n_sites) exponentials and memory instead of count n_sites.
@@ -45,7 +48,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +56,8 @@ from . import ComputationError, specfun
 
 ENVELOPE_STEP = 0.05
 REFLECTION_MARGIN = 20   # sites beyond 2*t_max (group velocity 2)
-BLOCK_BYTES = 4 << 20    # complex phase rows held at once by site_density
+BLOCK_BYTES = 4 << 20    # phase rows (site_density) or mode rows (evolve) held at once
+SUMMARY_HORIZON = 220.0  # the summary's envelope fits need this much time to converge
 T_FLOOR = 1e-2           # earliest admissible formula transition time
 # the spectrum's t = 0 amplitudes c_1(0) - 1 and c_2(0) must stay below this.
 # Against conftest.chain_density_oracle on chains of 120-4041 sites and delta
@@ -65,10 +69,6 @@ WEAK_COUPLING_LIMIT = 1e-7
 # bytes each; at this chain, that of t_max = 9980, `lattice` peaks
 # near 0.3 GB RSS
 MAX_SITES = 20_000
-
-
-class InsufficientWindowError(ComputationError):
-    """The evolution horizon is too short to isolate the requested fit window."""
 
 
 class _LatticeFields(NamedTuple):
@@ -151,15 +151,6 @@ def _mode_rows(n_sites: int, theta: np.ndarray, scale: np.ndarray, sites) -> np.
     return np.sin(((j * m) % (2 * n_sites)) * (math.pi / n_sites) + theta * m) * scale
 
 
-def _modes(delta: float, n_sites: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Energies and the full N x N mode matrix V[n-1, k] = <n|k>."""
-    energies, theta, first, scale = _spectral_data(delta, n_sites)
-    modes = np.empty((n_sites, n_sites))
-    modes[0] = first
-    modes[1:] = _mode_rows(n_sites, theta, scale, np.arange(2, n_sites + 1))
-    return energies, modes
-
-
 def _check_times(p: LatticeParams, ts: np.ndarray) -> None:
     if ts.size == 0:
         raise ValueError("empty time list")
@@ -171,12 +162,23 @@ def _check_times(p: LatticeParams, ts: np.ndarray) -> None:
 
 
 def evolve(p: LatticeParams, times: Sequence[float]) -> np.ndarray:
-    """Amplitudes c_n of exp(-iHt)|site 1>, (times x sites), column 0 site 1."""
+    """Amplitudes c_n of exp(-iHt)|site 1>, (times x sites), column 0 site 1.
+
+    Beside the result it holds the (times x modes) phases and one block of
+    at most BLOCK_BYTES of mode rows, never the N x N mode matrix.
+    """
     ts = np.asarray(times, dtype=float)
     _check_times(p, ts)
-    energies, modes = _modes(p.delta, p.n_sites)
-    weights = modes * modes[0, :]              # (n, k): <n|k><k|1>
-    return np.exp(-1j * np.outer(ts, energies)) @ weights.T
+    n = p.n_sites
+    energies, theta, first, scale = _spectral_data(p.delta, n)
+    phases = np.exp(-1j * np.outer(ts, energies)) * first     # e^{-iE t}<k|1>
+    amps = np.empty((ts.size, n), dtype=complex)
+    amps[:, 0] = phases @ first
+    rows = max(1, BLOCK_BYTES // (8 * n))
+    for lo in range(2, n + 1, rows):
+        block = np.arange(lo, min(lo + rows, n + 1))
+        amps[:, block - 1] = phases @ _mode_rows(n, theta, scale, block).T
+    return amps
 
 
 def _mode_weights(p: LatticeParams, n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -243,7 +245,7 @@ def envelope(ts: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def envelope_loglog_slope(ts: np.ndarray, vals: np.ndarray) -> float:
     te, ve = envelope(np.asarray(ts, float), np.asarray(vals, float))
     if len(te) < 2:
-        raise InsufficientWindowError("fewer than two envelope points")
+        raise ValueError("fewer than two envelope points")
     return float(np.polyfit(np.log(te), np.log(ve), 1)[0])
 
 
@@ -258,15 +260,16 @@ def _envelope_grid(
 def fitted_decay_rate(p: LatticeParams) -> float:
     """Exponential rate of |c_1|^2 from a linear fit of its log from t = 5 to 12/gamma.
 
-    The window ends there, before the power-law tail starts contaminating
-    the fit. From delta ~0.81 on, 12/gamma comes less than ten envelope
-    steps after the start, or before it; a window that short raises
-    InsufficientWindowError.
+    The window ends there, or at 0.9 t_max if that is earlier, before the
+    power-law tail starts contaminating the fit. From delta ~0.805 on,
+    12/gamma comes less than ten envelope steps after the start, or before
+    it; on a window that short the chain has no rate to fit, and the result
+    is nan.
     """
     lo = 5.0
     hi = max(lo, min(12.0 / p.gamma, 0.9 * p.t_max))
     if hi - lo < 10.0 * ENVELOPE_STEP:
-        raise InsufficientWindowError(f"window {(lo, hi)!r} too short for a rate fit")
+        return math.nan
     ts, dens = _envelope_grid(p, 1, lo, hi)
     slope = np.polyfit(ts, np.log(dens), 1)[0]
     return float(-slope)
@@ -274,12 +277,13 @@ def fitted_decay_rate(p: LatticeParams) -> float:
 
 def tail_exponent(p: LatticeParams, n: int, window: Tuple[float, float]) -> float:
     """Late-time log-log slope of the density envelope at site n over the
-    window (lo, hi); expect ~ -3."""
+    window (lo, hi); expect ~ -3. A window outside (0, t_max] or shorter
+    than 50 envelope steps raises ValueError before any density is evaluated."""
     lo, hi = window
     if not (0.0 < lo < hi <= p.t_max):
         raise ValueError(f"window {window!r} outside (0, t_max]")
     if math.ceil((hi - lo) / ENVELOPE_STEP) < 50:
-        raise InsufficientWindowError(f"window {window!r} too short for a tail fit")
+        raise ValueError(f"window {window!r} shorter than 50 envelope steps")
     return envelope_loglog_slope(*_envelope_grid(p, n, lo, hi))
 
 
@@ -308,15 +312,40 @@ def log_formula_prefactor(p: LatticeParams, n: int) -> float:
             + (n + 1) * math.log(p.alpha))
 
 
-def lattice_transition_time(p: LatticeParams, n: int) -> Optional[float]:
-    """Smallest admissible root of the site-n transition equation, or None.
+def lattice_transition_time(p: LatticeParams, n: int) -> float:
+    """Smallest admissible root of the site-n transition equation, or nan.
 
     g(t) = t^{3/2} - C e^{gamma t/2} is negative at both ends when a root
     pair exists; the admissible (exponential giving way to power) root is
     the downward crossing, i.e. the larger of the pair: t = -(3/gamma) W_{-1}(l)
-    at l = ln(gamma/3) + (2/3) ln C. There is none when l > -1, and None is
+    at l = ln(gamma/3) + (2/3) ln C. There is none when l > -1, and nan is
     also returned for a root outside [T_FLOOR, t_max].
     """
     l = math.log(p.gamma / 3.0) + (2.0 / 3.0) * log_formula_prefactor(p, n)
     t = -3.0 / p.gamma * specfun.lambertw_m1(l) if l <= -1.0 else math.nan
-    return t if T_FLOOR <= t <= p.t_max else None
+    return t if T_FLOOR <= t <= p.t_max else math.nan
+
+
+def summary(delta: float, sites: Sequence[int], t_max: float) -> Dict[str, object]:
+    """The `lattice` command's rate, tail and transition metadata, nan where
+    the chain has none, on a horizon of at least SUMMARY_HORIZON: the user's
+    t_max may be too short for stable envelope fits."""
+    p = LatticeParams(delta, max(t_max, SUMMARY_HORIZON))
+    resonant = delta < 1.0        # no resonance at delta = 1: no rate, no transition
+    times = {n: lattice_transition_time(p, n) if resonant else math.nan for n in sites}
+    # Largest requested site: its exponential segment ends earliest, so the
+    # late-window power fit is least contaminated by the crossover. Before
+    # its transition the window is still in the exponential era: no tail.
+    tail_site = max(sites)
+    window = (0.55 * p.t_max, 0.95 * p.t_max)
+    return {"delta": delta,
+            "gamma_formula": p.gamma if resonant else math.nan,
+            "fitted_gamma": fitted_decay_rate(p) if resonant else math.nan,
+            "tail_exponent": (tail_exponent(p, tail_site, window)
+                              if not resonant or times[tail_site] <= window[0] else math.nan),
+            "tail_exponent_site": tail_site,
+            # the formula's prefactor is derived (log_formula_prefactor), with
+            # 2 alpha^{n+1} in its numerator
+            "resolved_reading": "alpha_in_numerator" if resonant else "n/a",
+            # site 1's time only gates the tail fit; its line stays nan
+            **{f"transition_time_site_{n}": math.nan if n == 1 else t for n, t in times.items()}}

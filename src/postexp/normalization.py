@@ -31,6 +31,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import ComputationError
 from .source_model import SQRT_PI, SourceParams, kernel
 from .specfun import faddeeva
 
@@ -43,7 +44,7 @@ PANEL_BLOCK = 4096           # panels per integrand call, bounding memory
 MAX_PANELS = 2 ** 18         # longer ranges are refused
 
 
-class InternalConsistencyError(Exception):
+class InternalConsistencyError(ComputationError):
     """The computed norm violated a property it must have (e.g. positivity)."""
 
 

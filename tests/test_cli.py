@@ -1128,7 +1128,7 @@ def test_exit_code_of_each_error_class(capsys, monkeypatch):
     # main maps an error to its exit code by base class alone: the package's
     # four error classes, and any other class derived from either base
     import postexp
-    from postexp import lattice, source_model, units
+    from postexp import normalization, source_model, units
 
     class NewUsageError(postexp.UsageError):
         pass
@@ -1144,7 +1144,7 @@ def test_exit_code_of_each_error_class(capsys, monkeypatch):
         (units.ScenarioUnrepresentableError("k0I <= -1"), 2),
         (NewUsageError("a new usage error"), 2),
         (source_model.EvaluationDomainError(1.0, 2.0, "overflow"), 1),
-        (lattice.InsufficientWindowError("short window"), 1),
+        (normalization.InternalConsistencyError("norm came out -1"), 1),
         (NewComputationError("a new failure"), 1),
         (OSError("disk full"), 1),
     ]

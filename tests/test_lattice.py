@@ -67,10 +67,45 @@ def test_evolve_preconditions():
         lat.evolve(p, [5.0, 2.0])
 
 
+def _mode_matrix(delta, n):
+    """Energies and the full N x N mode matrix V[n-1, k] = <n|k>."""
+    energies, theta, first, scale = lat._spectral_data(delta, n)
+    modes = np.empty((n, n))
+    modes[0] = first
+    modes[1:] = lat._mode_rows(n, theta, scale, np.arange(2, n + 1))
+    return energies, modes
+
+
+def test_evolve_matches_the_mode_matrix(monkeypatch):
+    # seven mode rows a block, so that blocks split the chain unevenly
+    p = lat.LatticeParams(0.3, 30.0)
+    energies, modes = _mode_matrix(p.delta, p.n_sites)
+    monkeypatch.setattr(lat, "BLOCK_BYTES", 8 * p.n_sites * 7)
+    ts = [0.0, 3.5, 17.0, 30.0]
+    want = np.exp(-1j * np.outer(ts, energies)) @ (modes * modes[0]).T
+    assert np.max(np.abs(lat.evolve(p, ts) - want)) < 1e-15
+
+
+def test_evolve_memory_is_bounded():
+    # the N x N mode matrix of this 4000-site chain alone is 128 MB
+    import tracemalloc
+
+    p = lat.LatticeParams(0.3, 1980.0)
+    lat._spectral_data(p.delta, p.n_sites)    # eigensolve outside the measurement
+    tracemalloc.start()
+    try:
+        amps = lat.evolve(p, [0.0, 1.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert amps.shape == (2, 4000)
+    assert peak < 8 * lat.BLOCK_BYTES
+
+
 def test_forward_backward_roundtrip():
     # the mode matrix is orthogonal, so evolving forward then back is exact
     p = lat.LatticeParams(0.3, 30.0)
-    _, modes = lat._modes(p.delta, p.n_sites)
+    _, modes = _mode_matrix(p.delta, p.n_sites)
     eye = np.eye(p.n_sites)
     assert np.max(np.abs(modes.T @ modes - eye)) < 1e-10
     assert np.max(np.abs(modes @ modes.T - eye)) < 1e-10
@@ -85,10 +120,9 @@ def test_fitted_decay_rate_matches_formula():
 
 @pytest.mark.parametrize("delta", [0.81, 0.9])
 def test_fitted_decay_rate_default_window_too_short(delta):
-    # 12/gamma is within ten steps of t = 5 (0.81) or before it (0.9)
+    # 12/gamma is within ten steps of t = 5 (0.81) or before it (0.9): no rate
     p = lat.LatticeParams(delta, 60.0)
-    with pytest.raises(lat.InsufficientWindowError):
-        lat.fitted_decay_rate(p)
+    assert math.isnan(lat.fitted_decay_rate(p))
 
 
 def test_tail_exponent_band():
@@ -99,7 +133,7 @@ def test_tail_exponent_band():
 
 def test_tail_exponent_requires_enough_samples():
     p = lat.LatticeParams(0.4, 100.0)
-    with pytest.raises(lat.InsufficientWindowError):
+    with pytest.raises(ValueError, match="shorter than 50 envelope steps"):
         lat.tail_exponent(p, 1, window=(99.0, 99.5))
 
 
@@ -270,8 +304,31 @@ def test_tail_exponent_checks_window_before_evaluating(monkeypatch):
     monkeypatch.setattr(lat, "uniform_site_density", fail)
     monkeypatch.setattr(lat, "site_density", fail)
     p = lat.LatticeParams(0.4, 100.0)
-    with pytest.raises(lat.InsufficientWindowError):
+    with pytest.raises(ValueError):
         lat.tail_exponent(p, 1, window=(99.0, 99.5))
+
+
+SUMMARY_KEYS = ["delta", "gamma_formula", "fitted_gamma", "tail_exponent", "tail_exponent_site",
+                "resolved_reading", "transition_time_site_1", "transition_time_site_3"]
+
+
+@pytest.mark.parametrize("delta, t_max", [(d, t) for d in (1e-6, 0.3, 0.6, 0.9, 1.0)
+                                          for t in (5e-324, 50.0, 220.0)] + [(0.3, 9980.0)])
+def test_summary_reports_nan_where_the_chain_has_none(delta, t_max):
+    # the summary fits on a horizon of at least SUMMARY_HORIZON, so a tiny
+    # t_max changes nothing; 9980 is the horizon of a MAX_SITES chain
+    s = lat.summary(delta, [1, 3], t_max)
+    assert list(s) == SUMMARY_KEYS
+    want = {"transition_time_site_1"}              # site 1's time only gates the tail
+    if delta == 1e-6:
+        want |= {"tail_exponent", "transition_time_site_3"}   # the tail window is exponential
+    if delta >= 0.9:
+        want.add("fitted_gamma")                   # 12/gamma comes before t = 5
+    if delta == 1.0:
+        want |= {"gamma_formula", "transition_time_site_3"}   # no resonance
+    assert {k for k, v in s.items() if isinstance(v, float) and math.isnan(v)} == want
+    assert s["tail_exponent_site"] == 3
+    assert s["resolved_reading"] == ("n/a" if delta == 1.0 else "alpha_in_numerator")
 
 
 def test_envelope_keeps_plateau_maxima():
@@ -303,7 +360,7 @@ def _weights_close(got, want, delta, n):
 def test_spectrum_matches_eigensolvers(delta, n):
     from scipy.linalg import eigh_tridiagonal
 
-    energies, modes = lat._modes(delta, n)
+    energies, modes = _mode_matrix(delta, n)
     off = _chain(delta, n)
     dense = np.diag(off, 1) + np.diag(off, -1)
     mine = modes * modes[0]                         # <n|k><k|1>, sign-free
@@ -360,7 +417,7 @@ def test_transition_time_matches_scan_and_brentq():
             for n in range(2, 40):
                 want = _scan_transition_time(p, n)
                 got = lat.lattice_transition_time(p, n)
-                assert (got is None) == (want is None), (delta, t_max, n)
+                assert math.isnan(got) == (want is None), (delta, t_max, n)
                 if want is None:
                     missing += 1
                     continue
@@ -404,7 +461,7 @@ def test_far_site_root_where_c_n_underflows(delta, t_max, n, want):
 def test_transition_time_without_a_root():
     # the far site's root, 721.69, lies past a horizon of 700: no time to report
     p = lat.LatticeParams(0.8, 700.0)
-    assert lat.lattice_transition_time(p, 1500) is None
+    assert math.isnan(lat.lattice_transition_time(p, 1500))
     assert lat.lattice_transition_time(p._replace(t_max=800.0), 1500) == pytest.approx(
         721.69028922924466, rel=1e-12)
 

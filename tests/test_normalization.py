@@ -232,6 +232,14 @@ def test_spatial_norm_panel_budget(p03, monkeypatch):
         nz.spatial_norm(p03, 1e4)
 
 
+def test_internal_consistency_is_a_computation_error():
+    # the CLI maps a failure to exit 1 by its base class
+    import postexp
+
+    with pytest.raises(postexp.ComputationError, match="panels"):
+        nz.spatial_norm(sm.SourceParams(-0.3), 1e300)
+
+
 def test_density_far_tail(p03):
     # rho -> 4t/(pi x^2) far beyond the propagation front
     for t, x in ((5.0, 500.0), (10.0, 2000.0)):
