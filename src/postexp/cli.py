@@ -99,16 +99,18 @@ def parse_grid(text: str, name: str) -> List[float]:
     return vals
 
 
-def _json_safe(v):
-    if isinstance(v, (bool, int)):
-        return v
-    if isinstance(v, float):
-        return v if math.isfinite(v) else None
-    if isinstance(v, dict):
-        return {k: _json_safe(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_json_safe(x) for x in v]
-    return v
+def _json_safe(d: Dict[str, object]) -> Dict[str, object]:
+    """The flat dict d with its non-finite floats as None, which JSON writes null."""
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in d.items()}
+
+
+def _document(command: str, params: Dict[str, object], **body) -> str:
+    """The JSON document of a command, its envelope and body, as
+    json.dumps(document, indent=2, sort_keys=True) writes it."""
+    import json
+
+    return json.dumps({"schema_version": SCHEMA_VERSION, "command": command,
+                       "params": _json_safe(params), **body}, indent=2, sort_keys=True)
 
 
 def _output(out: Optional[str]):
@@ -134,7 +136,7 @@ def _fmt_column(col, as_json: bool = False) -> List[str]:
         return [repr(v) if math.isfinite(v) else "null" for v in values]
     import json
 
-    return [json.dumps(_json_safe(v)) for v in values]
+    return [json.dumps(v) for v in values]
 
 
 # the JSON document's rows while its head and tail are dumped; argv holds no NUL
@@ -197,17 +199,10 @@ def emit_table(
     else:
         import json
 
-        obj = {
-            "schema_version": SCHEMA_VERSION,
-            "command": command,
-            "params": _json_safe(params),
-            "columns": list(columns),
-            "rows": _ROWS_MARK,
-        }
-        if summary:
-            obj["summary"] = _json_safe(summary)
+        body = {"summary": _json_safe(summary)} if summary else {}
+        doc = _document(command, params, columns=list(columns), rows=_ROWS_MARK, **body)
         render, sep = _json_block, "[\n"
-        head, _, tail = json.dumps(obj, indent=2, sort_keys=True).partition(json.dumps(_ROWS_MARK))
+        head, _, tail = doc.partition(json.dumps(_ROWS_MARK))
     if args.parallelism > 1 and len(blocks) > 1:
         from . import parallel
 
@@ -256,53 +251,27 @@ def cmd_density(args) -> int:
 
 
 def _density_points(p, xs: List[float], ts: List[float]):
-    """The density table as one block of Python columns, one kernel call per
-    point, x-major; the whole grid is computed before it is written, so an
-    error leaves only the header written, as in _density_arrays."""
-    from .source_model import kernel
+    """The density table as one block of Python columns, one call per point,
+    x-major; the whole grid is computed before it is written, so an error
+    leaves only the header written, as in _density_arrays."""
+    from .source_model import density_cells
 
-    n_total = p.n_total
-    rows = []
-    for x in xs:
-        for t in ts:
-            w = kernel(p, x, t)
-            mod, saddle, pole = abs(w.psi), abs(w.saddle), abs(w.pole)
-            # R = |pole|/|saddle| as IEEE division gives it; nan at x = 0
-            if x == 0.0:
-                ratio = math.nan
-            elif saddle == 0.0:
-                ratio = math.inf if pole > 0.0 else math.nan
-            else:
-                ratio = pole / saddle
-            rho = mod * mod
-            rows.append((x, t, rho, saddle * saddle, pole * pole, w.pole_crossed, ratio,
-                         rho / n_total))
-    return tuple(zip(*rows))
+    return tuple(zip(*((x, t, *density_cells(p, x, t)) for x in xs for t in ts)))
 
 
 def _density_arrays(p, xs: List[float], ts: List[float]):
     """The density table as thunks of numpy blocks of BLOCK_ROWS rows."""
     import numpy as np
 
-    from .source_model import kernel
+    from .source_model import density_cells
 
     xs, ts = np.array(xs), np.array(ts)
-    n_total = p.n_total
     x_cells, t_cells = (np.array(_fmt_column(g), dtype=object) for g in (xs, ts))
 
     def block(lo, hi):
         # rows run x-major over the flattened (x, t) grid
         ix, it = np.divmod(np.arange(lo, hi), ts.size)
-        x, t = xs[ix], ts[it]
-        w = kernel(p, x, t)
-        rho, saddle, pole = np.abs(w.psi) ** 2, np.abs(w.saddle), np.abs(w.pole)
-        # R = |pole|/|saddle|; nan at x = 0, inf where the saddle underflows to 0;
-        # a square past double range is IEEE inf, as on the scalar path
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio = np.divide(pole, saddle, out=np.full(x.shape, math.nan), where=x > 0.0)
-            rho_saddle, rho_pole = saddle ** 2, pole ** 2
-        return (_Indexed(x_cells, ix), _Indexed(t_cells, it),
-                rho, rho_saddle, rho_pole, w.pole_crossed, ratio, rho / n_total)
+        return (_Indexed(x_cells, ix), _Indexed(t_cells, it), *density_cells(p, xs[ix], ts[it]))
 
     return _thunks(block, xs.size * ts.size)
 
@@ -404,16 +373,10 @@ def cmd_scenario(args) -> int:
     if not 0.0 < distance < math.inf:
         raise UsageError(f"--distance must be positive and finite; got {distance!r}")
     report = units.scenario_transition_report(scenario, distance)
-    import json
-
-    obj = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "scenario",
-        "params": {"config": args.config, "distance_m": distance},
-        "report": _json_safe(report._asdict()),
-    }
+    doc = _document("scenario", {"config": args.config, "distance_m": distance},
+                    report=_json_safe(report._asdict()))
     with _output(args.out) as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        fh.write(doc + "\n")
     return 0
 
 

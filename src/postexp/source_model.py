@@ -177,3 +177,24 @@ def kernel(p: SourceParams, x, t, derivative: bool = False) -> Wave:
         dpsi = 0.5 * phase * (1j * k_s * (w_p + w_m) + c * wd)
     # Im u_+ > 0 in exact arithmetic, without the rounding of u_+ at t = t_c
     return Wave(psi, saddle, pole, t > pole_crossing_time(p, x), dpsi)
+
+
+def density_cells(p: SourceParams, x, t):
+    """The `density` table's cells at (x, t), floats or arrays as kernel takes
+    them: rho, rho_saddle, rho_pole, pole_crossed, R = |pole|/|saddle| (nan at
+    x = 0, inf where the saddle underflows to 0) and rho/n_total. A square
+    past double range is IEEE inf, with no warning."""
+    w = kernel(p, x, t)
+    mod, saddle, pole = abs(w.psi), abs(w.saddle), abs(w.pole)
+    if specfun._is_array(x, t):
+        import numpy as np
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratio = np.divide(pole, saddle, out=np.full(mod.shape, math.nan), where=x > 0.0)
+            rho_saddle, rho_pole = saddle * saddle, pole * pole
+    else:
+        # IEEE division, where Python raises: pole/0 is inf and 0/0 nan
+        ratio = (pole / saddle if saddle else pole * math.inf) if x > 0.0 else math.nan
+        rho_saddle, rho_pole = saddle * saddle, pole * pole
+    rho = mod * mod
+    return rho, rho_saddle, rho_pole, w.pole_crossed, ratio, rho / p.n_total

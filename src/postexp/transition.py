@@ -93,22 +93,29 @@ def ratio_R(p: SourceParams, x: float, t: float) -> float:
 
     This is |pole|/|saddle| at every t > 0 (t^2 = tau^2 has no real root),
     in the t-form before t_c/2, where none of its terms cancels, and in sigma
-    from there on. x <= 0, t <= 0 and non-finite input raise ValueError; an R
-    past double range raises EvaluationDomainError.
+    from there on. ln R - k0I (2t - x) is homogeneous of degree 1/2 in
+    (x, t), so below x = 2^-1000, where t_c and tau would keep few bits, it
+    is evaluated at (x, t) scaled by an exact power of two 2^e. x <= 0,
+    t <= 0 and non-finite input raise ValueError; an R past double range
+    raises EvaluationDomainError.
     """
     if not (0.0 < x < math.inf and 0.0 < t < math.inf):
         raise ValueError(f"ratio needs finite x > 0 and t > 0, got (x, t) = ({x!r}, {t!r})")
-    t_c = pole_crossing_time(p, x)
-    if t < 0.5 * t_c:
-        tau = x / (2.0 * p.k0)
-        log_r = (math.log(2.0 * math.sqrt(math.pi) * abs(p.k0) ** 2) - math.log(x)
-                 - 0.5 * math.log(t) + p.k0I * (2.0 * t - x) + math.log(abs(t - tau))
-                 + math.log(abs(t + tau)))
+    e = max(-999 - math.frexp(x)[1], 0)
+    xe, te = math.ldexp(x, e), math.ldexp(t, e)
+    t_c = pole_crossing_time(p, xe)
+    if te < 0.5 * t_c:
+        tau = xe / (2.0 * p.k0)
+        log_r = (math.log(2.0 * math.sqrt(math.pi) * abs(p.k0) ** 2) - math.log(xe)
+                 - 0.5 * math.log(te) + p.k0I * (2.0 * te - xe) + math.log(abs(te - tau))
+                 + math.log(abs(te + tau)))
     else:
-        s = (t / t_c - 1.0) / abs(p.k0I)
+        s = (te / t_c - 1.0) / abs(p.k0I)
         if not math.isfinite(s):
             raise EvaluationDomainError(x, t, "sigma = (t/t_c - 1)/|k0I| overflows")
-        log_r = _log_ratio_sigma(p, x, s)[0]
+        log_r = _log_ratio_sigma(p, xe, s)[0]
+    if e:
+        log_r += p.k0I * ((2.0 * t - x) - (2.0 * te - xe)) - 0.5 * e * math.log(2.0)
     try:
         return math.exp(log_r)
     except OverflowError:
@@ -178,6 +185,10 @@ def transition_times(
         x0 = min(xs)
         if math.log(2.0 - 2.0 * k) - 2.0 * math.log(k) - math.log(x0) > OVERFLOW_LIMIT:
             raise EvaluationDomainError(x0, x0 / (2.0 - 2.0 * k), "sigma overflows")
+        # a subnormal k0I^2 passes that bound only at x above 1e31, where
+        # beta x = k0I^2 x/(1 + k0I) would keep a few of its bits, or none
+        if k * k < sys.float_info.min:
+            raise EvaluationDomainError(None, None, f"k0I^2 is subnormal at k0I={p.k0I!r}")
     n_total = _n_total_cached(p.k0I)
     log_scale = math.log(2.0 * math.sqrt(math.pi) * abs(p.k0) ** 2)
     rows = []

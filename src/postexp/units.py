@@ -52,7 +52,8 @@ class _ScenarioFields(NamedTuple):
 
 class PhysicalScenario(_ScenarioFields):
     """A cold-atom source in SI units. An immutable tuple; the constructor,
-    _make and _replace all check that every field is positive and finite."""
+    _make and _replace all check that every field is positive and finite,
+    and that the length and time units are too."""
 
     __slots__ = ()
 
@@ -63,6 +64,15 @@ class PhysicalScenario(_ScenarioFields):
         for name, v in zip(self._fields, self):
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a positive finite number; got {v!r}")
+        for name in ("length_unit", "time_unit"):
+            try:
+                v = getattr(self, name)
+            except ZeroDivisionError:   # m v underflows to 0
+                v = math.inf
+            if not 0.0 < v < math.inf:
+                raise ScenarioUnrepresentableError(
+                    f"{name} = {v!r} lies outside double range (mass, release_velocity "
+                    "and hbar give no representable unit system)")
         return self
 
     @classmethod

@@ -5,7 +5,8 @@ documented domain, out to the edges of double range: -1 < k0I < 0 down to
 -5e-324, x and t from 5e-324 to 1e300, delta in (0, 1] down to 5e-324. An
 argv inside the domain exits 0, or 1 with exactly one `error:` line; one
 with a value outside it exits 2 with one `error:` line. No call raises, and
-none warns. Grids stay at 3 x 3 or smaller.
+none warns. Grids stay at 3 x 3 or smaller. Scenario configs, written
+to files, put each field at a double-range edge or at its rb87 value.
 """
 
 import contextlib
@@ -13,10 +14,10 @@ import io
 import math
 import warnings
 
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from postexp import cli
+from postexp import cli, units
 
 SWEEP = settings(max_examples=250, deadline=None, derandomize=True)
 
@@ -109,6 +110,8 @@ def _main(argv):
 @example((["lattice", "--delta=1e-10", "--sites", "1", "--t-max=50", "--t-grid", "0"], True))
 # a horizon whose default time step underflows
 @example((["lattice", "--delta=1.0", "--sites", "1", "--t-max=5e-324"], True))
+# k0I^2 underflows to 0 where x is large enough for sigma to stay a double
+@example((["transition", "--k0i=-1.3e-227", "--x-grid", "9.5e227"], True))
 # negative values in exponent notation, and a list of them, without "="
 @example((["transition", "--k0i", "-1e-3", "--x-grid", "1"], True))
 @example((["critical", "--k0i-grid", "-0.3,-0.2"], True))
@@ -123,3 +126,36 @@ def test_every_argv_exits_by_the_domain(case):
         assert err == "", (argv, err)
     else:
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+RB87_CONFIG = {"mass_kg": units.RB87_MASS_KG, "lifetime_s": 400e-6,
+               "release_velocity_m_per_s": 0.01, "atom_number": 1e6, "pixel_size_m": 3e-6}
+EDGES = [TINY, 1e-300, 1e-200, 1e-100, 1e-30, 1.0, 1e30, 1e100, 1e200, 1e300, 1.7e308]
+DISTANCES = [TINY, 1e-300, 1e-9, 1e-6, 1e-4, 1e-2, 1e3, 1e300]
+
+
+@st.composite
+def scenario_configs(draw):
+    """(config fields, distance): each field of the rb87 config is, with
+    probability 1/2, replaced by a double-range edge."""
+    fields = {key: draw(st.sampled_from(EDGES)) if draw(st.booleans()) else value
+              for key, value in RB87_CONFIG.items()}
+    return fields, draw(st.sampled_from(DISTANCES))
+
+
+@settings(SWEEP, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scenario_configs())
+# m v underflows to 0 and overflows to inf: no unit system in double range
+@example(({**RB87_CONFIG, "mass_kg": 1e-300, "release_velocity_m_per_s": 1e-300}, 1e-4))
+@example(({**RB87_CONFIG, "mass_kg": 1e300, "release_velocity_m_per_s": 1e300}, 1e-4))
+def test_every_scenario_config_exits_by_the_domain(tmp_path, case):
+    fields, distance = case
+    path = tmp_path / "scenario.cfg"
+    path.write_text("".join(f"{key} = {value!r}\n" for key, value in fields.items()))
+    argv = ["scenario", "--config", str(path), f"--distance={distance!r}"]
+    rc, err = _main(argv)
+    assert rc in (0, 1, 2), (fields, distance, rc, err)
+    if rc == 0:
+        assert err == "", (fields, distance, err)
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1, (fields, distance, err)

@@ -8,6 +8,8 @@ import pytest
 from postexp import lattice, normalization, source_model, transition, units
 
 RB87 = (1.4431606e-25, 400e-6, 0.01, 1e6, 3e-6, units.HBAR)
+UNREPRESENTABLE = ("lies outside double range (mass, release_velocity and hbar give no "
+                   "representable unit system)")
 
 # (record type, valid fields, field set to a bad value, the value, error, message)
 INVALID = [
@@ -31,6 +33,13 @@ INVALID = [
      "lifetime must be a positive finite number; got '1'"),
     (units.PhysicalScenario, RB87, "hbar", math.nan, ValueError,
      "hbar must be a positive finite number; got nan"),
+    # m v underflows to 0, or is so large that hbar/(m v) or 2 m L^2/hbar does
+    (units.PhysicalScenario, RB87, "release_velocity", 5e-324, units.ScenarioUnrepresentableError,
+     f"length_unit = inf {UNREPRESENTABLE}"),
+    (units.PhysicalScenario, RB87, "mass", 1e300, units.ScenarioUnrepresentableError,
+     f"length_unit = 0.0 {UNREPRESENTABLE}"),
+    (units.PhysicalScenario, RB87, "release_velocity", 1e300, units.ScenarioUnrepresentableError,
+     f"time_unit = 0.0 {UNREPRESENTABLE}"),
 ]
 
 

@@ -42,15 +42,37 @@ def test_ratio_at_tiny_distance_and_time(p03):
 def test_ratio_long_before_the_pole_crossing(k0I, x, t):
     # below t ~ eps t_c, 1 + kappa sigma rounds to 0, so before t_c/2 R comes
     # from the t-form; its ln R is good to a few ulps of |ln R|, which exp keeps
+    want = float(_ratio_mpmath(k0I, x, t))
+    rel = 4.0 * EPS * (1.0 + abs(math.log(want)))
+    assert tr.ratio_R(sm.SourceParams(k0I), x, t) == pytest.approx(want, rel=rel)
+
+
+def _ratio_mpmath(k0I, x, t):
+    """|pole|/|saddle| at 40 digits, from the parts as kernel defines them."""
     with mpmath.workdps(40):
         k0 = mpmath.mpc(1, k0I)
         xm, tm = mpmath.mpf(x), mpmath.mpf(t)
         pole = mpmath.exp(-1j * k0 * k0 * tm + 1j * k0 * xm)
         saddle = (mpmath.sqrt(2 * tm / mpmath.pi) * (xm / (2 * k0))
                   / ((mpmath.mpc(-1, 1)) * k0 * (tm * tm - (xm / (2 * k0)) ** 2)))
-        want = float(abs(pole) / abs(saddle))
-    rel = 4.0 * EPS * (1.0 + abs(math.log(want)))
-    assert tr.ratio_R(sm.SourceParams(k0I), x, t) == pytest.approx(want, rel=rel)
+        return abs(pole) / abs(saddle)
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-323, 1.5e-323, 7e-322, 3e-320, 1e-310, 2e-308])
+def test_ratio_at_subnormal_distance(x):
+    # t_c and tau keep a subnormal's few bits, and t_c rounds to 0 for
+    # |k0I| < 2^-53 at x = 5e-324; scaled into the normal range, ln R keeps
+    # the rounding of its terms of size |ln 2^-1000| ~ 700
+    factors = [1e-3, 0.1, 0.5, 0.7, 0.9, 1.0, 1.4, 2.0, 10.0, 1e3, 1e6, 1e10, 1e30, 1e100, 1e300]
+    cases = [(k0I, x * f) for k0I in (-1e-3, -0.3, -0.9, -0.999999) for f in factors]
+    checked = 0
+    for k0I, t in cases + [(-1e-17, 1e-170)]:
+        want = _ratio_mpmath(k0I, x, t) if t > 0.0 else 0.0
+        if 1e-300 < want < 1e300:
+            got = tr.ratio_R(sm.SourceParams(k0I), x, t)
+            assert got == pytest.approx(float(want), rel=1e-12), (k0I, x, t)
+            checked += 1
+    assert checked >= 40
 
 
 def test_ratio_past_double_range_is_a_typed_error():
