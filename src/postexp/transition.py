@@ -23,11 +23,14 @@ t |t^2 - tau^2|^2 d(ln R)/dt = 2 k0I t^5 + 1.5 t^4 - 4 k0I a t^3 - a t^2
 + 2 k0I b t - b/2 has signs - + + - - -: by Descartes' rule R has at most one
 local maximum t_M in t > 0 and falls strictly after it. The local minimum
 before t_M lies before t_c (in t = x u the roots solve x = h(u) for an h of
-k0I alone, and t_c/x lies past h's peak), so the transition is the one root
-of ln R past sigma_M = max(0, sigma(t_M)) and exists iff ln R(sigma_M) >= 0.
-Re c, Re rho > 0 give d(ln R)/d sigma < 2/sigma - beta x, so sigma_M < 2/(beta x).
+k0I alone, and t_c/x lies past h's peak), so the transition is the one
+falling root of ln R past t_c, and a sigma >= 0 lies before it iff ln R >= 0
+or ln R still rises there. It exists where R exceeds 1 or rises at t_c: where
+it rises (x < x_max/2.44), ln R peaks above 0.42 for k0I in [-0.9999, -1e-12].
+Re c, Re rho > 0 give d(ln R)/d sigma < 2/sigma - beta x, so R falls past 2/(beta x).
 The late-time reduction t^{3/2} = C e^{gamma t/2}, C = x e^{k0I x}/(2 sqrt(pi) |k0|^2), falls
-through at t = -(3/gamma) W_{-1}(l), l = ln(gamma/3) + (2/3) ln C, real iff l <= -1.
+through at t = -(3/gamma) W_{-1}(l), l = ln(gamma/3) + (2/3) ln C, real iff l <= -1,
+where the solve for the root of ln R starts.
 
 At sigma = 0, g(x) = ln R(x, t_c) = C + (ln x)/2 - beta x with
 C = ln(2 sqrt(pi) |k0|^2) - 1.5 ln(2(1 + k0I)) + ln|1 - rho^2|. R already
@@ -96,12 +99,14 @@ def ratio_R(p: SourceParams, x: float, t: float) -> float:
     from there on. ln R - k0I (2t - x) is homogeneous of degree 1/2 in
     (x, t), so below x = 2^-1000, where t_c and tau would keep few bits, it
     is evaluated at (x, t) scaled by an exact power of two 2^e. x <= 0,
-    t <= 0 and non-finite input raise ValueError; an R past double range
-    raises EvaluationDomainError.
+    t <= 0 and non-finite input raise ValueError; a t that the scaling
+    carries past double range, or an R past it, raises EvaluationDomainError.
     """
     if not (0.0 < x < math.inf and 0.0 < t < math.inf):
         raise ValueError(f"ratio needs finite x > 0 and t > 0, got (x, t) = ({x!r}, {t!r})")
     e = max(-999 - math.frexp(x)[1], 0)
+    if math.frexp(t)[1] + e > sys.float_info.max_exp:
+        raise EvaluationDomainError(x, t, "t scaled by 2^e passes double range")
     xe, te = math.ldexp(x, e), math.ldexp(t, e)
     t_c = pole_crossing_time(p, xe)
     if te < 0.5 * t_c:
@@ -122,33 +127,28 @@ def ratio_R(p: SourceParams, x: float, t: float) -> float:
         raise EvaluationDomainError(x, t, "R passes double range") from None
 
 
-def _falling_root(f, a, b):
-    """(s, f(s)): s >= a with |f(s)| < ROOT_TOL where f falls through 0 once
-    past a, or s = a where f(a) < ROOT_TOL. b doubles until f(b) < 0, then
-    false position with the Illinois modification (the end kept twice in a
-    row has its value halved) closes the bracket [a, b]."""
-    fa = f(a)
-    if fa < ROOT_TOL:
-        return a, fa
-    fb = f(b)
-    while fb >= 0.0:
-        a, fa, b = b, fb, 2.0 * b
-        fb = f(b)
-    s, val, kept = a, fa, 0
+def _sigma_root(p: SourceParams, x: float, start: float):
+    """(sigma, ln R) at the root of ln R past t_c, or sigma = 0 where R neither
+    exceeds 1 nor rises there. Newton's method from start (not used unless in
+    (0, inf)) keeps a bracket [lo, hi] and bisects where a step leaves it or R
+    still rises; while hi is open, the point s is moved to 2 s + 1 instead."""
+    s, lo, hi = 0.0, 0.0, math.inf
+    f, d = _log_ratio_sigma(p, x, s)
+    if f < ROOT_TOL and d < ROOT_TOL:
+        return s, f
+    step = start if 0.0 < start < math.inf else -f / d if d < 0.0 else math.nan
     for _ in range(200):
-        s = a + (b - a) * (fa / (fa - fb))
-        val = f(s)
-        if abs(val) < ROOT_TOL:
-            break
-        if val > 0.0:
-            a, fa = s, val
-            fb = 0.5 * fb if kept > 0 else fb
-            kept = 1
+        # s lies left of the root iff R >= 1 there or R still rises (R is unimodal)
+        if f >= 0.0 or d > 0.0:
+            lo = s
         else:
-            b, fb = s, val
-            fa = 0.5 * fa if kept < 0 else fa
-            kept = -1
-    return s, val
+            hi = s
+        s = step if lo < step < hi else 0.5 * (lo + hi) if hi < math.inf else 2.0 * s + 1.0
+        f, d = _log_ratio_sigma(p, x, s)
+        if abs(f) < ROOT_TOL:
+            break
+        step = s - f / d if d < 0.0 else math.nan
+    return s, f
 
 
 # a closed form needs no cache, but the benchmark harness reads this
@@ -165,9 +165,10 @@ def transition_times(
 
     t_p is where R falls through 1 after t_c = x/(2(1 + k0I)); the upward
     crossing as the pole appears is not one. exact_ratio solves each x on its
-    own by _falling_root in sigma for sigma_M, then for the root of ln R past
-    it, which exists iff ln R(sigma_M) >= -ROOT_TOL (at x_max it is sigma = 0,
-    where ln R rounds to about 1e-14); t_p is at least the double after t_c.
+    own by one safeguarded Newton solve of ln R in sigma from the late_time
+    root. Where R neither exceeds 1 nor rises at t_c, sigma is 0 and valid iff
+    |ln R| < ROOT_TOL there (at x_max ln R rounds to about 1e-14); elsewhere it
+    is the root of ln R past t_c. t_p is at least the double after t_c.
     residual is |R - 1| at that sigma; at the double t_p add eps |t d(ln R)/dt|,
     of order eps/|k0I| and past 1e-6 below |k0I| = 1e-10. late_time takes the
     t >> |tau| reduction's closed form (module docstring), valid iff that root
@@ -181,7 +182,8 @@ def transition_times(
         raise ValueError("transition_time requires finite x > 0")
     k = abs(p.k0I)
     if method == "exact_ratio" and xs:
-        # sigma_M < b = 2/(beta x) and sigma_p < 1e3 b stay doubles while b < e^OVERFLOW_LIMIT
+        # R falls past sigma = 2/(beta x) and its root lies below 1e3 times that,
+        # a double while 2/(beta x) < e^OVERFLOW_LIMIT
         x0 = min(xs)
         if math.log(2.0 - 2.0 * k) - 2.0 * math.log(k) - math.log(x0) > OVERFLOW_LIMIT:
             raise EvaluationDomainError(x0, x0 / (2.0 - 2.0 * k), "sigma overflows")
@@ -194,16 +196,13 @@ def transition_times(
     rows = []
     for x in xs:
         t_c = pole_crossing_time(p, x)
+        log_c = math.log(x) - log_scale + p.k0I * x
+        l = math.log(p.gamma_rate / 3.0) + (2.0 / 3.0) * log_c
+        t_p = -3.0 / p.gamma_rate * lambertw_m1(l) if l <= -1.0 else math.nan
         if method == "exact_ratio":
-            b = 2.0 * (1.0 - k) / (k * k * x)
-            # (1 + sigma) d(ln R)/d sigma stops relative at large sigma
-            s_m = _falling_root(lambda s: (1.0 + s) * _log_ratio_sigma(p, x, s)[1], 0.0, b)[0]
-            s_p, val = _falling_root(lambda s: _log_ratio_sigma(p, x, s)[0], s_m, b)
+            s_p, val = _sigma_root(p, x, (t_p / t_c - 1.0) / k)
             t_p = max(t_c + t_c * k * s_p, math.nextafter(t_c, math.inf))
         else:
-            log_c = math.log(x) - log_scale + p.k0I * x
-            l = math.log(p.gamma_rate / 3.0) + (2.0 / 3.0) * log_c
-            t_p = -3.0 / p.gamma_rate * lambertw_m1(l) if l <= -1.0 else math.nan
             if t_p == math.inf:
                 raise EvaluationDomainError(x, t_c, "the late_time root passes double range")
             val = 1.5 * math.log(t_p) - (log_c + 0.5 * p.gamma_rate * t_p)

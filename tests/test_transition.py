@@ -82,6 +82,15 @@ def test_ratio_past_double_range_is_a_typed_error():
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k0I", [-0.3, -1e-17, -0.999999])
+def test_ratio_at_subnormal_distance_and_huge_time_is_a_typed_error(k0I):
+    # x = 5e-324 is scaled by 2^74, which carries t past double range from about 9.5e285
+    for t in (1e286, 1e300, 1.7e308):
+        with pytest.raises(sm.EvaluationDomainError):
+            tr.ratio_R(sm.SourceParams(k0I), 5e-324, t)
+
+
+@pytest.mark.filterwarnings("error")
 def test_sigma_overflow_is_a_typed_error(p03):
     # t_p/t_c passes the double range once k0I^2 x is below about 1e-277
     with pytest.raises(sm.EvaluationDomainError):
@@ -461,15 +470,17 @@ def test_transition_found_at_every_distance_down_to_tiny_decay_rates(k0I):
     # at a double t_p, ln R is conditioned as eps |t d(ln R)/dt|, of order eps/|k0I|
     p = sm.SourceParams(k0I)
     x_max = tr.max_distance(p)
-    rows = tr.transition_times(p, SWEEP_FRACTIONS * x_max)
+    # and at x_max (1 - 10^-u), where R's maximum past t_c nears 1
+    fractions = np.concatenate([SWEEP_FRACTIONS, 1.0 - 10.0 ** -np.arange(2.0, 13.0)])
+    rows = tr.transition_times(p, fractions * x_max)
     # late_time rows need only return without a warning
-    tr.transition_times(p, SWEEP_FRACTIONS * x_max, "late_time")
+    tr.transition_times(p, fractions * x_max, "late_time")
     assert all(q.valid for q in rows), [q.x / x_max for q in rows if not q.valid]
     for q in rows:
         log_r, t_dlog_r = log_ratio_mpmath_oracle(k0I, q.x, q.t_p)
         assert abs(log_r) <= tr.ROOT_TOL + 2.0 * EPS * abs(t_dlog_r), q
         assert q.t_p > q.x / (2.0 * (1.0 + k0I))
-    beyond = tr.transition_times(p, [1.02 * x_max, 1.5 * x_max])
+    beyond = tr.transition_times(p, [(1.0 + 1e-5) * x_max, 1.02 * x_max, 1.5 * x_max])
     assert not any(q.valid for q in beyond)
     assert all(math.isnan(q.t_p) for q in beyond)
 
@@ -518,8 +529,8 @@ def test_every_distance_gives_rows_or_a_typed_error(case, method):
 
 
 def test_transition_solve_cost_per_distance(monkeypatch):
-    # false position with the Illinois modification closes each bracket in a
-    # few steps; the bisection it replaced took about 45 evaluations per x
+    # ln R at t_c, then Newton's method from the late-time root: one
+    # evaluation at x_max, at most 7 elsewhere on this sweep
     calls = []
     log_ratio = tr._log_ratio_sigma
 
@@ -534,9 +545,27 @@ def test_transition_solve_cost_per_distance(monkeypatch):
         for x in (SWEEP_FRACTIONS * tr.max_distance(p)).tolist():
             del calls[:]
             assert tr.transition_time(p, x).valid
-            assert 0 < len(calls) <= 20, (k0I, x / tr.max_distance(p), len(calls))
+            assert 0 < len(calls) <= 8, (k0I, x / tr.max_distance(p), len(calls))
             rows += 1
     assert rows == 650
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k0I", [-0.9, -0.3, -1e-3, -1e-8], ids="{:.0e}".format)
+def test_sigma_root_from_any_start(k0I):
+    # from no start (nan), from one where R still rises (1e-12 at the smallest
+    # x) and from one far past the root (1e30), the bracket takes over where
+    # Newton's steps cannot, and the same falling root comes out
+    p = sm.SourceParams(k0I)
+    x_max = tr.max_distance(p)
+    for x in (1e-3 * x_max, 0.2 * x_max, 0.9 * x_max):
+        t_c = sm.pole_crossing_time(p, x)
+        for start in (math.nan, 1e-12, 1e30):
+            s, val = tr._sigma_root(p, x, start)
+            assert s > 0.0 and abs(val) < tr.ROOT_TOL, (x / x_max, start)
+            log_r, t_dlog_r = log_ratio_mpmath_oracle(k0I, x, t_c + t_c * abs(k0I) * s)
+            assert abs(log_r) <= tr.ROOT_TOL + 2.0 * EPS * abs(t_dlog_r), (x / x_max, start)
+            assert t_dlog_r < 0.0
 
 
 def _late_time_mpmath_root(k0I, x):

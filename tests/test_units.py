@@ -101,6 +101,20 @@ def test_scenario_count_under_closed_form_ceiling(rb87):
         assert rep.atoms_per_pixel_point <= ref.ceiling, X
 
 
+def test_scenario_headline_switches_at_the_coarse_pixel_ratio():
+    # just under COARSE_PIXEL_RATIO (99.9 L) the point sample is the headline;
+    # at 273.7 L it is the pixel integral, which cannot exceed the atoms emitted
+    for pixel, width, headline in ((7.3e-6, 99.9, 9210.18), (2e-5, 273.7, 34948.5)):
+        scenario = units.PhysicalScenario(**dict(RB87, pixel_size=pixel))
+        rep = units.scenario_transition_report(scenario, 100e-6)
+        assert rep.pixel_over_L == pytest.approx(width, rel=1e-3)
+        assert rep.atoms_per_pixel_at_transition == pytest.approx(headline, rel=1e-4)
+        ref = cold_atom_oracle(scenario, 100e-6, rep.t_p)
+        assert rep.atoms_per_pixel_point == pytest.approx(ref.count, rel=1e-9)
+    assert rep.atoms_per_pixel_at_transition == rep.atoms_per_pixel_integral
+    assert rep.atoms_per_pixel_integral <= scenario.atom_number
+
+
 def test_report_round_trips_to_dict(rb87):
     rep = units.scenario_transition_report(rb87, 100e-6)
     d = rep._asdict()
