@@ -21,6 +21,7 @@ like faddeeva, one value on floats and many at once on arrays.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import sys
 from typing import Optional
@@ -30,6 +31,7 @@ SQRT_PI = math.sqrt(math.pi)
 # exp(-z^2) in the lower half-plane grows like exp(Im(z)^2 - Re(z)^2);
 # refuse evaluations whose log-modulus passes this instead of returning inf.
 OVERFLOW_LIMIT = 0.9 * math.log(sys.float_info.max)
+HALF_MAX = 0.5 * sys.float_info.max
 
 
 # Weideman's N = 40 series: the Taylor coefficients in Z = (L + iz)/(L - iz),
@@ -98,29 +100,36 @@ def faddeeva(z):
     FaddeevaDomainError at the first offending z rather than returning inf.
     """
     array = _is_array(z)
-    if not array:
-        z = complex(z)
-    # |z| < inf fails exactly when a part is nan or infinite
-    growth = z.imag * z.imag - z.real * z.real
-    ok = (abs(z) < math.inf) & ((z.imag >= 0.0) | (growth <= OVERFLOW_LIMIT))
-    i = first_false(ok)
-    if i is None:
-        if array:
-            import numpy as np
+    if array:
+        import numpy as np
 
-            lower = z.imag < 0.0
-            w = _weideman(np.where(lower, -z, z))
-            if lower.any():
-                # exp(-z^2) only where it is bounded by the overflow guard
-                reflection = np.exp(-z * z, out=np.zeros_like(w), where=lower)
-                w = np.where(lower, 2.0 * reflection - w, w)
-        else:
-            w = 2.0 * cmath.exp(-z * z) - _weideman(-z) if z.imag < 0.0 else _weideman(z)
-        i = first_false(abs(w) < math.inf)
+        quiet = np.errstate(over="ignore", invalid="ignore")
+    else:
+        z, quiet = complex(z), contextlib.nullcontext()
+    with quiet:
+        # squares and products past double range are inf or nan here, and fail
+        # the guard. Below the real axis, z^2 = x^2 - y^2 + 2ixy: where 2xy passes
+        # double range, exp(-z^2) is nan unless x^2 does too, which makes it 0
+        x, y = z.real, z.imag
+        ok = ((abs(x) < math.inf) & (abs(y) < math.inf)
+              & ((y >= 0.0) | ((y * y - x * x <= OVERFLOW_LIMIT)
+                               & ((abs(x * y) <= HALF_MAX) | (x * x == math.inf)))))
+        i = first_false(ok)
         if i is None:
-            return w
+            if array:
+                lower = y < 0.0
+                w = _weideman(np.where(lower, -z, z))
+                if lower.any():
+                    # exp(-z^2) only where it is bounded by the overflow guard
+                    reflection = np.exp(-z * z, out=np.zeros_like(w), where=lower)
+                    w = np.where(lower, 2.0 * reflection - w, w)
+            else:
+                w = 2.0 * cmath.exp(-z * z) - _weideman(-z) if y < 0.0 else _weideman(z)
+            i = first_false(abs(w) < math.inf)
+            if i is None:
+                return w
     bad = complex(z.flat[i] if array else z)
-    reason = "exp(-z^2) overflows" if abs(bad) < math.inf else "non-finite argument"
+    reason = "exp(-z^2) overflows" if cmath.isfinite(bad) else "non-finite argument"
     raise FaddeevaDomainError(bad, reason, i if array else None)
 
 
@@ -161,8 +170,11 @@ def faddeeva_asymptotic(z: complex, m_max: int) -> complex:
 
 
 def faddeeva_derivative(z):
-    """dw/dz via the identity w'(z) = -2 z w(z) + 2i/sqrt(pi); scalar or array."""
-    return -2.0 * z * faddeeva(z) + 2j / SQRT_PI
+    """dw/dz via the identity w'(z) = -2 z w(z) + 2i/sqrt(pi); scalar or array.
+
+    z w(z) is formed first: 2z alone passes double range from |z| ~ 9e307.
+    """
+    return -2.0 * (z * faddeeva(z)) + 2j / SQRT_PI
 
 
 # within this distance p of the branch point the series is exact to

@@ -38,10 +38,12 @@ falls at t_c wherever x >= x_max / 2.44, so max R over t > t_c is e^g near
 x_max and x_max = -W_{-1}(-2 beta e^{-2C})/(2 beta); the argument reduces to
 -2(1 + k0I)^2/(pi((2 + k0I)^2 + k0I^2)), in [-1/(2 pi), 0).
 
-The turning point of t_p(x) solves {ln R = 0, d(ln R)/dx = 0} by Newton's
-method in (x, t). With s0 = 1/(4 k0^2) and q = t^2 - s0 x^2 the partials are
-d/dx = -1/x - k0I + Re(-2 s0 x/q), d/dt = (d/d sigma)/(kappa t_c),
-d2/dx2 = 1/x^2 + Re(-2 s0/q - 4 s0^2 x^2/q^2) and d2/dxdt = Re(4 s0 x t/q^2).
+The turning point: at fixed sigma, x enters ln R only through (ln x)/2 - beta x (sigma + 1)
+and t_p = x (1 + kappa sigma)/(2(1 + k0I)), so on ln R = 0, dt_p/dx = 0 is
+(1 + kappa sigma) d(ln R)/d sigma = kappa (1/2 - beta x (sigma + 1)), linear in x as
+beta (1 - kappa) = kappa^2. t_p rises with x past the locus, which tends to 1/kappa,
+
+    x(sigma) = [(1 + kappa sigma)(Re 1/(sigma + c) + kappa Re 1/(1 + kappa sigma + rho)) - kappa] / kappa^2.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from .source_model import EvaluationDomainError, SourceParams, kernel, pole_cros
 from .specfun import OVERFLOW_LIMIT, lambertw_m1
 
 ROOT_TOL = 1e-6          # |ln R| (exact_ratio) or |residual| (late_time) at the root
-NEWTON_STEPS = 50        # turning-point iteration cap
 
 
 class TransitionPoint(NamedTuple):
@@ -222,41 +223,37 @@ def transition_time(
     return transition_times(p, [x], method)[0]
 
 
-def _log_ratio_partials(p: SourceParams, x: float, t: float):
-    """ln R and its partials d/dx, d/dt, d2/dx2, d2/dxdt at one (x, t)."""
-    s0, k, t_c = 1.0 / (4.0 * p.k0 * p.k0), p.k0I, pole_crossing_time(p, x)
-    q = t * t - s0 * x * x
-    f, f_s = _log_ratio_sigma(p, x, (t / t_c - 1.0) / abs(k))
-    d_x = -1.0 / x - k + (-2.0 * s0 * x / q).real
-    d_xx = 1.0 / (x * x) + (-2.0 * s0 / q - 4.0 * (s0 * x / q) ** 2).real
-    d_xt = (4.0 * s0 * x * t / (q * q)).real
-    return f, d_x, f_s / (abs(k) * t_c), d_xx, d_xt
+def _turning_locus(p: SourceParams, s):
+    """x(sigma) where t_p(x) is stationary at sigma, and ln R there (module docstring)."""
+    k, c_re, c_im, rho_re, rho_im = _sigma_terms(p.k0I)[:5]
+    w, v = s + c_re, 1.0 + k * s + rho_re
+    # Re 1/(sigma + c) and Re 1/(1 + kappa sigma + rho), with no square of w, v > 0
+    x = ((1.0 + k * s) * (1.0 / (w + c_im * c_im / w) + k / (v + rho_im * rho_im / v)) - k) / (k * k)
+    return x, _log_ratio_sigma(p, x, s)[0]
 
 
 def tp_turning_point(p: SourceParams) -> float:
     """x that minimizes t_p(x) over (0, x_max]; expected near 1/|k0I|.
 
-    dt_p/dx has the sign of d(ln R)/dx, since R falls through 1 at t_p. If
-    t_p still falls at x_max (it does at k0I -0.9: the stationary point lies
-    past x_max, where no transition exists), x_max is returned. Otherwise
-    Newton's method solves {ln R = 0, d(ln R)/dx = 0} in (x, t) from
-    x0 = min(1/|k0I|, x_max/2), t0 = t_p(x0), in 4-7 steps; where it does
-    not converge in NEWTON_STEPS, EvaluationDomainError names its last iterate.
+    t_p(x) rises past the locus x(sigma) of the module docstring. Where the
+    locus starts at or past x_max, or ln R <= 0 there, t_p still falls at
+    x_max (as at k0I -0.9) and x_max is returned. Otherwise ln R along the
+    locus falls through 0 once: the bracket's upper end doubles from 1/|k0I|
+    until ln R < 0, then it is bisected until it stops shrinking, in at most
+    about 65 evaluations of ln R.
     """
-    x_max, t_max = critical_distance(p)
-    if _log_ratio_partials(p, x_max, t_max)[1] < 0.0:
+    x_max = max_distance(p)
+    x, f = _turning_locus(p, 0.0)
+    if x >= x_max or f <= 0.0:
         return x_max
-    x = min(1.0 / abs(p.k0I), 0.5 * x_max)
-    t = transition_time(p, x).t_p
-    for _ in range(NEWTON_STEPS):
-        f, f_x, f_t, f_xx, f_xt = _log_ratio_partials(p, x, t)
-        det = f_x * f_xt - f_t * f_xx
-        dx, dt = (f_t * f_x - f * f_xt) / det, (f * f_xx - f_x * f_x) / det
-        x, t = x + dx, t + dt
-        if abs(dx) <= 1e-12 * x and abs(dt) <= 1e-12 * t:
-            return x
-    raise EvaluationDomainError(
-        x, t, f"turning-point Newton iteration did not converge at k0I={p.k0I!r}")
+    lo, hi = 0.0, 1.0 / abs(p.k0I)
+    while _turning_locus(p, hi)[1] >= 0.0:
+        lo, hi = hi, 2.0 * hi
+    while lo < 0.5 * (lo + hi) < hi:
+        s = 0.5 * (lo + hi)
+        x, f = _turning_locus(p, s)
+        lo, hi = (s, hi) if f >= 0.0 else (lo, s)
+    return x
 
 
 def max_distance(p: SourceParams) -> float:

@@ -120,10 +120,14 @@ def to_dimensionless(
 
 
 def to_physical(s: PhysicalScenario, x: float, t: float) -> Tuple[float, float]:
-    """Dimensionless (x, t) -> (X meters, T seconds); x < 0, t <= 0, non-finite: ValueError."""
+    """Dimensionless (x, t) -> (X meters, T seconds); x < 0, t <= 0, non-finite,
+    or an X or T past double range: ValueError."""
     if not (0.0 <= x < math.inf and 0.0 < t < math.inf):
         raise ValueError(f"need finite x >= 0 and t > 0, got (x, t) = ({x!r}, {t!r})")
-    return x * s.length_unit, t * s.time_unit
+    X, T = x * s.length_unit, t * s.time_unit
+    if not (X < math.inf and T < math.inf):
+        raise ValueError(f"(x, t) = ({x!r}, {t!r}) passes double range in SI units")
+    return X, T
 
 
 class ScenarioReport(NamedTuple):
@@ -189,15 +193,19 @@ def scenario_transition_report(s: PhysicalScenario, X_detector: float) -> Scenar
     The pixel count is reported both as point-density times pixel width and
     as the true pixel integral; the headline field uses the integral only in
     the coarse-pixel regime (pixel wider than 100 length units), where point
-    sampling is meaningless.
+    sampling is meaningless. A field that passes double range (a product of
+    SI and dimensionless values can where neither does) raises
+    ScenarioUnrepresentableError.
     """
     if not 0.0 < X_detector < math.inf:
         raise ValueError(f"X_detector must be positive and finite; got {X_detector!r}")
     p = source_params(s)
     L = s.length_unit
     x = X_detector / L
-    tp = transition_time(p, x)
     width = s.pixel_size / L
+    if width == math.inf:
+        raise ScenarioUnrepresentableError("pixel_over_L lies outside double range")
+    tp = transition_time(p, x)
 
     if tp.valid:
         point = s.atom_number * tp.density_normalized * width
@@ -208,7 +216,7 @@ def scenario_transition_report(s: PhysicalScenario, X_detector: float) -> Scenar
         point = integral = headline = math.nan
         t_p = t_p_phys = math.nan
 
-    return ScenarioReport(
+    report = ScenarioReport(
         L_m=L,
         t_unit_s=s.time_unit,
         k0I=p.k0I,
@@ -224,6 +232,10 @@ def scenario_transition_report(s: PhysicalScenario, X_detector: float) -> Scenar
         valid=tp.valid,
         method=tp.method,
     )
+    outside = [name for name, v in zip(report._fields, report) if v == math.inf]
+    if outside:
+        raise ScenarioUnrepresentableError(f"{', '.join(outside)} lies outside double range")
+    return report
 
 
 def load_scenario_config(path: str) -> Tuple[PhysicalScenario, Optional[float]]:

@@ -7,6 +7,12 @@ argv inside the domain exits 0, or 1 with exactly one `error:` line; one
 with a value outside it exits 2 with one `error:` line. No call raises, and
 none warns. Grids stay at 3 x 3 or smaller. Scenario configs, written
 to files, put each field at a double-range edge or at its rb87 value.
+
+The library's contract, swept the same way: every callable in
+postexp.__all__, called directly on the same domain and edges (Faddeeva
+arguments as scalars and arrays), returns finite values (nan only where
+its docstring says so) or raises UsageError, ValueError or
+ComputationError, and never warns.
 """
 
 import contextlib
@@ -14,10 +20,18 @@ import io
 import math
 import warnings
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from postexp import cli, units
+from postexp import (ComputationError, LatticeParams, NormalizationResult, PhysicalScenario,
+                     ScenarioReport, SourceParams, TransitionPoint, UsageError, Wave, cli,
+                     critical_density_curve, critical_distance, evolve, faddeeva,
+                     faddeeva_derivative, jittoh_criterion, kernel, lattice_transition_time,
+                     load_scenario_config, ratio_R, scenario_transition_report, spatial_norm,
+                     tail_exponent, to_dimensionless, to_physical, total_emitted,
+                     tp_turning_point, transition_time, units)
 
 SWEEP = settings(max_examples=250, deadline=None, derandomize=True)
 
@@ -159,3 +173,160 @@ def test_every_scenario_config_exits_by_the_domain(tmp_path, case):
         assert err == "", (fields, distance, err)
     else:
         assert err.startswith("error: ") and err.count("\n") == 1, (fields, distance, err)
+
+
+# ------------------------------------------------ the library, called directly
+
+LIBRARY_SWEEP = settings(max_examples=40, deadline=None, derandomize=True)
+
+X_ANY = st.one_of(st.sampled_from([0.0, TINY, 1e300, -1.0, math.nan, math.inf]),
+                  _log_uniform(-324.0, 300.0))
+K0I_ANY = st.one_of(K0I, st.sampled_from(OUTSIDE["k0i"]))
+DELTA_ANY = st.one_of(DELTA, st.sampled_from(OUTSIDE["delta"]))
+# short horizons keep chains small; LatticeParams and lattice_transition_time, which
+# build no chain, also take the longest
+HORIZON = st.one_of(st.just(TINY), _log_uniform(-3.0, math.log10(60.0)))
+T_MAX_ANY = st.one_of(HORIZON, st.sampled_from([9980.0, 9981.0, *OUTSIDE["t_max"]]))
+SI = st.one_of(st.sampled_from(EDGES), st.just(None))
+# parts of z: each side of 2|xy| = DBL_MAX, and of x^2 - y^2 = 0.9 ln DBL_MAX
+PART = st.one_of(st.sampled_from([0.0, TINY, 1.0, 27.0, 1e9, 3e153, 1e154, 1e160, 1e300,
+                                  1.7976931348623157e308, math.inf, math.nan]),
+                 _log_uniform(-324.0, 308.0)).flatmap(lambda v: st.sampled_from([v, -v]))
+Z = st.builds(complex, PART, PART)
+Z_ANY = st.one_of(Z, st.lists(Z, min_size=1, max_size=4).map(np.array))
+
+
+def _scenario(fields):
+    """A PhysicalScenario with the rb87 value where a field is None."""
+    values = [v if f is None else f for v, f in zip(RB87_CONFIG.values(), fields)]
+    return PhysicalScenario(*values)
+
+
+def _record(cls):
+    return (st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=len(cls._fields),
+                     max_size=len(cls._fields)), lambda values: cls(*values))
+
+
+def _sorted_times(t_max):
+    return st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3).map(
+        lambda fs: sorted(f * t_max for f in fs))
+
+
+@st.composite
+def _tail_args(draw):
+    delta, t_max = draw(DELTA), draw(HORIZON)
+    lo, hi = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+    return delta, t_max, draw(st.integers(0, 45)), (lo * t_max, hi * t_max)
+
+
+@st.composite
+def _evolve_args(draw):
+    t_max = draw(HORIZON)
+    return draw(DELTA_ANY), t_max, draw(_sorted_times(t_max))
+
+
+def _grid_of(values):
+    return st.one_of(values, st.lists(values, min_size=1, max_size=3).map(np.array))
+
+
+# name in postexp.__all__ -> (strategy of an argument tuple, the call on it)
+LIBRARY_CALLS = {
+    "SourceParams": (st.tuples(K0I_ANY), SourceParams),
+    "LatticeParams": (st.tuples(DELTA_ANY, T_MAX_ANY), LatticeParams),
+    "PhysicalScenario": (st.tuples(st.lists(SI, min_size=5, max_size=5)), _scenario),
+    "TransitionPoint": _record(TransitionPoint),
+    "Wave": _record(Wave),
+    "NormalizationResult": _record(NormalizationResult),
+    "ScenarioReport": _record(ScenarioReport),
+    "faddeeva": (st.tuples(Z_ANY), faddeeva),
+    "faddeeva_derivative": (st.tuples(Z_ANY), faddeeva_derivative),
+    "kernel": (st.tuples(K0I_ANY, _grid_of(X_ANY), _grid_of(X_ANY), st.booleans()),
+               lambda k, x, t, d: kernel(SourceParams(k), x, t, derivative=d)),
+    "ratio_R": (st.tuples(K0I_ANY, X_ANY, X_ANY),
+                lambda k, x, t: ratio_R(SourceParams(k), x, t)),
+    "transition_time": (st.tuples(K0I_ANY, X_ANY, st.sampled_from(["exact_ratio", "late_time"])),
+                        lambda k, x, m: transition_time(SourceParams(k), x, m)),
+    "critical_distance": (st.tuples(K0I_ANY), lambda k: critical_distance(SourceParams(k))),
+    "critical_density_curve": (
+        st.tuples(st.lists(K0I_ANY, min_size=1, max_size=3)),
+        lambda ks: critical_density_curve([SourceParams(k) for k in ks])),
+    "jittoh_criterion": (st.tuples(K0I_ANY), lambda k: jittoh_criterion(SourceParams(k))),
+    "tp_turning_point": (st.tuples(K0I_ANY), lambda k: tp_turning_point(SourceParams(k))),
+    "total_emitted": (st.tuples(K0I_ANY), lambda k: total_emitted(SourceParams(k))),
+    # small T, and one past MAX_PANELS, keep each quadrature cheap
+    "spatial_norm": (st.tuples(K0I_ANY, st.one_of(_log_uniform(-324.0, math.log10(5.0)),
+                                                  st.sampled_from([-1.0, math.nan, 1e4]))),
+                     lambda k, T: spatial_norm(SourceParams(k), T)),
+    "evolve": (_evolve_args(), lambda delta, t_max, ts: evolve(LatticeParams(delta, t_max), ts)),
+    "lattice_transition_time": (
+        st.tuples(DELTA_ANY, T_MAX_ANY, st.integers(-1, 20000)),
+        lambda delta, t_max, n: lattice_transition_time(LatticeParams(delta, t_max), n)),
+    "tail_exponent": (_tail_args(), lambda delta, t_max, n, window: tail_exponent(
+        LatticeParams(delta, t_max), n, window)),
+    "to_dimensionless": (st.tuples(st.lists(SI, min_size=5, max_size=5), X_ANY, X_ANY),
+                         lambda fields, X, T: to_dimensionless(_scenario(fields), X, T)),
+    "to_physical": (st.tuples(st.lists(SI, min_size=5, max_size=5), X_ANY, X_ANY),
+                    lambda fields, x, t: to_physical(_scenario(fields), x, t)),
+    "scenario_transition_report": (
+        st.tuples(st.lists(SI, min_size=5, max_size=5), st.sampled_from(DISTANCES + [-1.0])),
+        lambda fields, X: scenario_transition_report(_scenario(fields), X)),
+    "load_scenario_config": (scenario_configs(), None),
+}
+
+# a nan in these results is documented: no transition, or no admissible root
+DOCUMENTED_NAN = {
+    "transition_time": lambda r: not r.valid,
+    "scenario_transition_report": lambda r: not r.valid,
+    "lattice_transition_time": lambda r: True,
+}
+
+
+def _numbers(value):
+    """Every float in a result: its complex parts, array entries and fields."""
+    if value is None or isinstance(value, (bool, str)):
+        return
+    if isinstance(value, (int, float)):
+        yield float(value)
+    elif isinstance(value, complex):
+        yield from (value.real, value.imag)
+    elif isinstance(value, np.ndarray):
+        for v in value.ravel().tolist():
+            yield from _numbers(v)
+    else:
+        for v in value:
+            yield from _numbers(v)
+
+
+def test_the_library_sweep_calls_every_public_callable():
+    import postexp
+
+    public = {name for name in postexp.__all__ if callable(getattr(postexp, name))}
+    assert set(LIBRARY_CALLS) == public
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_CALLS))
+def test_every_library_call_answers_by_the_domain(name, tmp_path):
+    """A finite value (nan where documented) or a UsageError, ValueError or
+    ComputationError, and never a warning."""
+    args, call = LIBRARY_CALLS[name]
+    if name == "load_scenario_config":
+        def call(fields, distance):
+            path = tmp_path / "scenario.cfg"
+            path.write_text("".join(f"{key} = {value!r}\n" for key, value in
+                                    {**fields, "detector_distance_m": distance}.items()))
+            return load_scenario_config(str(path))
+
+    @LIBRARY_SWEEP
+    @given(args)
+    def check(a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = call(*a) if isinstance(a, tuple) else call(a)
+            except (UsageError, ValueError, ComputationError):
+                return
+        nan_ok = DOCUMENTED_NAN.get(name, lambda r: False)(result)
+        for v in _numbers(result):
+            assert math.isfinite(v) or (nan_ok and math.isnan(v)), (a, result)
+
+    check()

@@ -11,6 +11,8 @@ from postexp import specfun
 
 from conftest import erfc_one_series, faddeeva_quad_oracle
 
+EPS = np.finfo(float).eps
+
 
 def test_value_at_origin():
     assert specfun.faddeeva(0j) == pytest.approx(1.0 + 0j, abs=1e-15)
@@ -114,6 +116,35 @@ def test_overflow_guard():
         specfun.faddeeva(-40j)
     with pytest.raises(specfun.FaddeevaDomainError):
         specfun.faddeeva_asymptotic(-40j, 3)
+
+
+# 2|Re z Im z| past double range, with Re(z^2) zero, finite positive and nan
+FAR_LOWER = [1e154 - 1e154j, 1e154 - 0.9e154j, 1e160 - 1e160j]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f", [specfun.faddeeva, specfun.faddeeva_derivative],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("z", FAR_LOWER, ids=repr)
+def test_far_lower_half_plane_is_a_typed_error(f, z):
+    # exp(-z^2) there has modulus at least 1 and a phase 2xy past double range
+    with pytest.raises(specfun.FaddeevaDomainError) as scalar:
+        f(z)
+    assert scalar.value.index is None
+    with pytest.raises(specfun.FaddeevaDomainError) as array:
+        f(np.array([0.5 - 0.5j, z, 1.0]))
+    assert array.value.index == 1
+    assert str(array.value) == str(scalar.value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z", [3e153 - 1e153j, 1e200 - 1j, -1e300 - 1e10j], ids=repr)
+def test_far_lower_half_plane_where_the_reflection_vanishes(z):
+    # |exp(-z^2)| = e^{y^2 - x^2} is 0 in double, so w(z) = -w(-z) ~ i/(sqrt(pi) z)
+    # to a relative 1/(2 z^2); here 2xy is in range, or x^2 passes it too
+    want = 1j / math.sqrt(math.pi) / z
+    for got in (specfun.faddeeva(z), specfun.faddeeva(np.array([z]))[0]):
+        assert abs(got - want) <= 4.0 * EPS * abs(want)
 
 
 # ------------------------------------------------------------- Lambert W

@@ -161,20 +161,16 @@ def test_turning_point_near_reciprocal_decay_scale(p01, p03):
 
 
 @pytest.mark.parametrize("k0I, x, t", [(-0.3, 3.8, 7.0), (-0.05, 20.0, 60.0), (-0.9, 0.4, 2.5)])
-def test_log_ratio_partials_match_finite_differences(k0I, x, t):
+def test_log_ratio_sigma_matches_finite_differences(k0I, x, t):
     p = sm.SourceParams(k0I)
-    f, f_x, f_t, f_xx, f_xt = tr._log_ratio_partials(p, x, t)
-    h, g = 1e-4 * x, 1e-4 * t
-
-    def d_x(x, t):
-        return (log_ratio_oracle(k0I, x + h, t) - log_ratio_oracle(k0I, x - h, t)) / (2.0 * h)
-
+    t_c = sm.pole_crossing_time(p, x)
+    f, f_s = tr._log_ratio_sigma(p, x, (t / t_c - 1.0) / abs(k0I))
+    g = 1e-4 * t
     assert f == pytest.approx(log_ratio_oracle(k0I, x, t), rel=1e-12, abs=1e-12)
-    assert f_x == pytest.approx(d_x(x, t), rel=1e-6, abs=1e-9)
-    assert f_t == pytest.approx((log_ratio_oracle(k0I, x, t + g)
-                                 - log_ratio_oracle(k0I, x, t - g)) / (2.0 * g), rel=1e-6, abs=1e-9)
-    assert f_xx == pytest.approx((d_x(x + h, t) - d_x(x - h, t)) / (2.0 * h), rel=1e-3)
-    assert f_xt == pytest.approx((d_x(x, t + g) - d_x(x, t - g)) / (2.0 * g), rel=1e-3)
+    # d/d sigma = kappa t_c d/dt
+    assert f_s / (abs(k0I) * t_c) == pytest.approx(
+        (log_ratio_oracle(k0I, x, t + g) - log_ratio_oracle(k0I, x, t - g)) / (2.0 * g),
+        rel=1e-6, abs=1e-9)
 
 
 def _oracle_t_p(k0I, x):
@@ -207,6 +203,68 @@ def test_turning_point_at_the_critical_distance():
     assert tr.tp_turning_point(p) == x_max
     tps = [_oracle_t_p(-0.9, x) for x in np.linspace(0.05, 1.0 - 1e-6, 200) * x_max]
     assert np.all(np.diff(tps) < 0.0)
+
+
+def test_turning_point_calls_no_kernel(monkeypatch):
+    p = sm.SourceParams(-0.3)
+    want = tr.tp_turning_point(p)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel called")
+
+    monkeypatch.setattr(tr, "kernel", refuse)
+    assert tr.tp_turning_point(p) == want
+    assert 0.0 < want < tr.max_distance(p)
+
+
+# t_p(x) turns from a minimum inside (0, x_max) to a minimum at x_max here
+SWITCH_K0I = -0.73020575062412
+
+
+@pytest.mark.filterwarnings("error")
+def test_turning_point_on_both_sides_of_the_switch_to_x_max():
+    inside, past = (sm.SourceParams(SWITCH_K0I * (1.0 + u)) for u in (-1e-5, 1e-5))
+    xstar, x_max = tr.tp_turning_point(inside), tr.max_distance(inside)
+    assert xstar < x_max
+    # within half the gap to x_max, t_p rises on both sides
+    d = 0.5 * (1.0 - xstar / x_max)
+    t_star = _oracle_t_p(inside.k0I, xstar)
+    for side in (1.0 - d, 1.0 + d):
+        assert _oracle_t_p(inside.k0I, xstar * side) > t_star, side
+    x_max = tr.max_distance(past)
+    assert tr.tp_turning_point(past) == x_max
+    tps = [_oracle_t_p(past.k0I, x) for x in np.linspace(0.9, 1.0 - 1e-6, 50) * x_max]
+    assert np.all(np.diff(tps) < 0.0)
+
+
+def _t_p_high_precision(k0I, x, dps):
+    """Root of the t-form ln R at dps digits, from the late-time Lambert-W root.
+
+    Near t_c, t^2 - tau^2 cancels to order |k0I| t^2, and t_p moves by only a
+    few 1e-9 over x* (1 +- 1e-3), so dps must pass -log10|k0I| by far.
+    """
+    with mpmath.workdps(dps):
+        k0, xm, kappa = mpmath.mpc(1, k0I), mpmath.mpf(x), -mpmath.mpf(k0I)
+        tau = xm / (2 * k0)
+        log_a = mpmath.log(2 * mpmath.sqrt(mpmath.pi) * abs(k0) ** 2 / xm) - k0I * xm
+
+        def log_r(t):
+            return log_a - mpmath.log(t) / 2 - 2 * kappa * t + mpmath.log(abs(t * t - tau * tau))
+
+        # t^{3/2} e^{-2 kappa t} = e^{-log_a}, for t >> |tau|
+        w = mpmath.lambertw(-(4 * kappa / 3) * mpmath.exp(2 * log_a / 3), -1)
+        return mpmath.findroot(log_r, -3 * mpmath.re(w) / (4 * kappa))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k0I, dps", [(-1e-100, 260), (-1e-150, 360)], ids=["-1e-100", "-1e-150"])
+def test_turning_point_is_a_local_minimum_at_tiny_decay_rates(k0I, dps):
+    p = sm.SourceParams(k0I)
+    xstar = tr.tp_turning_point(p)
+    assert 0.0 < xstar < tr.max_distance(p)
+    t_star = _t_p_high_precision(k0I, xstar, dps)
+    for side in (1.0 - 1e-3, 1.0 + 1e-3):
+        assert _t_p_high_precision(k0I, xstar * side, dps) > t_star, side
 
 
 def test_critical_distance_frozen(p03):
@@ -437,12 +495,6 @@ def test_x_max_outside_double_precision_is_a_typed_error(k0I):
     for f in (tr.max_distance, tr.critical_distance, tr.tp_turning_point):
         with pytest.raises(sm.EvaluationDomainError, match=r"^evaluation domain error: x_max = exp"):
             f(p)
-
-
-def test_turning_point_without_convergence_is_a_typed_error(p03, monkeypatch):
-    monkeypatch.setattr(tr, "NEWTON_STEPS", 0)
-    with pytest.raises(sm.EvaluationDomainError, match="did not converge at k0I=-0.3"):
-        tr.tp_turning_point(p03)
 
 
 @pytest.mark.parametrize("k0I", [-0.5, -0.1, -1e-2, -1e-4, -1e-6, -1e-8, -1e-9, -1e-10],

@@ -64,12 +64,32 @@ def test_to_physical_refuses_what_to_dimensionless_refuses(rb87):
         with pytest.raises(ValueError, match="need finite x >= 0 and t > 0"):
             units.to_physical(rb87, x, t)
     assert units.to_physical(rb87, 0.0, 1.0) == (0.0, rb87.time_unit)
+    # finite x and t whose SI values are not, as to_dimensionless refuses x = X/L = inf;
+    # a light, slow source has units near 1e266 m and s
+    light = units.PhysicalScenario(1e-300, 1.0, 1.0, 1.0, 1.0)
+    for x, t in ((1e100, 1.0), (1.0, 1e100)):
+        with pytest.raises(ValueError, match="passes double range in SI units"):
+            units.to_physical(light, x, t)
 
 
 def test_scenario_report_refuses_a_distance_outside_the_positive_reals(rb87):
     for X in (0.0, -1e-6, math.nan, math.inf):
         with pytest.raises(ValueError, match=f"^X_detector must be positive and finite; got {X!r}$"):
             units.scenario_transition_report(rb87, X)
+
+
+@pytest.mark.filterwarnings("error")
+def test_scenario_report_fields_past_double_range_are_refused(rb87):
+    # a pixel wider than DBL_MAX length units, with and without a transition
+    wide = rb87._replace(pixel_size=1.7e308)
+    for X in (100e-6, 0.01):
+        with pytest.raises(units.ScenarioUnrepresentableError, match="^pixel_over_L lies"):
+            units.scenario_transition_report(wide, X)
+    # a light, long-lived source: L ~ 1e266 m and x_max ~ 1.45/k0I^2 ~ 5e68
+    light = units.PhysicalScenario(1e-300, 1e300, 1.0, 1.0, 1.0)
+    with pytest.raises(units.ScenarioUnrepresentableError,
+                       match="^largest_detector_distance_m lies outside double range$"):
+        units.scenario_transition_report(light, 1e300)
 
 
 def test_scenario_report_frozen(rb87):
