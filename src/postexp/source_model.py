@@ -3,9 +3,8 @@
 Dimensionless model on the half-line x >= 0: the value at the origin is
 prescribed as psi(0, t) = exp(-i omega0 t) for t > 0 (nothing before the
 switch-on), with omega0 = k0^2 and k0 = 1 + i k0I, -1 < k0I < 0. The exact
-solution is a sum of two Faddeeva terms; its asymptotic decomposition is a
-saddle (algebraic) part plus a conditionally present pole (resonance) part.
-kernel evaluates all three, and d psi/dx on request, at scalar or array (x, t).
+solution is a sum of two Faddeeva terms, asymptotically a saddle part plus a
+pole part present past t_c; kernel evaluates all three at scalar or array (x, t).
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
+import sys
 from typing import Any, NamedTuple, Optional, Tuple
 
 from . import ComputationError, specfun
@@ -22,6 +22,7 @@ SQRT_PI = math.sqrt(math.pi)
 # the kernel squares t, x and k_s = x/(2t) and multiplies two such squares;
 # below this scale none of those products overflows
 SCALE_LIMIT = 1e150
+LOG_MAX, DBL_MIN = math.log(sys.float_info.max), sys.float_info.min
 
 
 class EvaluationDomainError(ComputationError):
@@ -29,8 +30,7 @@ class EvaluationDomainError(ComputationError):
     point (x and t None)."""
 
     def __init__(self, x: Optional[float], t: Optional[float], reason: str):
-        self.x = x
-        self.t = t
+        self.x, self.t = x, t
         at = "" if x is None else f" at (x={x!r}, t={t!r})"
         super().__init__(f"evaluation domain error{at}: {reason}")
 
@@ -91,7 +91,7 @@ class Wave(NamedTuple):
 
     psi: Any            # exact value
     saddle: Any         # algebraic part, finite: its poles k_s = +-k0 are off the real axis
-    pole: Any           # resonance part e^{-i omega0 t} e^{i k0 x}, unconditional
+    pole: Any           # resonance part e^{-i omega0 t} e^{i k0 x} past t_c, |pole| < 1; 0 before
     pole_crossed: Any   # t > x/(2(1 + k0I)), i.e. Im u_+ > 0
     dpsi_dx: Any        # d psi/dx; None unless derivative=True
 
@@ -104,9 +104,7 @@ def pole_crossing_time(p: SourceParams, x):
 def _point(x, t, i: int) -> Tuple[float, float]:
     if not specfun._is_array(x, t):
         return float(x), float(t)
-    import numpy as np
-
-    xb, tb = np.broadcast_arrays(x, t)
+    xb, tb = sys.modules["numpy"].broadcast_arrays(x, t)
     return float(xb.flat[i]), float(tb.flat[i])
 
 
@@ -115,34 +113,26 @@ def kernel(p: SourceParams, x, t, derivative: bool = False) -> Wave:
 
     psi = (1/2) e^{i k_s^2 t} [w(-u_+) + w(-u_-)], one vectorized w call per
     branch, with k_s = x/(2t) the stationary wavenumber and
-    u_+- = +-(1 + i) sqrt(t/2) (k0 -+ k_s). The saddle part is
-    sqrt(2/pi) t^{-1/2} e^{i k_s^2 t} k_s / ((i - 1)(k0 - k_s)(k0 + k_s)):
-    |k0 - k_s| >= |k0I| and |k0 + k_s| >= 1, so its denominator never
-    vanishes. derivative adds d psi/dx through w'(z) = -2 z w(z) + 2i/sqrt(pi)
-    and du_+-/dx = -(1+i)/(2 sqrt(2t)).
+    u_+- = +-(1 + i) sqrt(t/2) (k0 -+ k_s), to about eps (x^2/(4t) + |u_+-|^2).
+    psi ~ saddle + pole: the saddle part sqrt(2/pi) t^{-1/2} e^{i k_s^2 t} k_s
+    / ((i - 1)(k0 - k_s)(k0 + k_s)) is finite, as |k0 - k_s| >= |k0I| and
+    |k0 + k_s| >= 1; the pole part is 0 before t_c. derivative adds d psi/dx
+    through w'(z) = -2 z w(z) + 2i/sqrt(pi), to about eps |u_+-|^2.
 
-    x < 0, t <= 0 and non-finite inputs raise ValueError; a value that
-    leaves double precision raises EvaluationDomainError at the first
-    offending point (flat order), never inf or nan. Scalars and arrays
-    refuse the same points with the same message.
+    x < 0, t <= 0 and non-finite inputs raise ValueError; t, x or x/(2t) at
+    SCALE_LIMIT, or a saddle or w(z) past double range, EvaluationDomainError
+    at the first offending point in flat order, alike on both paths: never inf or nan.
     """
     i = specfun.first_false((x >= 0.0) & (x < math.inf) & (t > 0.0) & (t < math.inf))
     if i is not None:
         raise ValueError(f"need finite x >= 0 and t > 0, got (x, t) = {_point(x, t, i)}")
-    # |pole| = e^{k0I (2t - x)} overflows far beyond the front; halved, the
-    # test is the same in binary and cannot overflow itself
-    i = specfun.first_false((p.k0I * (t - 0.5 * x) <= 0.5 * specfun.OVERFLOW_LIMIT)
-                            & (t < SCALE_LIMIT) & (x < SCALE_LIMIT)
-                            & (x / (2.0 * SCALE_LIMIT) < t))
+    i = specfun.first_false((t < SCALE_LIMIT) & (x < SCALE_LIMIT) & (x / (2.0 * SCALE_LIMIT) < t))
     if i is not None:
-        xi, ti = _point(x, t, i)
-        reason = ("pole part overflows" if p.k0I * (ti - 0.5 * xi) > 0.5 * specfun.OVERFLOW_LIMIT
-                  else f"t, x or x/(2t) >= {SCALE_LIMIT!r}, where products of squares overflow")
-        raise EvaluationDomainError(xi, ti, reason)
+        raise EvaluationDomainError(*_point(x, t, i), f"t, x or x/(2t) >= {SCALE_LIMIT!r}, "
+                                    "where products of squares overflow")
     # one arithmetic for both; math/cmath are the faster choice for scalars
     if specfun._is_array(x, t):
-        import numpy as np
-
+        np = sys.modules["numpy"]
         sqrt, exp, quiet = np.sqrt, np.exp, np.errstate(over="ignore", invalid="ignore")
     else:
         sqrt, exp, quiet = math.sqrt, cmath.exp, contextlib.nullcontext()
@@ -162,8 +152,10 @@ def kernel(p: SourceParams, x, t, derivative: bool = False) -> Wave:
         raise EvaluationDomainError(*_point(x, t, i), "saddle part overflows")
     # e^{-i k0^2 t + i k0 x} = phase e^{k0I (2t - x) + i (k0I^2 t - (x - 2t)^2/(4t))}:
     # sharing the saddle's phase keeps rounding of size x out of their relative phase
+    crossed = t > pole_crossing_time(p, x)   # Im u_+ > 0 exactly; elsewhere 0 * e^{i ...}
     k = p.k0I
-    pole = phase * exp(k * (2.0 * t - x) + 1j * (k * k * t - (x - 2.0 * t) ** 2 / (4.0 * t)))
+    pole = crossed * (phase * exp(crossed * k * (2.0 * t - x)
+                                  + 1j * (k * k * t - (x - 2.0 * t) ** 2 / (4.0 * t))))
     try:
         w_p = specfun.faddeeva(-u_plus)
         w_m = specfun.faddeeva(-u_minus)
@@ -175,26 +167,34 @@ def kernel(p: SourceParams, x, t, derivative: bool = False) -> Wave:
         c = (1.0 + 1j) / (2.0 * sqrt(2.0 * t))
         wd = 2.0 * (u_plus * w_p + u_minus * w_m) + 4j / SQRT_PI   # w'(-u_+) + w'(-u_-)
         dpsi = 0.5 * phase * (1j * k_s * (w_p + w_m) + c * wd)
-    # Im u_+ > 0 in exact arithmetic, without the rounding of u_+ at t = t_c
-    return Wave(psi, saddle, pole, t > pole_crossing_time(p, x), dpsi)
+    return Wave(psi, saddle, pole, crossed, dpsi)
 
 
 def density_cells(p: SourceParams, x, t):
     """The `density` table's cells at (x, t), floats or arrays as kernel takes
     them: rho, rho_saddle, rho_pole, pole_crossed, R = |pole|/|saddle| (nan at
-    x = 0, inf where the saddle underflows to 0) and rho/n_total. A square
-    past double range is IEEE inf, with no warning."""
+    x = 0) and rho/n_total, with the pole unconditional, |pole| = e^{k0I (2t - x)}
+    and, where |saddle| is subnormal, R from logs. Past double range a cell is inf."""
+    def log_ratio(x, t, log):   # |saddle| = x/(2 sqrt(pi) t^{3/2} |k0^2 - k_s^2|)
+        return (p.k0I * (2.0 * t - x) + math.log(2.0 * SQRT_PI) + 1.5 * log(t) - log(x)
+                + log(abs(p.omega0 - (x / (2.0 * t)) ** 2)))
     w = kernel(p, x, t)
-    mod, saddle, pole = abs(w.psi), abs(w.saddle), abs(w.pole)
+    mod, saddle = abs(w.psi), abs(w.saddle)
     if specfun._is_array(x, t):
-        import numpy as np
-
+        np = sys.modules["numpy"]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            pole = np.exp(p.k0I * (2.0 * t - x))
             ratio = np.divide(pole, saddle, out=np.full(mod.shape, math.nan), where=x > 0.0)
+            tail = (saddle < DBL_MIN) & (x > 0.0)
+            xs, ts = (np.broadcast_to(v, tail.shape)[tail] for v in (x, t))
+            ratio[tail] = np.exp(log_ratio(xs, ts, np.log))
             rho_saddle, rho_pole = saddle * saddle, pole * pole
     else:
-        # IEEE division, where Python raises: pole/0 is inf and 0/0 nan
-        ratio = (pole / saddle if saddle else pole * math.inf) if x > 0.0 else math.nan
+        def exp(a):   # math.exp raises past LOG_MAX
+            return math.exp(a) if a <= LOG_MAX else math.inf
+        pole, ratio = exp(p.k0I * (2.0 * t - x)), math.nan
+        if x > 0.0:
+            ratio = pole / saddle if saddle >= DBL_MIN else exp(log_ratio(x, t, math.log))
         rho_saddle, rho_pole = saddle * saddle, pole * pole
     rho = mod * mod
     return rho, rho_saddle, rho_pole, w.pole_crossed, ratio, rho / p.n_total

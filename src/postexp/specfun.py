@@ -129,7 +129,10 @@ def faddeeva(z):
             if i is None:
                 return w
     bad = complex(z.flat[i] if array else z)
-    reason = "exp(-z^2) overflows" if cmath.isfinite(bad) else "non-finite argument"
+    # above the real axis no exp(-z^2) is taken: Weideman's divisions by
+    # L - iz overflow where |z| nears double range
+    reason = ("non-finite argument" if not cmath.isfinite(bad) else "exp(-z^2) overflows"
+              if bad.imag < 0.0 else "the rational series overflows near double range")
     raise FaddeevaDomainError(bad, reason, i if array else None)
 
 
@@ -172,7 +175,10 @@ def faddeeva_asymptotic(z: complex, m_max: int) -> complex:
 def faddeeva_derivative(z):
     """dw/dz via the identity w'(z) = -2 z w(z) + 2i/sqrt(pi); scalar or array.
 
-    z w(z) is formed first: 2z alone passes double range from |z| ~ 9e307.
+    The two terms cancel to about -i/(sqrt(pi) z^2), so the rounding of
+    z w(z) grows to about eps |z|^2 relative (against mpmath: 1.6e-12 at
+    100 + i, 2.4e-8 at 1e4 + i, 3.5e-4 at 1e6 + i). z w(z) is formed first:
+    2z alone passes double range from |z| ~ 9e307.
     """
     return -2.0 * (z * faddeeva(z)) + 2j / SQRT_PI
 

@@ -145,7 +145,7 @@ def test_a08_asymptotic_split_accuracy():
                 qualifying += 1
                 w = sm.kernel(p, x, t)
                 exact = abs(w.psi) ** 2
-                approx = abs(w.saddle + (w.pole if w.pole_crossed else 0j)) ** 2
+                approx = abs(w.saddle + w.pole) ** 2
                 worst = max(worst, abs(approx - exact) / exact)
         ok = ok and worst <= 0.05 and qualifying >= 30
         details.append(f"k0I={k0I}: worst {worst*100:.2f}% on {qualifying} pts")

@@ -505,18 +505,18 @@ def test_json_table_is_the_dumped_document(capsys):
 
 
 def test_failure_after_a_block_leaves_the_rows_written(capsys, monkeypatch):
-    # x = 1e6 fails in block k (one x per block) on the array path: both
-    # formats keep the head and the k blocks before it, and exit 1 with the
-    # same bytes at every --parallelism. With p processes block k is a
+    # x = 1e151, past SCALE_LIMIT, fails in block k (one x per block) on the
+    # array path: both formats keep the head and the k blocks before it, and
+    # exit 1 with the same bytes at every --parallelism. With p processes block k is a
     # worker's unless k % p == 0, so k = 1, 2, 3 puts the failure in a
     # worker's block and in this process's wherever p is 2 or 3
     monkeypatch.setattr(cli, "SCALAR_POINTS", 0)
     monkeypatch.setattr(cli, "BLOCK_ROWS", 3)
     for k in (1, 2, 3):
-        xs = ",".join(map(str, list(range(k)) + [1e6, 2e6, 3e6]))
+        xs = ",".join(map(str, list(range(k)) + [1e151, 2e151, 3e151]))
         argv = ["density", "--k0i", "-0.3", "--x", xs, "--t-grid", "lin:1:5:3"]
         rc, out, err = _run(capsys, argv + ["--parallelism", "1"])
-        assert rc == 1 and err.startswith("error: evaluation domain error at (x=1000000.0, ")
+        assert rc == 1 and err.startswith("error: evaluation domain error at (x=1e+151, ")
         assert err.count("\n") == 1 and out.count("\n") == 1 + 3 * k
         rc, out_json, err_json = _run(capsys, argv + ["--format", "json", "--parallelism", "1"])
         assert (rc, err_json) == (1, err)
@@ -649,6 +649,35 @@ def test_density_edges_on_both_paths(capsys, monkeypatch):
     assert scalar == (1, "x,t,rho_exact,rho_saddle,rho_pole,pole_crossed,R,rho_normalized\n",
                       "error: evaluation domain error at (x=0.5, t=1e+300): "
                       "t, x or x/(2t) >= 1e+150, where products of squares overflow\n")
+
+
+def _ratio_mpmath(k0I, x, t):
+    """R = |pole|/|saddle| at 40 digits, with |pole| = e^{k0I (2t - x)} and
+    |saddle| = x/(2 sqrt(pi) t^{3/2} |k0 - k_s| |k0 + k_s|), k_s = x/(2t)."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        k0, xm, tm = mpmath.mpc(1, k0I), mpmath.mpf(x), mpmath.mpf(t)
+        k_s = xm / (2 * tm)
+        saddle = xm / (2 * mpmath.sqrt(mpmath.pi) * tm ** 1.5 * abs(k0 - k_s) * abs(k0 + k_s))
+        return float(mpmath.exp(k0I * (2 * tm - xm)) / saddle)
+
+
+@pytest.mark.parametrize("k0I, x, t", [
+    (-5.2e-05, 5.339120665510766e-255, 7.451810723249581e+138),   # both moduli 0, R = 0
+    (-0.3, 1e-320, 1300.0),   # both moduli 0, R = 3e-14
+    (-0.3, 1e-310, 100.0),    # |saddle| subnormal, R = 2e287
+])
+def test_density_ratio_where_the_saddle_underflows(capsys, monkeypatch, k0I, x, t):
+    # R comes from ln|pole| - ln|saddle| there, never 0 * inf = nan; the
+    # difference rounds by a few ulps of its terms, |ln|saddle|| <= |ln|pole|| + |ln R|
+    want, log_pole = _ratio_mpmath(k0I, x, t), abs(k0I * (2.0 * t - x))
+    rel = 0.0 if want == 0.0 else (
+        4.0 * sys.float_info.epsilon * (1.0 + 2.0 * log_pole + abs(math.log(want))))
+    argv = ["density", f"--k0i={k0I!r}", "--x", repr(x), "--t-grid", repr(t)]
+    for rc, out, err in _both_paths(capsys, monkeypatch, argv):
+        assert (rc, err) == (0, "")
+        assert float(out.splitlines()[1].split(",")[6]) == pytest.approx(want, rel=rel, abs=0.0)
 
 
 def test_density_rho_pole_past_double_range(capsys):
@@ -1061,11 +1090,11 @@ def _cli_alone(argv, tmp_path, read=None, **env):
 def test_cli_exit_leaves_no_worker(tmp_path):
     # density on two blocks of BLOCK_ROWS rows as a fresh process: to a pipe
     # closed after 1 kB (exit 1 with no error line, a closed reader), to a
-    # file (exit 0), and failing in its second block (exit 1, one error
-    # line); each exits as in one process
+    # file (exit 0), and failing in its second block, past SCALE_LIMIT (exit
+    # 1, one error line); each exits as in one process
     for xs, read, code, errors, rows in (("1,2", 1024, 1, 0, None),
                                          ("1,2", None, 0, 0, 2 * cli.BLOCK_ROWS),
-                                         ("1,5000", None, 1, 1, cli.BLOCK_ROWS)):
+                                         ("1,1e151", None, 1, 1, cli.BLOCK_ROWS)):
         argv = ["density", "--k0i", "-0.3", "--x", xs, "--t-grid", f"lin:1:100:{cli.BLOCK_ROWS}"]
         one, default = (_cli_alone(argv + par, tmp_path, read)
                         for par in (["--parallelism", "1"], []))

@@ -3,8 +3,9 @@
 Every subcommand runs in process (cli.main) on argvs drawn from the
 documented domain, out to the edges of double range: -1 < k0I < 0 down to
 -5e-324, x and t from 5e-324 to 1e300, delta in (0, 1] down to 5e-324. An
-argv inside the domain exits 0, or 1 with exactly one `error:` line; one
-with a value outside it exits 2 with one `error:` line. No call raises, and
+argv inside the domain exits 0, or 1 with exactly one `error:` line (for
+density, only by the kernel's refusals, and with nan only in R at x = 0);
+one with a value outside it exits 2 with one `error:` line. No call raises, and
 none warns. Grids stay at 3 x 3 or smaller. Scenario configs, written
 to files, put each field at a double-range edge or at its rb87 value.
 
@@ -112,7 +113,27 @@ def _main(argv):
             warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = cli.main(argv)
-    return rc, err.getvalue()
+    return rc, out.getvalue(), err.getvalue()
+
+
+# the kernel's one domain bound, and the saddle past double range at |k0I| < ~1e-147
+DENSITY_REFUSALS = ("where products of squares overflow", "saddle part overflows")
+
+
+def _check_density(argv, rc, out, err):
+    """An in-domain density argv fails only by the kernel's refusals, and its
+    table has nan only in R at x = 0 (the CSV table: JSON writes inf as null too)."""
+    if rc == 1:
+        assert any(reason in err for reason in DENSITY_REFUSALS), (argv, err)
+        return
+    if "json" in argv:
+        rc, out, err = _main([v if v != "json" else "csv" for v in argv])
+        assert (rc, err) == (0, ""), (argv, rc, err)
+    head, *rows = out.splitlines()
+    columns = head.split(",")
+    for row in rows:
+        for column, cell in zip(columns, row.split(",")):
+            assert cell != "nan" or (column == "R" and float(row.split(",")[0]) == 0.0), (argv, row)
 
 
 @SWEEP
@@ -129,11 +150,20 @@ def _main(argv):
 # negative values in exponent notation, and a list of them, without "="
 @example((["transition", "--k0i", "-1e-3", "--x-grid", "1"], True))
 @example((["critical", "--k0i-grid", "-0.3,-0.2"], True))
+# far before the front, where the unconditional pole part passes double range
+@example((["density", "--k0i=-1e-3", "--x", "1e6", "--t-grid", "1e3", "--format", "csv"], True))
+@example((["density", "--k0i=-0.999999", "--x", "1000", "--t-grid", "1e-6", "--format", "json"],
+          True))
+# |pole| and |saddle| both underflow to 0: R from their logarithms, not 0 * inf
+@example((["density", "--k0i=-5.2e-05", "--x", "5.339120665510766e-255",
+           "--t-grid", "7.451810723249581e+138", "--format", "csv"], True))
 def test_every_argv_exits_by_the_domain(case):
     argv, in_domain = case
-    rc, err = _main(argv)
+    rc, out, err = _main(argv)
     if in_domain:
         assert rc in (0, 1), (argv, rc, err)
+        if argv[0] == "density":
+            _check_density(argv, rc, out, err)
     else:
         assert rc == 2, (argv, rc, err)
     if rc == 0:
@@ -167,7 +197,7 @@ def test_every_scenario_config_exits_by_the_domain(tmp_path, case):
     path = tmp_path / "scenario.cfg"
     path.write_text("".join(f"{key} = {value!r}\n" for key, value in fields.items()))
     argv = ["scenario", "--config", str(path), f"--distance={distance!r}"]
-    rc, err = _main(argv)
+    rc, _, err = _main(argv)
     assert rc in (0, 1, 2), (fields, distance, rc, err)
     if rc == 0:
         assert err == "", (fields, distance, err)

@@ -1,10 +1,10 @@
 """The kernel on scalars and arrays: property tests over the whole domain.
 
-The domain is -1 < k0I < 0, x from 0 to past the critical distance (the
-scan ceiling 100/|k0I| times 1.2), and t from 1e-6 into the tail (the
-transition scan horizon 1e3/gamma). Values are checked against an mpmath
-evaluation of w(z) = exp(-z^2) erfc(-iz) at 40 or more digits, never
-against the kernel itself.
+The domain is -1 < k0I < 0 (log-uniform down to -1e-8), x from 0 to 1.5
+times the critical distance x_max, and t from 1e-6 into the tail (the
+transition scan horizon 1e3/gamma) or, before the front, from 1e-6 t_c.
+Values are checked against an mpmath evaluation of w(z) = exp(-z^2)
+erfc(-iz) at 40 or more digits, never against the kernel itself.
 """
 
 import math
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from postexp import source_model as sm
 from postexp import specfun
+from postexp.transition import critical_distance
 
 from conftest import psi_mpmath_oracle, saddle_mpmath_oracle
 
@@ -30,15 +31,23 @@ def _close(got, want, kappa):
 
 @st.composite
 def domain_points(draw, n=4):
-    """k0I and n (x, t) points spread log-uniformly over the domain."""
-    k0I = -draw(st.floats(0.001, 0.999))
-    ceiling = 1.2 * 100.0 / abs(k0I)
+    """k0I and n (x, t) points spread log-uniformly over the domain. Below
+    |k0I| ~ 1e-6, 16 eps kappa passes 1 at the far pre-front points, and the
+    check there is vacuous; test_kernel_before_the_front_matches_mpmath
+    keeps fixed cases."""
+    k0I = -10.0 ** draw(st.floats(-8.0, math.log10(0.999)))
+    p = sm.SourceParams(k0I)
+    x_top = 1.5 * critical_distance(p)[0]
     horizon = 1e3 / (4.0 * abs(k0I))
     xs, ts = [], []
     for _ in range(n):
-        xs.append(draw(st.one_of(st.just(0.0),
-                                 st.floats(-8.0, 0.0).map(lambda e: ceiling * 10.0 ** e))))
-        ts.append(10.0 ** draw(st.floats(-6.0, math.log10(horizon))))
+        x = draw(st.one_of(st.just(0.0), st.floats(-8.0, 0.0).map(lambda e: x_top * 10.0 ** e)))
+        if x > 0.0 and draw(st.booleans()):
+            t = sm.pole_crossing_time(p, x) * 10.0 ** draw(st.floats(-6.0, 0.0))
+        else:
+            t = 10.0 ** draw(st.floats(-6.0, math.log10(horizon)))
+        xs.append(x)
+        ts.append(t)
     return k0I, np.array(xs), np.array(ts)
 
 
@@ -138,15 +147,35 @@ def test_out_of_domain_array_names_first_bad_value(p03):
 
 
 def test_overflow_raises_typed_error_at_first_point(p03):
-    # far beyond the front the pole part e^{k0I (2t - x)} overflows: a typed
-    # error naming the first offending (x, t) in flat order, never inf
-    xs = np.array([[1.0], [3000.0], [5000.0]])
-    ts = np.array([1.0, 1e3, 1e-3])
+    # past SCALE_LIMIT products of squares overflow: a typed error naming the
+    # first offending (x, t) in flat order, never inf. Far before the front,
+    # at (3000, 1), psi is a value
+    xs = np.array([[1.0], [3000.0], [1e151]])
+    ts = np.array([1.0, 1e3])
     with pytest.raises(sm.EvaluationDomainError) as err:
         sm.kernel(p03, xs, ts)
-    assert (err.value.x, err.value.t) == (3000.0, 1.0)
+    assert (err.value.x, err.value.t) == (1e151, 1.0)
     with pytest.raises(sm.EvaluationDomainError):
-        sm.kernel(p03, 4000.0, 1e-3)
+        sm.kernel(p03, 1.0, 1e151)
+    psi = sm.kernel(p03, xs[:2], ts).psi
+    assert np.all(np.isfinite(psi))
+    want, kappa = psi_mpmath_oracle(p03.k0I, 3000.0, 1.0)
+    assert _close(psi[1, 0], want, kappa)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k0I, x, t", [(-1e-3, 1e6, 1e3), (-0.999999, 1000.0, 1e-6),
+                                        (-0.3, 5000.0, 1.0)])
+def test_kernel_before_the_front_matches_mpmath(k0I, x, t):
+    # far before the front the unconditional pole part e^{k0I (2t - x)} would
+    # pass double range; psi and the saddle do not, and the pole part is 0
+    p = sm.SourceParams(k0I)
+    want, kappa = psi_mpmath_oracle(k0I, x, t)
+    for w in (sm.kernel(p, x, t), sm.kernel(p, np.array([x]), np.array([t]))):
+        psi, saddle, pole = (complex(np.ravel(v)[0]) for v in w[:3])
+        assert _close(psi, want, kappa), (psi, want, kappa)
+        assert _saddle_close(saddle, k0I, x, t)
+        assert pole == 0.0 and not w.pole_crossed
 
 
 def test_faddeeva_array_guard_reports_index():
@@ -242,12 +271,14 @@ def test_scalar_and_array_agree_at_the_edges(x, t, k0I):
 
 
 def test_first_offending_point_is_the_same_on_both_branches(p03):
-    # a pole overflow after a scale overflow in flat order: both branches
-    # name the scale point, as a point-by-point loop meets it first
-    xs = np.array([1.0, 1.0, 5000.0])
-    ts = np.array([1.0, 1e-160, 1.0])
+    # two points past SCALE_LIMIT in flat order: both branches name the
+    # first, as a point-by-point loop meets it first. (5000, 1) before them
+    # lies far before the front, where psi is a value
+    xs = np.array([1.0, 5000.0, 1.0, 1e151])
+    ts = np.array([1.0, 1.0, 1e-160, 1.0])
     with pytest.raises(sm.EvaluationDomainError) as err:
         sm.kernel(p03, xs, ts)
     assert (err.value.x, err.value.t) == (1.0, 1e-160)
     assert str(err.value) == _outcome(p03, 1.0, 1e-160)
-    assert "pole part overflows" in _outcome(p03, 5000.0, 1.0)
+    want, kappa = psi_mpmath_oracle(p03.k0I, 5000.0, 1.0)
+    assert _close(_outcome(p03, 5000.0, 1.0)[0], want, kappa)

@@ -202,6 +202,15 @@ def test_spatial_norm_matches_cumulative_emission(p03):
     assert abs(spatial / emitted - 1.0) < 2e-4
 
 
+@pytest.mark.parametrize("k0I, T", [(-0.3, 60.0), (-0.05, 500.0)])
+def test_spatial_norm_reaches_far_before_the_front(k0I, T):
+    # the rule runs out to x = 40 T + 200, where |k0I| (x - 2T) passes
+    # 0.9 ln(DBL_MAX): psi is bounded there, and the norm is conserved to
+    # the docstring's 1e-4
+    p = sm.SourceParams(k0I)
+    assert abs(nz.spatial_norm(p, T) / nz.emitted_by_time(p, T) - 1.0) < 1e-4
+
+
 def test_spatial_norm_matches_adaptive_quadrature(p03):
     # the panel rule against adaptive quadrature over the fringe range and
     # the far range, closed by the same C/x tail

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -59,13 +60,37 @@ def test_pole_crossing_flag(p03):
 
 
 def test_approx_is_saddle_plus_gated_pole(p03):
-    # before the crossing (t_c = 1.43) the approximation is the saddle alone
+    # before the crossing (t_c = 1.43) the approximation is the saddle alone:
+    # the pole part is 0 there, on both paths
     for x, t, crossed in ((2.0, 1.0, False), (2.0, 30.0, True)):
-        w = sm.kernel(p03, x, t)
-        assert w.pole_crossed == crossed
         want = (approx_mpmath_oracle(p03.k0I, x, t) if crossed
                 else saddle_mpmath_oracle(p03.k0I, x, t)[0])
-        assert w.saddle + (w.pole if w.pole_crossed else 0j) == pytest.approx(want, rel=1e-15)
+        for w in (sm.kernel(p03, x, t), sm.kernel(p03, np.array([x]), np.array([t]))):
+            saddle, pole = complex(np.ravel(w.saddle)[0]), complex(np.ravel(w.pole)[0])
+            assert bool(w.pole_crossed) == crossed
+            assert (pole == 0.0) != crossed
+            assert saddle + pole == pytest.approx(want, rel=1e-15)
+
+
+def test_pole_part_is_present_only_past_the_crossing(p03):
+    # Wave.pole is e^{-i omega0 t + i k0 x} past t_c, of modulus below 1, and
+    # exactly 0 before it, on both paths: also far before the front, where
+    # e^{k0I (2t - x)} passes double range. Its phase carries the rounding
+    # of x^2/(4t), x and t
+    xs, ts = np.array([[0.5], [3.0], [4000.0]]), np.geomspace(0.01, 3e4, 9)
+    w = sm.kernel(p03, xs, ts)
+    for (i, j), crossed in np.ndenumerate(w.pole_crossed):
+        x, t = float(xs[i, 0]), float(ts[j])
+        assert crossed == (t > x / (2.0 * (1.0 + p03.k0I)))
+        with mpmath.workdps(40):
+            k0 = mpmath.mpc(1, p03.k0I)
+            want = complex(mpmath.exp(-1j * k0 * k0 * t + 1j * k0 * x))
+        tol = 8.0 * EPS * (1.0 + x * x / (4.0 * t) + x + t)
+        for pole in (complex(w.pole[i, j]), sm.kernel(p03, x, t).pole):
+            if crossed:
+                assert abs(pole) < 1.0 and abs(pole - want) <= tol * abs(want), (x, t)
+            else:
+                assert pole == 0.0, (x, t)
 
 
 def test_saddle_density_quadruples_when_x_doubles(p03):

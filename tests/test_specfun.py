@@ -147,6 +147,33 @@ def test_far_lower_half_plane_where_the_reflection_vanishes(z):
         assert abs(got - want) <= 4.0 * EPS * abs(want)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z", [1e308 + 1e308j, -1e308 + 1e308j], ids=repr)
+def test_upper_half_plane_overflow_names_the_series(z):
+    # above the real axis no exp(-z^2) is taken; the series' divisions by
+    # L - iz overflow there, and both forms say so at the same z
+    with pytest.raises(specfun.FaddeevaDomainError) as scalar:
+        specfun.faddeeva(z)
+    with pytest.raises(specfun.FaddeevaDomainError) as array:
+        specfun.faddeeva(np.array([1j, z]))
+    assert scalar.value.index is None and array.value.index == 1
+    assert str(array.value) == str(scalar.value)
+    assert "rational series overflows" in str(scalar.value)
+    assert "exp(-z^2)" not in str(scalar.value)
+
+
+@pytest.mark.parametrize("z", [100 + 1j, 1e4 + 1j, 1e6 + 1j], ids=repr)
+def test_derivative_loses_eps_z_squared(z):
+    # -2 z w(z) and 2i/sqrt(pi) cancel to about -i/(sqrt(pi) z^2): the
+    # identity carries the rounding of z w(z), eps |z|^2 relative
+    with mpmath.workdps(60):
+        zm = mpmath.mpc(z.real, z.imag)
+        w = mpmath.exp(-zm * zm) * mpmath.erfc(-1j * zm)
+        want = complex(-2 * zm * w + 2j / mpmath.sqrt(mpmath.pi))
+    for got in (specfun.faddeeva_derivative(z), specfun.faddeeva_derivative(np.array([z]))[0]):
+        assert abs(got - want) <= 4.0 * EPS * abs(z) ** 2 * abs(want), (got, want)
+
+
 # ------------------------------------------------------------- Lambert W
 
 def _lambertw_points():
