@@ -116,8 +116,9 @@ def kernel(p: SourceParams, x, t, derivative: bool = False) -> Wave:
     u_+- = +-(1 + i) sqrt(t/2) (k0 -+ k_s), to about eps (x^2/(4t) + |u_+-|^2).
     psi ~ saddle + pole: the saddle part sqrt(2/pi) t^{-1/2} e^{i k_s^2 t} k_s
     / ((i - 1)(k0 - k_s)(k0 + k_s)) is finite, as |k0 - k_s| >= |k0I| and
-    |k0 + k_s| >= 1; the pole part is 0 before t_c. derivative adds d psi/dx
-    through w'(z) = -2 z w(z) + 2i/sqrt(pi), to about eps |u_+-|^2.
+    |k0 + k_s| >= 1; the pole part is 0 before t_c. derivative adds d psi/dx from
+    those w values by w'(z) = -2 z w(z) + 2i/sqrt(pi), to about eps |u_+-|^2, not by
+    faddeeva_derivative, which sums a series above the axis at large |z|.
 
     x < 0, t <= 0 and non-finite inputs raise ValueError; t, x or x/(2t) at
     SCALE_LIMIT, or a saddle or w(z) past double range, EvaluationDomainError
@@ -170,14 +171,34 @@ def kernel(p: SourceParams, x, t, derivative: bool = False) -> Wave:
     return Wave(psi, saddle, pole, crossed, dpsi)
 
 
+def log_ratio(p: SourceParams, x, t):
+    """ln R at x, t > 0, floats or arrays as kernel takes them, where R = |pole|/|saddle|
+    = 2 sqrt(pi) t^{3/2} |k0 - k_s| |k0 + k_s| e^{k0I (2t - x)}/x. k_s = (x/t)/2 where
+    x <= 2t; elsewhere q = 2t/x, with |k0 -+ k_s| = |k0 q -+ 1|/q. So no intermediate
+    leaves double range where ln R does not, and a subnormal x keeps its bits."""
+    if specfun._is_array(x, t):
+        np = sys.modules["numpy"]
+        log, hypot, pick = np.log, np.hypot, np.where
+        quiet = np.errstate(over="ignore", invalid="ignore")   # in the branch not taken
+    else:   # float arithmetic neither warns nor raises
+        x, t, log, hypot, quiet = float(x), float(t), math.log, math.hypot, contextlib.nullcontext()
+        def pick(near, a, b):
+            return a if near else b
+    k = p.k0I
+    with quiet:
+        near = 0.5 * x <= t
+        s = pick(near, x / t / 2.0, 2.0 * t / x)   # k_s, or q; in [0, 1]
+        im = k * pick(near, 1.0, s)                 # Im k0, or Im k0 q
+        return (2.0 * k * (t - 0.5 * x) + math.log(2.0 * SQRT_PI)
+                + pick(near, 1.5 * log(t) - log(x), log(x) - 0.5 * log(t) - math.log(4.0))
+                + log(hypot(1.0 - s, im)) + log(hypot(1.0 + s, im)))
+
+
 def density_cells(p: SourceParams, x, t):
     """The `density` table's cells at (x, t), floats or arrays as kernel takes
     them: rho, rho_saddle, rho_pole, pole_crossed, R = |pole|/|saddle| (nan at
     x = 0) and rho/n_total, with the pole unconditional, |pole| = e^{k0I (2t - x)}
-    and, where |saddle| is subnormal, R from logs. Past double range a cell is inf."""
-    def log_ratio(x, t, log):   # |saddle| = x/(2 sqrt(pi) t^{3/2} |k0^2 - k_s^2|)
-        return (p.k0I * (2.0 * t - x) + math.log(2.0 * SQRT_PI) + 1.5 * log(t) - log(x)
-                + log(abs(p.omega0 - (x / (2.0 * t)) ** 2)))
+    and, where |saddle| is subnormal, R from log_ratio. Past double range a cell is inf."""
     w = kernel(p, x, t)
     mod, saddle = abs(w.psi), abs(w.saddle)
     if specfun._is_array(x, t):
@@ -187,14 +208,14 @@ def density_cells(p: SourceParams, x, t):
             ratio = np.divide(pole, saddle, out=np.full(mod.shape, math.nan), where=x > 0.0)
             tail = (saddle < DBL_MIN) & (x > 0.0)
             xs, ts = (np.broadcast_to(v, tail.shape)[tail] for v in (x, t))
-            ratio[tail] = np.exp(log_ratio(xs, ts, np.log))
+            ratio[tail] = np.exp(log_ratio(p, xs, ts))
             rho_saddle, rho_pole = saddle * saddle, pole * pole
     else:
         def exp(a):   # math.exp raises past LOG_MAX
             return math.exp(a) if a <= LOG_MAX else math.inf
         pole, ratio = exp(p.k0I * (2.0 * t - x)), math.nan
         if x > 0.0:
-            ratio = pole / saddle if saddle >= DBL_MIN else exp(log_ratio(x, t, math.log))
+            ratio = pole / saddle if saddle >= DBL_MIN else exp(log_ratio(p, x, t))
         rho_saddle, rho_pole = saddle * saddle, pole * pole
     rho = mod * mod
     return rho, rho_saddle, rho_pole, w.pole_crossed, ratio, rho / p.n_total

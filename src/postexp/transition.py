@@ -7,9 +7,9 @@ all, and the purely-non-exponential threshold, all from the closed form
 
     ln R = ln(2 sqrt(pi) |k0|^2) - ln x - (ln t)/2 + 2 k0I t - k0I x + ln|t^2 - tau^2|
 
-with tau = x/(2 k0). Near the pole crossing t_c = x/(2(1 + k0I)), t^2 - tau^2
-cancels to order |k0I| t^2, so from t_c/2 on R is coded in sigma = (t/t_c - 1)/kappa
-with kappa = |k0I|: rho = tau/t_c = (1 + k0I)/(1 + i k0I) is fixed, and
+with tau = x/(2 k0); ratio_R takes it at given (x, t) from source_model.log_ratio. Near the
+pole crossing t_c = x/(2(1 + k0I)), t^2 - tau^2 cancels to order |k0I| t^2, so the solver
+works in sigma = (t/t_c - 1)/kappa, kappa = |k0I|: rho = tau/t_c = (1 + k0I)/(1 + i k0I) is fixed, and
 1 + kappa sigma - rho = kappa (sigma + c) exactly with c = (1 - i)/(1 - i kappa).
 With beta = kappa^2/(1 - kappa) and k0I (2t - x) = -beta x (sigma + 1), for t > 0
 
@@ -53,7 +53,7 @@ import sys
 from functools import lru_cache
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .source_model import EvaluationDomainError, SourceParams, kernel, pole_crossing_time
+from .source_model import EvaluationDomainError, SourceParams, kernel, log_ratio, pole_crossing_time
 from .specfun import OVERFLOW_LIMIT, lambertw_m1
 
 ROOT_TOL = 1e-6          # |ln R| (exact_ratio) or |residual| (late_time) at the root
@@ -95,35 +95,14 @@ def _log_ratio_sigma(p: SourceParams, x, s):
 def ratio_R(p: SourceParams, x: float, t: float) -> float:
     """R = 2 sqrt(pi) |k0|^2 |t^2 - tau^2| / (x sqrt(t)) * e^{2 k0I t - k0I x}.
 
-    This is |pole|/|saddle| at every t > 0 (t^2 = tau^2 has no real root),
-    in the t-form before t_c/2, where none of its terms cancels, and in sigma
-    from there on. ln R - k0I (2t - x) is homogeneous of degree 1/2 in
-    (x, t), so below x = 2^-1000, where t_c and tau would keep few bits, it
-    is evaluated at (x, t) scaled by an exact power of two 2^e. x <= 0,
-    t <= 0 and non-finite input raise ValueError; a t that the scaling
-    carries past double range, or an R past it, raises EvaluationDomainError.
+    This is |pole|/|saddle| at every t > 0 (t^2 = tau^2 has no real root), the exp
+    of source_model.log_ratio, 0 where R underflows. x <= 0, t <= 0 and non-finite
+    input raise ValueError, an R past double range EvaluationDomainError.
     """
     if not (0.0 < x < math.inf and 0.0 < t < math.inf):
         raise ValueError(f"ratio needs finite x > 0 and t > 0, got (x, t) = ({x!r}, {t!r})")
-    e = max(-999 - math.frexp(x)[1], 0)
-    if math.frexp(t)[1] + e > sys.float_info.max_exp:
-        raise EvaluationDomainError(x, t, "t scaled by 2^e passes double range")
-    xe, te = math.ldexp(x, e), math.ldexp(t, e)
-    t_c = pole_crossing_time(p, xe)
-    if te < 0.5 * t_c:
-        tau = xe / (2.0 * p.k0)
-        log_r = (math.log(2.0 * math.sqrt(math.pi) * abs(p.k0) ** 2) - math.log(xe)
-                 - 0.5 * math.log(te) + p.k0I * (2.0 * te - xe) + math.log(abs(te - tau))
-                 + math.log(abs(te + tau)))
-    else:
-        s = (te / t_c - 1.0) / abs(p.k0I)
-        if not math.isfinite(s):
-            raise EvaluationDomainError(x, t, "sigma = (t/t_c - 1)/|k0I| overflows")
-        log_r = _log_ratio_sigma(p, xe, s)[0]
-    if e:
-        log_r += p.k0I * ((2.0 * t - x) - (2.0 * te - xe)) - 0.5 * e * math.log(2.0)
     try:
-        return math.exp(log_r)
+        return math.exp(log_ratio(p, x, t))
     except OverflowError:
         raise EvaluationDomainError(x, t, "R passes double range") from None
 

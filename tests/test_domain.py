@@ -4,10 +4,12 @@ Every subcommand runs in process (cli.main) on argvs drawn from the
 documented domain, out to the edges of double range: -1 < k0I < 0 down to
 -5e-324, x and t from 5e-324 to 1e300, delta in (0, 1] down to 5e-324. An
 argv inside the domain exits 0, or 1 with exactly one `error:` line (for
-density, only by the kernel's refusals, and with nan only in R at x = 0);
-one with a value outside it exits 2 with one `error:` line. No call raises, and
-none warns. Grids stay at 3 x 3 or smaller. Scenario configs, written
-to files, put each field at a double-range edge or at its rb87 value.
+density, only by the kernel's refusals, and with nan only in R at x = 0;
+for lattice, with no nan in the table and nan in the summary only where a
+docstring allows it); one with a value outside it exits 2 with one `error:`
+line. No call raises, and none warns. Grids stay at 3 x 3 or smaller.
+Scenario configs, written to files, put each field at a double-range edge
+or at its rb87 value.
 
 The library's contract, swept the same way: every callable in
 postexp.__all__, called directly on the same domain and edges (Faddeeva
@@ -136,6 +138,44 @@ def _check_density(argv, rc, out, err):
             assert cell != "nan" or (column == "R" and float(row.split(",")[0]) == 0.0), (argv, row)
 
 
+def _summary_nan_allowed(argv, key):
+    """Whether the lattice summary field key may be nan, by the docstrings of
+    lattice.summary, fitted_decay_rate and lattice_transition_time."""
+    from postexp import lattice as lat
+
+    option = dict(a[2:].split("=", 1) for a in argv if a.startswith("--") and "=" in a)
+    delta, t_max = float(option["delta"]), float(option["t-max"])
+    if key == "transition_time_site_1":
+        return True
+    if delta == 1.0:   # no resonance: no rate and no transition
+        return key in ("gamma_formula", "fitted_gamma") or key.startswith("transition_time_site_")
+    p = lat.LatticeParams(delta, max(t_max, lat.SUMMARY_HORIZON))
+    if key == "fitted_gamma":   # a fit window shorter than ten envelope steps
+        return min(12.0 / p.gamma, 0.9 * p.t_max) - 5.0 < 10.0 * lat.ENVELOPE_STEP
+    sites = [int(n) for n in argv[argv.index("--sites") + 1].split(",")]
+    if key == "tail_exponent":   # the tail site's transition not before the window start
+        return not lat.lattice_transition_time(p, max(sites)) <= 0.55 * p.t_max
+    if key.startswith("transition_time_site_"):   # no admissible root
+        return math.isnan(lat.lattice_transition_time(p, int(key.rsplit("_", 1)[1])))
+    return False
+
+
+def _check_lattice(argv, rc, out, err):
+    """An in-domain lattice table has no nan, and its summary has nan only
+    where a docstring allows it (the CSV form: JSON writes nan as null)."""
+    if rc == 1:
+        return
+    if "json" in argv:
+        rc, out, err = _main([v if v != "json" else "csv" for v in argv])
+        assert (rc, err) == (0, ""), (argv, rc, err)
+    for line in out.splitlines():
+        if line.startswith("# "):
+            key, value = line[2:].split(" = ", 1)
+            assert value != "nan" or _summary_nan_allowed(argv, key), (argv, line)
+        else:
+            assert "nan" not in line.split(","), (argv, line)
+
+
 @SWEEP
 @given(argvs())
 # a late_time root at subnormal x; chains whose modes or decay rate leave
@@ -164,6 +204,8 @@ def test_every_argv_exits_by_the_domain(case):
         assert rc in (0, 1), (argv, rc, err)
         if argv[0] == "density":
             _check_density(argv, rc, out, err)
+        if argv[0] == "lattice":
+            _check_lattice(argv, rc, out, err)
     else:
         assert rc == 2, (argv, rc, err)
     if rc == 0:

@@ -162,16 +162,32 @@ def test_upper_half_plane_overflow_names_the_series(z):
     assert "exp(-z^2)" not in str(scalar.value)
 
 
-@pytest.mark.parametrize("z", [100 + 1j, 1e4 + 1j, 1e6 + 1j], ids=repr)
-def test_derivative_loses_eps_z_squared(z):
-    # -2 z w(z) and 2i/sqrt(pi) cancel to about -i/(sqrt(pi) z^2): the
-    # identity carries the rounding of z w(z), eps |z|^2 relative
+def _derivative_mpmath(z):
     with mpmath.workdps(60):
         zm = mpmath.mpc(z.real, z.imag)
         w = mpmath.exp(-zm * zm) * mpmath.erfc(-1j * zm)
-        want = complex(-2 * zm * w + 2j / mpmath.sqrt(mpmath.pi))
+        return complex(-2 * zm * w + 2j / mpmath.sqrt(mpmath.pi))
+
+
+@pytest.mark.parametrize("z", [100 + 1j, 1e4 + 1j, 1e6 + 1j], ids=repr)
+def test_derivative_loses_eps_z_squared(z):
+    # -2 z w(z) and 2i/sqrt(pi) cancel to about -i/(sqrt(pi) z^2), so the
+    # identity would carry the rounding of z w(z), eps |z|^2 relative: a
+    # ceiling that the series taken above the real axis keeps far below
+    want = _derivative_mpmath(z)
     for got in (specfun.faddeeva_derivative(z), specfun.faddeeva_derivative(np.array([z]))[0]):
         assert abs(got - want) <= 4.0 * EPS * abs(z) ** 2 * abs(want), (got, want)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z", [100 + 1j, 1e4 + 1j, 1e6 + 1j, 1e8 + 1j, -1e8 + 1j, 8.0 + 0j,
+                               1e-3 + 8j], ids=repr)
+def test_derivative_above_the_axis_is_within_a_few_eps(z):
+    # the large-|z| series; the identity erred by 1.6e-12, 2.4e-8, 3.5e-4
+    # and 2.9 relative at the first four points
+    want = _derivative_mpmath(z)
+    for got in (specfun.faddeeva_derivative(z), specfun.faddeeva_derivative(np.array([z]))[0]):
+        assert abs(got - want) <= 4.0 * EPS * abs(want), (got, want)
 
 
 # ------------------------------------------------------------- Lambert W

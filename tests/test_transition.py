@@ -83,11 +83,10 @@ def test_ratio_past_double_range_is_a_typed_error():
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("k0I", [-0.3, -1e-17, -0.999999])
-def test_ratio_at_subnormal_distance_and_huge_time_is_a_typed_error(k0I):
-    # x = 5e-324 is scaled by 2^74, which carries t past double range from about 9.5e285
+def test_ratio_at_subnormal_distance_and_huge_time_underflows(k0I):
+    # ln R ~ 2 k0I t is below -2e269 here: R is 0, with no rescaling of (x, t) to overflow
     for t in (1e286, 1e300, 1.7e308):
-        with pytest.raises(sm.EvaluationDomainError):
-            tr.ratio_R(sm.SourceParams(k0I), 5e-324, t)
+        assert tr.ratio_R(sm.SourceParams(k0I), 5e-324, t) == 0.0
 
 
 @pytest.mark.filterwarnings("error")
@@ -95,8 +94,19 @@ def test_sigma_overflow_is_a_typed_error(p03):
     # t_p/t_c passes the double range once k0I^2 x is below about 1e-277
     with pytest.raises(sm.EvaluationDomainError):
         tr.transition_times(sm.SourceParams(-1e-12), [1e-300, 1.0])
-    with pytest.raises(sm.EvaluationDomainError):
-        tr.ratio_R(p03, 1e-300, 1e10)
+    # ratio_R needs no sigma: at (1e-300, 1e10), ln R ~ -6e9 and R is 0
+    assert tr.ratio_R(p03, 1e-300, 1e10) == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k0I, x, t", [
+    (-1e-200, 1e205, 1e205),     # k0I (2t - x) = -1e5: R underflows, where k0I^2 does too
+    (-1e-155, 1e156, 1e156),     # k0I^2 is subnormal
+    (-5e-324, 1e308, 1.5e308),   # 2t passes double range
+    (-0.3, 1e-10, 1e-320)])      # k_s = x/(2t) passes double range
+def test_ratio_at_the_double_range_edges(k0I, x, t):
+    want = float(_ratio_mpmath(k0I, x, t))
+    assert tr.ratio_R(sm.SourceParams(k0I), x, t) == pytest.approx(want, rel=1e-12)
 
 
 def test_pole_crossing_time(p03):
